@@ -22,7 +22,6 @@ from .changepoint import (
 )
 from .data import (
     FeatureSet,
-    FeatureVector,
     QuotationWeek,
     SpreadSeries,
     build_features,
@@ -86,7 +85,6 @@ __all__ = [
     "DegenerateModelError",
     "EmResult",
     "FeatureSet",
-    "FeatureVector",
     "ImputationError",
     "LinearMean",
     "MacroClassification",

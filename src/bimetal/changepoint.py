@@ -58,12 +58,24 @@ def _check_series(series) -> np.ndarray:
     return series
 
 
+def _check_min_seg_len(mode: SegMode, min_seg_len) -> int:
+    if min_seg_len is None:
+        return default_min_seg_len(mode)
+    if min_seg_len < default_min_seg_len(mode):
+        raise ValidationError(
+            f"min_seg_len={min_seg_len} too small for mode {mode.value}"
+        )
+    return min_seg_len
+
+
 def segment_cost(series, i, j, mode, min_seg_len=None, variance_floor=None) -> float:
-    """Contrast of treating series[i:j] as a single segment."""
+    """Contrast of treating series[i:j] as a single segment.
+
+    The direct two-pass reference for the entries of SegCostTable.
+    """
     series = _check_series(series)
     mode = SegMode.parse(mode)
-    if min_seg_len is None:
-        min_seg_len = default_min_seg_len(mode)
+    min_seg_len = _check_min_seg_len(mode, min_seg_len)
     n = j - i
     if not 0 <= i <= j <= series.shape[0]:
         raise ValidationError(f"bad segment bounds ({i}, {j})")
@@ -104,12 +116,7 @@ class SegCostTable:
     def build(cls, series, mode, min_seg_len=None, variance_floor=None) -> "SegCostTable":
         series = _check_series(series)
         mode = SegMode.parse(mode)
-        if min_seg_len is None:
-            min_seg_len = default_min_seg_len(mode)
-        if min_seg_len < default_min_seg_len(mode):
-            raise ValidationError(
-                f"min_seg_len={min_seg_len} too small for mode {mode.value}"
-            )
+        min_seg_len = _check_min_seg_len(mode, min_seg_len)
         if variance_floor is None:
             variance_floor = _variance_floor(series)
 
@@ -276,28 +283,15 @@ def _segment_estimates(series, boundaries):
     return tuple(means), tuple(covs)
 
 
-def _feasible_K(table: SegCostTable, K: int) -> bool:
-    return K >= 1 and K * table.min_seg_len <= table.T
-
-
-def optimal_segmentation_for_k(
-    series, K, mode, min_seg_len=None, variance_floor=None, _table=None, _G=None
-) -> Segmentation:
-    """Exact global minimum-contrast segmentation into K segments.
-
-    Dynamic programming over the cost table; ties resolved to the earliest
-    (lexicographically smallest) change-point configuration.
-    """
-    series = _check_series(series)
-    table = _table if _table is not None else SegCostTable.build(
-        series, mode, min_seg_len, variance_floor
-    )
-    if not _feasible_K(table, K):
+def _require_feasible(table: SegCostTable, K: int, name: str) -> None:
+    if not (K >= 1 and K * table.min_seg_len <= table.T):
         raise ValidationError(
-            f"K={K} infeasible for series of length {table.T} "
+            f"{name}={K} infeasible for series of length {table.T} "
             f"with min_seg_len={table.min_seg_len}"
         )
-    G = _G if _G is not None else _suffix_tables(table, K)
+
+
+def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int) -> Segmentation:
     total = float(G[K, 0])
     if not np.isfinite(total):
         raise ValidationError(f"no feasible segmentation into {K} segments")
@@ -314,6 +308,20 @@ def optimal_segmentation_for_k(
     )
 
 
+def optimal_segmentation_for_k(
+    series, K, mode, min_seg_len=None, variance_floor=None
+) -> Segmentation:
+    """Exact global minimum-contrast segmentation into K segments.
+
+    Dynamic programming over the cost table; ties resolved to the earliest
+    (lexicographically smallest) change-point configuration.
+    """
+    series = _check_series(series)
+    table = SegCostTable.build(series, mode, min_seg_len, variance_floor)
+    _require_feasible(table, K, "K")
+    return _segmentation(series, table, _suffix_tables(table, K), K)
+
+
 def select_num_segments(
     series,
     K_max,
@@ -322,8 +330,6 @@ def select_num_segments(
     penalty: float | None = None,
     min_seg_len=None,
     variance_floor=None,
-    _table=None,
-    _G=None,
 ) -> tuple[int, SelectionDiagnostics]:
     """Choose the number of segments from the optimal-contrast curve.
 
@@ -333,17 +339,15 @@ def select_num_segments(
     ``penalty`` beta switches to minimizing J_K + beta * K instead.
     """
     series = _check_series(series)
-    table = _table if _table is not None else SegCostTable.build(
-        series, mode, min_seg_len, variance_floor
-    )
-    if not _feasible_K(table, K_max):
-        raise ValidationError(
-            f"K_max={K_max} infeasible for series of length {table.T} "
-            f"with min_seg_len={table.min_seg_len}"
-        )
-    G = _G if _G is not None else _suffix_tables(table, K_max)
-    J = G[1 : K_max + 1, 0]
+    table = SegCostTable.build(series, mode, min_seg_len, variance_floor)
+    _require_feasible(table, K_max, "K_max")
+    G = _suffix_tables(table, K_max)
+    return _select(G[1 : K_max + 1, 0], threshold, penalty)
 
+
+def _select(J: np.ndarray, threshold: float, penalty: float | None):
+    """select_num_segments on the contrast curve J_K, K = 1..len(J)."""
+    K_max = J.shape[0]
     if penalty is not None:
         chosen = int(np.argmin(J + penalty * np.arange(1, K_max + 1))) + 1
         diagnostics = SelectionDiagnostics(
@@ -424,15 +428,13 @@ def detect(
     series = _check_series(series)
     table = SegCostTable.build(series, mode, min_seg_len, variance_floor)
     if K_max is None:
-        K_max = auto_k_max(table.T, table.min_seg_len)
-        while K_max > 1 and not _feasible_K(table, K_max):
-            K_max -= 1
+        # the automatic bound, lowered to the largest feasible K
+        K_max = max(1, min(auto_k_max(table.T, table.min_seg_len),
+                           table.T // table.min_seg_len))
+    _require_feasible(table, K_max, "K_max")
     G = _suffix_tables(table, K_max)
-    chosen, diagnostics = select_num_segments(
-        series, K_max, mode, threshold=threshold, penalty=penalty,
-        _table=table, _G=G,
-    )
-    seg = optimal_segmentation_for_k(series, chosen, mode, _table=table, _G=G)
+    chosen, diagnostics = _select(G[1 : K_max + 1, 0], threshold, penalty)
+    seg = _segmentation(series, table, G, chosen)
     seg.penalty_used = penalty if penalty is not None else threshold
     seg.selection = diagnostics
     return seg

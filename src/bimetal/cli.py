@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .errors import DataError, NumericalError
 from .pipeline import RunConfig, load_bundle, run_analyze, run_ingest, run_report, run_simulate
@@ -118,6 +119,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# RunConfig keys whose flag value is a JSON literal
+_JSON_FLAGS = ("sim_coefs", "sim_sigmas", "sim_tau", "sim_levels", "sim_stds")
+
+
 def _config_from_args(args) -> RunConfig:
     if getattr(args, "config", None):
         config = RunConfig.from_file(args.config)
@@ -125,27 +130,18 @@ def _config_from_args(args) -> RunConfig:
         config = RunConfig()
 
     overrides = {}
-    for key in (
-        "input", "outdir", "max_gap", "hpl_kind", "include_hpl",
-        "spread_aggregation", "som_rows", "som_cols", "som_epochs", "som_seed",
-        "n_classes", "ms_lag", "ms_hidden", "ms_tol", "ms_max_iter",
-        "ms_restarts", "ms_seed", "cpd_k_max", "cpd_threshold", "cpd_penalty",
-        "sim_kind", "sim_T", "sim_seed", "sim_p", "sim_q",
-    ):
+    for key in (f.name for f in fields(RunConfig)):
         value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-
-    families = getattr(args, "ms_families", None)
-    if families is not None:
-        overrides["ms_families"] = tuple(families.split(","))
-    for key in ("sim_coefs", "sim_sigmas", "sim_tau", "sim_levels", "sim_stds"):
-        value = getattr(args, key, None)
-        if value is not None:
+        if value is None:
+            continue
+        if key == "ms_families":
+            value = tuple(value.split(","))
+        elif key in _JSON_FLAGS:
             try:
-                overrides[key] = json.loads(value)
+                value = json.loads(value)
             except json.JSONDecodeError as exc:
                 raise _UsageError(f"--{key.replace('_', '-')}: invalid JSON ({exc})")
+        overrides[key] = value
 
     stages = getattr(args, "stages", None)
     if stages is not None:

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,15 @@ class QuotationWeek:
         return cells
 
 
-def _open_source(source):
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, "r", encoding="utf-8", newline=""), True
+@contextmanager
+def _stream(target, mode, newline=""):
+    """Yield ``target`` when it is already an open stream; otherwise open
+    the path it names as UTF-8 text in ``mode`` and close it on exit."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+    else:
+        with open(target, mode, encoding="utf-8", newline=newline) as fh:
+            yield fh
 
 
 def parse_dataset(source) -> list[QuotationWeek]:
@@ -78,8 +84,7 @@ def parse_dataset(source) -> list[QuotationWeek]:
     name exactly the columns year, week, poa_t, poa_f, ..., phv_f; empty
     value cells mean missing. Weeks must be unique and strictly increasing.
     """
-    stream, owned = _open_source(source)
-    try:
+    with _stream(source, "r") as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -144,9 +149,6 @@ def parse_dataset(source) -> list[QuotationWeek]:
                 values[series] = (pair[0], pair[1])
             weeks.append(QuotationWeek(year=year, week=week, values=values))
         return weeks
-    finally:
-        if owned:
-            stream.close()
 
 
 def _format_cell(value) -> str:
@@ -159,18 +161,11 @@ def _format_cell(value) -> str:
 
 def write_dataset(weeks: list[QuotationWeek], target) -> None:
     """Write QuotationWeeks back to the ingestion format (round-trips parse)."""
-    stream, owned = (target, False) if hasattr(target, "write") else (
-        open(target, "w", encoding="utf-8", newline=""),
-        True,
-    )
-    try:
+    with _stream(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(HEADER)
         for wk in weeks:
             writer.writerow([_format_cell(c) for c in wk.row()])
-    finally:
-        if owned:
-            stream.close()
 
 
 def dataset_to_string(weeks: list[QuotationWeek]) -> str:
@@ -304,17 +299,6 @@ def _hpl(hoa: float, poa: float, lgs: float, kind: str) -> float:
     raise ValueError(f"unknown hpl kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One week's observation: 12 raw values, the derived hpl pair, and the
-    standardized coordinates actually fed to the SOM."""
-
-    week_ref: int
-    base: np.ndarray
-    hpl: np.ndarray
-    standardized: np.ndarray
-
-
 @dataclass
 class FeatureSet:
     """All feature vectors of a dataset plus the standardization statistics
@@ -333,14 +317,6 @@ class FeatureSet:
 
     def __len__(self) -> int:
         return self.base.shape[0]
-
-    def __getitem__(self, i: int) -> FeatureVector:
-        return FeatureVector(
-            week_ref=i,
-            base=self.base[i],
-            hpl=self.hpl[i],
-            standardized=self.standardized[i],
-        )
 
     @property
     def labels(self) -> list[str]:
@@ -487,11 +463,7 @@ def compute_spread(
 # ---------------------------------------------------------------------------
 
 def write_features_csv(fs: FeatureSet, target) -> None:
-    stream, owned = (target, False) if hasattr(target, "write") else (
-        open(target, "w", encoding="utf-8", newline=""),
-        True,
-    )
-    try:
+    with _stream(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         raw_names = list(fs.raw_names)
         std_names = [f"std_{name}" for name in fs.feature_names]
@@ -503,9 +475,6 @@ def write_features_csv(fs: FeatureSet, target) -> None:
                 + [repr(v) for v in raw[i]]
                 + [repr(v) for v in fs.standardized[i]]
             )
-    finally:
-        if owned:
-            stream.close()
 
 
 def features_to_dict(fs: FeatureSet) -> dict:
@@ -540,11 +509,7 @@ def features_from_dict(d: dict) -> FeatureSet:
 
 
 def write_spread_csv(spread: SpreadSeries, target) -> None:
-    stream, owned = (target, False) if hasattr(target, "write") else (
-        open(target, "w", encoding="utf-8", newline=""),
-        True,
-    )
-    try:
+    with _stream(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["week_index", "year", "week", "spread"])
         for i in range(len(spread)):
@@ -552,9 +517,6 @@ def write_spread_csv(spread: SpreadSeries, target) -> None:
                 [spread.t_index[i], spread.years[i], spread.weeks[i],
                  repr(float(spread.values[i]))]
             )
-    finally:
-        if owned:
-            stream.close()
 
 
 def spread_to_dict(spread: SpreadSeries) -> dict:
@@ -579,13 +541,6 @@ def spread_from_dict(d: dict) -> SpreadSeries:
 
 def write_json(obj: dict, target) -> None:
     """Write a JSON artifact with stable formatting (used by the pipeline)."""
-    stream, owned = (target, False) if hasattr(target, "write") else (
-        open(target, "w", encoding="utf-8"),
-        True,
-    )
-    try:
+    with _stream(target, "w", newline=None) as stream:
         json.dump(obj, stream, indent=2, sort_keys=False)
         stream.write("\n")
-    finally:
-        if owned:
-            stream.close()

@@ -89,12 +89,7 @@ class RunConfig:
     sim_stds: tuple = (0.03, 0.08, 0.03)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["ms_families"] = list(self.ms_families)
-        d["sim_coefs"] = [list(c) for c in self.sim_coefs]
-        for key in ("sim_sigmas", "sim_tau", "sim_levels", "sim_stds"):
-            d[key] = list(d[key])
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -146,13 +141,19 @@ class AnalysisBundle:
         return [a["name"] for a in self.manifest["artifacts"]]
 
 
-def _ingest_objects(config: RunConfig):
+def _input_path(config: RunConfig) -> Path:
     if config.input is None:
         raise DataError("no input file configured")
     path = Path(config.input)
     if not path.exists():
         raise DataError(f"input file {path} does not exist")
-    weeks = dio.parse_dataset(str(path))
+    return path
+
+
+def _ingest(config: RunConfig, outdir: Path, manifest: dict):
+    """Parse and impute the input, write the features, the spread and the
+    imputation report, and record them in ``manifest``."""
+    weeks = dio.parse_dataset(str(_input_path(config)))
     if not weeks:
         raise DataError("no data rows")
     weeks, report = dio.impute_missing(weeks, max_gap=config.max_gap)
@@ -160,15 +161,11 @@ def _ingest_objects(config: RunConfig):
         weeks, include_hpl=config.include_hpl, hpl_kind=config.hpl_kind
     )
     spread = dio.compute_spread(weeks, aggregation=config.spread_aggregation)
-    return weeks, report, features, spread
-
-
-def run_ingest(config: RunConfig) -> dict:
-    """Parse, impute, and persist features + spread; returns a summary."""
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    weeks, report, features, spread = _ingest_objects(config)
-
+    manifest["n_weeks"] = len(weeks)
+    manifest["ingest"] = {
+        "imputation_report": "imputation_report.json",
+        "n_imputed": len(report),
+    }
     dio.write_features_csv(features, outdir / "features.csv")
     dio.write_json(dio.features_to_dict(features), outdir / "features.json")
     dio.write_spread_csv(spread, outdir / "spread.csv")
@@ -176,9 +173,22 @@ def run_ingest(config: RunConfig) -> dict:
     dio.write_json(
         dio.imputation_report_to_dict(report), outdir / "imputation_report.json"
     )
+    manifest["artifacts"].append(
+        _artifact("features", outdir / "features.csv", "features.json")
+    )
+    manifest["artifacts"].append(_artifact("spread", outdir / "spread.csv", "spread.json"))
+    return features, spread
+
+
+def run_ingest(config: RunConfig) -> dict:
+    """Parse, impute, and persist features + spread; returns a summary."""
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    manifest: dict = {"artifacts": []}
+    _, spread = _ingest(config, outdir, manifest)
     return {
-        "n_weeks": len(weeks),
-        "n_imputed": len(report),
+        "n_weeks": manifest["n_weeks"],
+        "n_imputed": manifest["ingest"]["n_imputed"],
         "spread_length": len(spread),
         "paths": {
             "features": str(outdir / "features.csv"),
@@ -203,11 +213,9 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     """
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    input_bytes = Path(config.input).read_bytes() if config.input else None
-
     manifest: dict = {
         "config": config.to_dict(),
-        "config_hash": config.config_hash(input_bytes),
+        "config_hash": None,  # set once the input is known to exist
         "seeds": {"som": config.som_seed, "ms": config.ms_seed},
         "status": "ok",
         "failed_stage": None,
@@ -216,25 +224,8 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
     stage = "ingest"
     try:
-        weeks, report, features, spread = _ingest_objects(config)
-        manifest["n_weeks"] = len(weeks)
-        manifest["ingest"] = {
-            "imputation_report": "imputation_report.json",
-            "n_imputed": len(report),
-        }
-        dio.write_features_csv(features, outdir / "features.csv")
-        dio.write_json(dio.features_to_dict(features), outdir / "features.json")
-        dio.write_spread_csv(spread, outdir / "spread.csv")
-        dio.write_json(dio.spread_to_dict(spread), outdir / "spread.json")
-        dio.write_json(
-            dio.imputation_report_to_dict(report), outdir / "imputation_report.json"
-        )
-        manifest["artifacts"].append(
-            _artifact("features", outdir / "features.csv", "features.json")
-        )
-        manifest["artifacts"].append(
-            _artifact("spread", outdir / "spread.csv", "spread.json")
-        )
+        manifest["config_hash"] = config.config_hash(_input_path(config).read_bytes())
+        features, spread = _ingest(config, outdir, manifest)
         bundle.features, bundle.spread = features, spread
 
         if config.run_som:
@@ -306,6 +297,19 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     return bundle
 
 
+# artifact name -> (AnalysisBundle attribute, JSON decoder); segmentations
+# (attribute None) are keyed by their mode
+_DECODERS = {
+    "features": ("features", dio.features_from_dict),
+    "spread": ("spread", dio.spread_from_dict),
+    "som_grid": ("grid", sommod.som_grid_from_dict),
+    "periodization": ("classification", sommod.classification_from_dict),
+    "ms_model": ("em", msmod.EmResult.from_dict),
+    "segmentation_mean": (None, cpd.segmentation_from_dict),
+    "segmentation_meanvar": (None, cpd.segmentation_from_dict),
+}
+
+
 def load_bundle(outdir) -> AnalysisBundle:
     """Reload a persisted analysis from its manifest."""
     outdir = Path(outdir)
@@ -315,46 +319,16 @@ def load_bundle(outdir) -> AnalysisBundle:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
-    by_name = {a["name"]: a for a in manifest["artifacts"]}
-
-    def _load_json(name):
-        entry = by_name.get(name)
-        if entry is None:
-            return None
-        path = outdir / entry.get("json", entry["path"])
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-
-    d = _load_json("features")
-    if d is not None:
-        bundle.features = dio.features_from_dict(d)
-    d = _load_json("spread")
-    if d is not None:
-        bundle.spread = dio.spread_from_dict(d)
-    d = _load_json("som_grid")
-    if d is not None:
-        bundle.grid = sommod.som_grid_from_dict(d)
-    d = _load_json("periodization")
-    if d is not None:
-        bundle.classification = sommod.classification_from_dict(d)
-    d = _load_json("ms_model")
-    if d is not None:
-        bundle.em = msmod.EmResult(
-            params=msmod.MsParams.from_dict(d["params"]),
-            probabilities=msmod.RegimeProbabilities.from_dict(d["probabilities"]),
-            trace=tuple(d["trace"]),
-            converged=d["converged"],
-            n_iter=d["n_iter"],
-            restart=d["restart"],
-            restart_logliks=tuple(d["restart_logliks"]),
-            spec=None if d["spec"] is None else msmod.MsSpec.from_dict(d["spec"]),
-            seed=d["seed"],
-        )
-    for name in ("segmentation_mean", "segmentation_meanvar"):
-        d = _load_json(name)
-        if d is not None:
-            seg = cpd.segmentation_from_dict(d)
-            bundle.segmentations[seg.mode.value] = seg
+    for entry in manifest["artifacts"]:
+        if entry["name"] not in _DECODERS:
+            continue  # an artifact this version does not read
+        attr, decode = _DECODERS[entry["name"]]
+        with open(outdir / entry.get("json", entry["path"]), "r", encoding="utf-8") as fh:
+            obj = decode(json.load(fh))
+        if attr is None:
+            bundle.segmentations[obj.mode.value] = obj
+        else:
+            setattr(bundle, attr, obj)
     return bundle
 
 

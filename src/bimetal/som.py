@@ -9,7 +9,7 @@ dataset into contiguous (mostly) intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import cut_tree, linkage
@@ -34,13 +34,7 @@ class SomSchedule:
     radius_end: float = 0.5
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "lr_start": self.lr_start,
-            "lr_end": self.lr_end,
-            "radius_start": self.radius_start,
-            "radius_end": self.radius_end,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SomSchedule":
@@ -84,16 +78,20 @@ def _as_matrix(features) -> np.ndarray:
     return X
 
 
-def initialize_grid(features, rows=5, cols=5, schedule=None, seed=0, _rng=None) -> SomGrid:
+def initialize_grid(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
     """Seeded random-sample initialization: code vectors drawn from the data."""
-    X = _as_matrix(features)
+    return _init_grid(
+        _as_matrix(features), rows, cols, schedule, seed, np.random.default_rng(seed)
+    )
+
+
+def _init_grid(X, rows, cols, schedule, seed, rng) -> SomGrid:
     if X.shape[0] == 0:
         raise ValidationError("empty input: cannot initialize a SOM")
     if rows < 1 or cols < 1:
         raise ValidationError("grid must have at least one node")
     schedule = schedule or SomSchedule()
     n_nodes = rows * cols
-    rng = _rng if _rng is not None else np.random.default_rng(seed)
     idx = rng.choice(X.shape[0], size=n_nodes, replace=X.shape[0] < n_nodes)
     return SomGrid(
         rows=rows,
@@ -115,7 +113,7 @@ def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
     """
     X = _as_matrix(features)
     rng = np.random.default_rng(seed)
-    grid = initialize_grid(X, rows=rows, cols=cols, schedule=schedule, seed=seed, _rng=rng)
+    grid = _init_grid(X, rows, cols, schedule, seed, rng)
     schedule = grid.schedule
     n, _ = X.shape
     code = grid.code_vectors
@@ -153,7 +151,12 @@ def best_matching_unit(grid: SomGrid, v) -> int:
         raise ValidationError(
             f"dimension mismatch: vector has shape {v.shape}, grid dim {grid.dim}"
         )
-    return int(((grid.code_vectors - v) ** 2).sum(axis=1).argmin())
+    return int(bmu_indices(grid, v[None, :])[0])
+
+
+def _sq_dists(X: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """(n, n_nodes) squared distances from each row of X to each node."""
+    return ((X[:, None, :] - code[None, :, :]) ** 2).sum(axis=2)
 
 
 def bmu_indices(grid: SomGrid, features) -> np.ndarray:
@@ -163,15 +166,12 @@ def bmu_indices(grid: SomGrid, features) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: data dim {X.shape[1]}, grid dim {grid.dim}"
         )
-    d2 = ((X[:, None, :] - grid.code_vectors[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    return _sq_dists(X, grid.code_vectors).argmin(axis=1)
 
 
 def quantization_error(grid: SomGrid, features) -> float:
     """Mean squared distance of each observation to its best-matching node."""
-    X = _as_matrix(features)
-    d2 = ((X[:, None, :] - grid.code_vectors[None, :, :]) ** 2).sum(axis=2)
-    return float(d2.min(axis=1).mean())
+    return float(_sq_dists(_as_matrix(features), grid.code_vectors).min(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -295,12 +295,12 @@ class RegimeProbabilities:
             offset=d["offset"],
         )
 
-    def swapped_columns(self) -> "RegimeProbabilities":
-        return RegimeProbabilities(
-            filtered=self.filtered[:, ::-1].copy(),
-            smoothed=self.smoothed[:, ::-1].copy(),
-            loglik=self.loglik,
-            offset=self.offset,
+    @classmethod
+    def from_filter(cls, filt, smoothed: np.ndarray) -> "RegimeProbabilities":
+        """Pair a filter pass with the smoother output computed from it."""
+        return cls(
+            filtered=filt.filtered, smoothed=smoothed,
+            loglik=filt.loglik, offset=filt.offset,
         )
 
 
@@ -310,7 +310,6 @@ class FilterResult:
 
     filtered: np.ndarray
     predicted: np.ndarray
-    log_densities: np.ndarray
     loglik: float
     offset: int
 
@@ -367,8 +366,7 @@ def hamilton_filter(params: MsParams, series) -> FilterResult:
             filtered[t] = f
             pred = A @ f
     return FilterResult(
-        filtered=filtered, predicted=predicted, log_densities=L,
-        loglik=float(loglik), offset=lag,
+        filtered=filtered, predicted=predicted, loglik=float(loglik), offset=lag,
     )
 
 
@@ -389,11 +387,7 @@ def kim_smoother(params: MsParams, filt: FilterResult) -> np.ndarray:
 def posterior_probabilities(params: MsParams, series) -> RegimeProbabilities:
     """Filtered and smoothed regime probabilities in one call."""
     filt = hamilton_filter(params, series)
-    smoothed = kim_smoother(params, filt)
-    return RegimeProbabilities(
-        filtered=filt.filtered, smoothed=smoothed,
-        loglik=filt.loglik, offset=filt.offset,
-    )
+    return RegimeProbabilities.from_filter(filt, kim_smoother(params, filt))
 
 
 def _pairwise_counts(params, filt, smoothed) -> np.ndarray:
@@ -483,10 +477,22 @@ class EmResult:
             "converged": self.converged,
             "n_iter": self.n_iter,
             "restart": self.restart,
-            "restart_logliks": [
-                None if v is None else v for v in self.restart_logliks
-            ],
+            "restart_logliks": list(self.restart_logliks),
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "EmResult":
+        return cls(
+            params=MsParams.from_dict(d["params"]),
+            probabilities=RegimeProbabilities.from_dict(d["probabilities"]),
+            trace=tuple(d["trace"]),
+            converged=d["converged"],
+            n_iter=d["n_iter"],
+            restart=d["restart"],
+            restart_logliks=tuple(d["restart_logliks"]),
+            spec=None if d["spec"] is None else MsSpec.from_dict(d["spec"]),
+            seed=d["seed"],
+        )
 
 
 def _initial_params(spec: MsSpec, series, rng) -> MsParams:
@@ -548,40 +554,23 @@ def _m_step(params, X, y, smoothed, xi, min_weight, mlp_steps) -> MsParams:
 def _em_single(spec, series, params, tol, max_iter, min_weight, mlp_steps):
     X, y = make_design(series, spec.lag)
     trace: list[float] = []
-    prev = -np.inf
     converged = False
-    probs = None
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         filt = hamilton_filter(params, series)
         smoothed = kim_smoother(params, filt)
-        trace.append(filt.loglik)
-        if filt.loglik < prev - 1e-8:
+        if trace and filt.loglik < trace[-1] - 1e-8:
             raise MonotonicityError(
-                f"EM log-likelihood decreased from {prev!r} to {filt.loglik!r}"
+                f"EM log-likelihood decreased from {trace[-1]!r} to {filt.loglik!r}"
             )
-        if len(trace) > 1 and filt.loglik - prev < tol:
-            probs = RegimeProbabilities(
-                filtered=filt.filtered, smoothed=smoothed,
-                loglik=filt.loglik, offset=filt.offset,
-            )
+        trace.append(filt.loglik)
+        if it == max_iter:  # this pass only scores the last M-step
+            break
+        if it > 0 and trace[-1] - trace[-2] < tol:
             converged = True
             break
-        prev = filt.loglik
         xi = _pairwise_counts(params, filt, smoothed)
         params = _m_step(params, X, y, smoothed, xi, min_weight, mlp_steps)
-    if probs is None:
-        filt = hamilton_filter(params, series)
-        smoothed = kim_smoother(params, filt)
-        trace.append(filt.loglik)
-        if filt.loglik < prev - 1e-8:
-            raise MonotonicityError(
-                f"EM log-likelihood decreased from {prev!r} to {filt.loglik!r}"
-            )
-        probs = RegimeProbabilities(
-            filtered=filt.filtered, smoothed=smoothed,
-            loglik=filt.loglik, offset=filt.offset,
-        )
-    return params, probs, trace, converged
+    return params, RegimeProbabilities.from_filter(filt, smoothed), trace, converged
 
 
 def canonical_regime_order(params: MsParams) -> list[int]:
@@ -613,6 +602,8 @@ def em_fit(
     series = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(series)):
         raise ValidationError("series contains non-finite values")
+    if max_iter < 0:
+        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     n_use = series.shape[0]
     if n_use < 10 * spec.n_params:
         warnings.warn(
@@ -623,6 +614,8 @@ def em_fit(
 
     if init is not None:
         starts = [init]
+    elif n_restarts < 1:
+        raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
     else:
         children = np.random.SeedSequence(seed).spawn(n_restarts)
         starts = [
@@ -727,12 +720,3 @@ def cross_tabulate(probs: RegimeProbabilities, classification, spread) -> list[C
             )
         )
     return rows
-
-
-def cross_tab_to_dict(rows: list[ClassRegimeRow]) -> dict:
-    return {
-        "columns": ["class", "n_obs", "pct_regime1", "spread_std"],
-        "rows": [
-            [r.class_id, r.n_obs, r.pct_regime1, r.spread_std] for r in rows
-        ],
-    }

@@ -59,6 +59,14 @@ def test_cost_too_short_errors():
         segment_cost(series, 4, 4, "mean")
 
 
+def test_cost_and_table_share_min_seg_len_check():
+    series = np.arange(10.0)
+    with pytest.raises(ValidationError, match="too small for mode meanvar"):
+        segment_cost(series, 4, 5, "meanvar", min_seg_len=1)
+    with pytest.raises(ValidationError, match="too small for mode meanvar"):
+        SegCostTable.build(series, "meanvar", min_seg_len=1)
+
+
 def test_cost_table_matches_segment_cost():
     rng = np.random.default_rng(1)
     series = rng.standard_normal(25)

@@ -204,6 +204,19 @@ def test_analyze_failed_stage_recorded(tmp_path, sim_dataset):
     assert any(a["name"] == "ms_model" for a in manifest["artifacts"])
 
 
+def test_analyze_missing_input_recorded_as_data_error(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    config = fast_config(input=str(missing), outdir=str(tmp_path / "out"))
+    with pytest.raises(DataError, match="does not exist"):
+        run_analyze(config)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == "ingest"
+    code = main(["analyze", "--input", str(missing), "--outdir", str(tmp_path / "cli")])
+    assert code == 2
+    assert "data error:" in capsys.readouterr().err
+
+
 def test_load_bundle_roundtrip(analyzed):
     config, bundle = analyzed
     loaded = load_bundle(config.outdir)

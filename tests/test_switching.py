@@ -10,6 +10,7 @@ from bimetal.errors import (
 )
 from bimetal.regression import LinearMean, MlpMean
 from bimetal.switching import (
+    EmResult,
     MsParams,
     MsSpec,
     RegimeProbabilities,
@@ -312,6 +313,15 @@ def test_em_short_series_warns():
                n_restarts=1, max_iter=5)
 
 
+def test_em_rejects_zero_restarts_and_negative_max_iter():
+    series, _ = simulate(linear_params(), T=100, seed=1)
+    spec = MsSpec(families=("linear", "linear"))
+    with pytest.raises(ValidationError, match="n_restarts"):
+        em_fit(spec, series, n_restarts=0)
+    with pytest.raises(ValidationError, match="max_iter"):
+        em_fit(spec, series, n_restarts=1, max_iter=-1)
+
+
 def test_em_canonical_regime_order():
     true = linear_params(p=0.75, q=0.92, coefs=((2.0, 0.3), (-2.0, 0.4)),
                          sigmas=(0.4, 0.4))
@@ -331,12 +341,11 @@ def test_em_result_serialization():
     res = em_fit(MsSpec(families=("linear", "linear")), series, seed=0,
                  n_restarts=2, max_iter=30)
     d = res.to_dict()
-    params = MsParams.from_dict(d["params"])
-    assert_allclose(params.transition, res.params.transition)
-    probs = RegimeProbabilities.from_dict(d["probabilities"])
-    assert_allclose(probs.smoothed, res.probabilities.smoothed)
-    spec = MsSpec.from_dict(d["spec"])
-    assert spec == res.spec
+    again = EmResult.from_dict(d)
+    assert_allclose(again.params.transition, res.params.transition)
+    assert_allclose(again.probabilities.smoothed, res.probabilities.smoothed)
+    assert again.spec == res.spec
+    assert again.to_dict() == d
 
 
 def test_em_with_mlp_regime_runs_monotone():
