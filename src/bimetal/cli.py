@@ -159,6 +159,19 @@ def _config_from_args(args) -> RunConfig:
     return config.merged(overrides)
 
 
+def _warn_em(em) -> None:
+    """Flag, on stderr, an EM fit that stopped unconverged or lost restarts."""
+    if em is None:
+        return
+    if not em.converged:
+        print(f"warning: EM did not converge: the best restart stopped at "
+              f"n_iter={em.n_iter}", file=sys.stderr)
+    collapsed = sum(ll is None for ll in em.restart_logliks)
+    if collapsed:
+        print(f"warning: {collapsed} of {len(em.restart_logliks)} restarts "
+              f"collapsed", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -174,6 +187,7 @@ def main(argv=None) -> int:
             names = ", ".join(bundle.artifact_names)
             print(f"analysis complete: {len(bundle.artifact_names)} artifacts "
                   f"in {config.outdir} ({names})")
+            _warn_em(bundle.em)
         elif args.command == "report":
             bundle = load_bundle(config.outdir)
             paths = run_report(bundle)

@@ -77,6 +77,14 @@ def _stream(target, mode, newline=""):
             yield fh
 
 
+def write_csv(target, header, rows) -> None:
+    """Write a header row, then ``rows``, as CSV with "\\n" line ends."""
+    with _stream(target, "w") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def parse_dataset(source) -> list[QuotationWeek]:
     """Parse the delimited quotation table into validated QuotationWeeks.
 
@@ -161,11 +169,7 @@ def _format_cell(value) -> str:
 
 def write_dataset(weeks: list[QuotationWeek], target) -> None:
     """Write QuotationWeeks back to the ingestion format (round-trips parse)."""
-    with _stream(target, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(HEADER)
-        for wk in weeks:
-            writer.writerow([_format_cell(c) for c in wk.row()])
+    write_csv(target, HEADER, ([_format_cell(c) for c in wk.row()] for wk in weeks))
 
 
 def dataset_to_string(weeks: list[QuotationWeek]) -> str:
@@ -463,18 +467,18 @@ def compute_spread(
 # ---------------------------------------------------------------------------
 
 def write_features_csv(fs: FeatureSet, target) -> None:
-    with _stream(target, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        raw_names = list(fs.raw_names)
-        std_names = [f"std_{name}" for name in fs.feature_names]
-        writer.writerow(["year", "week"] + raw_names + std_names)
-        raw = fs.raw_matrix
-        for i in range(len(fs)):
-            writer.writerow(
-                [fs.years[i], fs.weeks[i]]
-                + [repr(v) for v in raw[i]]
-                + [repr(v) for v in fs.standardized[i]]
-            )
+    std_names = [f"std_{name}" for name in fs.feature_names]
+    raw = fs.raw_matrix
+    write_csv(
+        target,
+        ["year", "week"] + list(fs.raw_names) + std_names,
+        (
+            [fs.years[i], fs.weeks[i]]
+            + [repr(v) for v in raw[i]]
+            + [repr(v) for v in fs.standardized[i]]
+            for i in range(len(fs))
+        ),
+    )
 
 
 def features_to_dict(fs: FeatureSet) -> dict:
@@ -509,14 +513,15 @@ def features_from_dict(d: dict) -> FeatureSet:
 
 
 def write_spread_csv(spread: SpreadSeries, target) -> None:
-    with _stream(target, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["week_index", "year", "week", "spread"])
-        for i in range(len(spread)):
-            writer.writerow(
-                [spread.t_index[i], spread.years[i], spread.weeks[i],
-                 repr(float(spread.values[i]))]
-            )
+    write_csv(
+        target,
+        ["week_index", "year", "week", "spread"],
+        (
+            [spread.t_index[i], spread.years[i], spread.weeks[i],
+             repr(float(spread.values[i]))]
+            for i in range(len(spread))
+        ),
+    )
 
 
 def spread_to_dict(spread: SpreadSeries) -> dict:

@@ -9,7 +9,6 @@ artifacts byte for byte; nothing time-dependent is written.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
@@ -364,25 +363,26 @@ def run_report(bundle: AnalysisBundle) -> dict:
     classification = bundle.classification
     probs = bundle.em.probabilities
 
-    rows = msmod.cross_tabulate(probs, classification, spread)
-    with open(outdir / "class_table.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "n_obs", "pct_regime1", "spread_std"])
-        for r in rows:
-            writer.writerow(
-                [r.class_id, r.n_obs, f"{r.pct_regime1:.3f}", f"{r.spread_std:.3f}"]
-            )
+    dio.write_csv(
+        outdir / "class_table.csv",
+        ["class", "n_obs", "pct_regime1", "spread_std"],
+        (
+            [r.class_id, r.n_obs, f"{r.pct_regime1:.3f}", f"{r.spread_std:.3f}"]
+            for r in msmod.cross_tabulate(probs, classification, spread)
+        ),
+    )
 
     means = classification.class_means
     var_names = list(next(iter(means.values())).keys())
-    with open(outdir / "class_means.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "n_weeks"] + var_names)
-        for cls in sorted(means):
-            writer.writerow(
-                [cls, classification.class_counts[cls]]
-                + [repr(means[cls][v]) for v in var_names]
-            )
+    dio.write_csv(
+        outdir / "class_means.csv",
+        ["class", "n_weeks"] + var_names,
+        (
+            [cls, classification.class_counts[cls]]
+            + [repr(means[cls][v]) for v in var_names]
+            for cls in sorted(means)
+        ),
+    )
 
     labels = spread.labels
     T = len(spread)
@@ -391,15 +391,16 @@ def run_report(bundle: AnalysisBundle) -> dict:
     cp_mv = np.zeros(T, dtype=int)
     cp_mv[list(bundle.segmentations["meanvar"].tau)] = 1
     offset = probs.offset
-    with open(outdir / "aligned_series.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["week", "spread", "p_regime1", "cp_mean", "cp_meanvar"])
-        for t in range(T):
-            p1 = "" if t < offset else repr(float(probs.smoothed[t - offset, 0]))
-            writer.writerow(
-                [labels[t], repr(float(spread.values[t])), p1,
-                 int(cp_mean[t]), int(cp_mv[t])]
-            )
+    dio.write_csv(
+        outdir / "aligned_series.csv",
+        ["week", "spread", "p_regime1", "cp_mean", "cp_meanvar"],
+        (
+            [labels[t], repr(float(spread.values[t])),
+             "" if t < offset else repr(float(probs.smoothed[t - offset, 0])),
+             int(cp_mean[t]), int(cp_mv[t])]
+            for t in range(T)
+        ),
+    )
 
     return {
         "class_table": str(outdir / "class_table.csv"),

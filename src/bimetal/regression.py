@@ -4,8 +4,8 @@ Both families map the last l values of the series to a predicted level:
 an affine function of the lags, or a one-hidden-layer tanh perceptron with
 linear output. Each knows how to refit itself against posterior weights,
 which is all the EM M-step needs: the linear family in closed form, the
-perceptron by monotone (step-halving) gradient descent on the weighted
-squared error.
+perceptron by Levenberg–Marquardt (damped Gauss–Newton) iterations on the
+weighted squared error that never let that error rise.
 """
 
 from __future__ import annotations
@@ -13,6 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Levenberg–Marquardt stops once an accepted step lowers the loss by no more
+# than this fraction of it. Looser tolerances leave the M-step inexact and
+# cost more EM iterations than they save.
+_LM_REL_TOL = 1e-10
+# The damping starts at 1e-3 in every fit, falls tenfold (not below 1e-12)
+# after an accepted step and rises tenfold after a rejected one; past 1e16
+# the fit stops where it is.
+_LM_DAMPING_START, _LM_DAMPING_MIN, _LM_DAMPING_MAX = 1e-3, 1e-12, 1e16
 
 
 def make_design(series: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,18 +119,26 @@ class MlpMean:
         r = self.predict(X) - y
         return float(0.5 * np.sum(w * r * r))
 
-    def gradient(self, X, y, w) -> np.ndarray:
-        """Backpropagated gradient of loss(), flattened like flat_params()."""
+    def jacobian(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions and their per-sample derivatives.
+
+        Returns (pred, J) with J[t] = d pred[t] / d theta, flattened like
+        flat_params().
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         H = np.tanh(X @ self.w1.T + self.b1)
-        r = H @ self.w2 + self.b2 - y
-        wr = w * r
-        g_b2 = wr.sum()
-        g_w2 = H.T @ wr
-        dz = (wr[:, None] * self.w2[None, :]) * (1.0 - H * H)
-        g_b1 = dz.sum(axis=0)
-        g_w1 = dz.T @ X
-        return np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
+        dz = (1.0 - H * H) * self.w2  # d pred / d (pre-activation)
+        n = X.shape[0]
+        J = np.concatenate(
+            [(dz[:, :, None] * X[:, None, :]).reshape(n, -1), dz, H, np.ones((n, 1))],
+            axis=1,
+        )
+        return H @ self.w2 + self.b2, J
+
+    def gradient(self, X, y, w) -> np.ndarray:
+        """Gradient of loss(), flattened like flat_params()."""
+        pred, J = self.jacobian(X)
+        return J.T @ (w * (pred - y))
 
     def flat_params(self) -> np.ndarray:
         return np.concatenate([self.w1.ravel(), self.b1, self.w2, [self.b2]])
@@ -136,29 +153,51 @@ class MlpMean:
             b2=theta[i + 2 * h],
         )
 
-    def fit_weighted(self, X, y, w, steps: int = 200, lr: float = 1.0) -> "MlpMean":
-        """Gradient descent on the weighted squared error, starting here.
+    def fit_weighted(self, X, y, w, steps: int = 200) -> "MlpMean":
+        """Levenberg–Marquardt on the weighted squared error, starting here.
 
-        A step that fails to improve the loss is rejected and the step size
-        halved, so the loss is non-increasing: exactly what a generalized
-        (monotone) EM M-step requires.
+        Each of at most ``steps`` iterations solves the damped normal
+        equations (J'WJ + lam D) delta = -J'W r, with D the diagonal of J'WJ
+        plus a small floor so that a dead hidden unit keeps it positive
+        definite. A step is taken only if loss() does not rise, and the
+        damping then falls; otherwise the damping rises and the solve is
+        retried. So the loss is non-increasing: exactly what a generalized
+        (monotone) EM M-step requires. Iteration stops early once a step
+        lowers the loss by at most a relative 1e-10, or when the damping
+        overflows.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float)
         w = np.asarray(w, dtype=float)
         current = self
         loss = current.loss(X, y, w)
-        theta = current.flat_params()
+        lam = _LM_DAMPING_START
         for _ in range(steps):
-            grad = current.gradient(X, y, w)
-            candidate = current.with_flat_params(theta - lr * grad)
-            cand_loss = candidate.loss(X, y, w)
-            if np.isfinite(cand_loss) and cand_loss <= loss:
-                current, loss, theta = candidate, cand_loss, candidate.flat_params()
-            else:
-                lr *= 0.5
-                if lr < 1e-18:
-                    break
+            pred, J = current.jacobian(X)
+            JW = J.T * w
+            A = JW @ J
+            g = JW @ (pred - y)
+            d = np.diag(A)  # zero for the inputs of a dead unit (w2[k] = 0)
+            D = np.diag(d + 1e-12 * (1.0 + d.max()))
+            theta = current.flat_params()
+            while True:
+                try:
+                    delta = np.linalg.solve(A + lam * D, -g)
+                except np.linalg.LinAlgError:
+                    delta = None
+                if delta is not None:
+                    candidate = current.with_flat_params(theta + delta)
+                    cand_loss = candidate.loss(X, y, w)
+                    if np.isfinite(cand_loss) and cand_loss <= loss:
+                        break
+                lam *= 10.0
+                if lam > _LM_DAMPING_MAX:
+                    return current
+            stalled = loss - cand_loss <= _LM_REL_TOL * loss
+            current, loss = candidate, cand_loss
+            lam = max(lam * 0.1, _LM_DAMPING_MIN)
+            if stalled:
+                break
         return current
 
     def to_dict(self) -> dict:

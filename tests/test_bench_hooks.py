@@ -6,6 +6,8 @@ than through its module attribute, breaks every traced benchmark run; this
 test catches that within the unit suite.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +52,24 @@ def test_traced_run_fires_every_span_and_uninstall_restores(tmp_path):
     assert expected - fired == set()
     assert tracer.counts["regression.MlpMean.loss"] > 0
     assert len(tracer.restarts) == config.ms_restarts
+
+
+def test_em_fit_leaves_scipy_optimize_unimported():
+    """The benchmark bounds peak memory and import time; scipy.optimize alone
+    would add about 10 MB of peak memory and 150 modules to every run."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import bimetal\n"
+        "from bimetal.switching import MsSpec, em_fit\n"
+        "y = 1.0 + 0.1 * np.random.default_rng(0).standard_normal(200)\n"
+        "spec = MsSpec(n_regimes=2, lag=1, families=('mlp', 'linear'), hidden_units=2)\n"
+        "em_fit(spec, y, n_restarts=2, max_iter=3)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

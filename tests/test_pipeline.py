@@ -338,6 +338,44 @@ def test_cli_full_workflow(tmp_path, capsys, monkeypatch):
     assert (out / "aligned_series.csv").exists()
 
 
+def test_cli_analyze_warns_when_em_does_not_converge(sim_dataset, tmp_path, capsys):
+    base = ["analyze", "--input", str(sim_dataset), "--stages", "ms",
+            "--ms-families", "linear,linear", "--ms-restarts", "2"]
+    assert main(base + ["--outdir", str(tmp_path / "capped"),
+                        "--ms-max-iter", "2"]) == 0
+    captured = capsys.readouterr()
+    assert "analysis complete: 3 artifacts" in captured.out
+    assert "warning" not in captured.out
+    assert ("warning: EM did not converge: the best restart stopped at n_iter=3"
+            in captured.err.splitlines())
+
+    assert main(base + ["--outdir", str(tmp_path / "free"),
+                        "--ms-max-iter", "200"]) == 0
+    bundle = load_bundle(tmp_path / "free")
+    assert bundle.em.converged
+    assert "did not converge" not in capsys.readouterr().err
+
+
+def test_cli_analyze_warns_on_collapsed_restarts(sim_dataset, tmp_path, capsys,
+                                                  monkeypatch):
+    from bimetal import switching
+
+    real = switching._em_single
+    calls = []
+
+    def collapse_first(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise switching._DegenerateRestart("regime 2 holds 0.5 observation-equivalents")
+        return real(*args)
+
+    monkeypatch.setattr(switching, "_em_single", collapse_first)
+    assert main(["analyze", "--input", str(sim_dataset), "--stages", "ms",
+                 "--ms-families", "linear,linear", "--ms-restarts", "3",
+                 "--outdir", str(tmp_path / "out")]) == 0
+    assert "warning: 1 of 3 restarts collapsed" in capsys.readouterr().err.splitlines()
+
+
 def test_cli_flag_overrides_config_file(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text(make_csv(synthetic_rows(12, seed=4)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from bimetal.regression import LinearMean, MlpMean, make_design, mean_from_dict
 
@@ -69,15 +69,56 @@ def test_mlp_gradient_matches_finite_differences(seed):
     assert np.linalg.norm(analytic - numeric) / denom < 1e-5
 
 
-def test_mlp_fit_never_increases_loss():
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((60, 2))
-    y = np.sin(X[:, 0]) + 0.5 * X[:, 1]
-    w = rng.uniform(0.5, 1.5, size=60)
+def test_mlp_jacobian_matches_predict_and_finite_differences():
+    rng = np.random.default_rng(6)
     mlp = MlpMean.random(2, 3, rng)
+    X = rng.standard_normal((7, 2))
+    pred, J = mlp.jacobian(X)
+    assert_allclose(pred, mlp.predict(X), rtol=1e-12)
+    theta, h = mlp.flat_params(), 1e-6
+    for i in range(theta.size):
+        step = np.zeros_like(theta)
+        step[i] = h
+        numeric = (mlp.with_flat_params(theta + step).predict(X)
+                   - mlp.with_flat_params(theta - step).predict(X)) / (2 * h)
+        assert_allclose(J[:, i], numeric, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed,case", [
+    (3, "plain"), (0, "plain"), (1, "plain"), (2, "plain"),
+    (3, "dead_unit"), (3, "sparse_weights"), (3, "no_steps"),
+])
+def test_mlp_fit_never_increases_loss(seed, case):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((200, 2))
+    y = np.sin(X[:, 0]) + 0.5 * X[:, 1]
+    w = rng.uniform(0.5, 1.5, size=200)
+    mlp = MlpMean.random(2, 3, rng)
+    steps = 100
+    if case == "dead_unit":  # zero columns in the Jacobian
+        mlp.w2[0] = 0.0
+    elif case == "sparse_weights":  # fewer weighted points than parameters
+        w[rng.permutation(200)[:190]] = 0.0
+    elif case == "no_steps":
+        steps = 0
     before = mlp.loss(X, y, w)
-    fitted = mlp.fit_weighted(X, y, w, steps=100)
+    fitted = mlp.fit_weighted(X, y, w, steps=steps)
+    assert np.all(np.isfinite(fitted.flat_params()))
     assert fitted.loss(X, y, w) <= before
+    if case == "no_steps":
+        assert_array_equal(fitted.flat_params(), mlp.flat_params())
+    else:  # every case has room to improve on a random start
+        assert fitted.loss(X, y, w) < before
+
+
+def test_mlp_fit_reaches_a_stationary_point():
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-2, 2, size=(200, 1))
+    y = np.tanh(1.5 * X[:, 0]) * 2.0 + 0.3 + 0.1 * rng.standard_normal(200)
+    w = rng.uniform(0.2, 1.0, size=200)
+    mlp = MlpMean.random(1, 3, rng, output_level=float(y.mean()))
+    fitted = mlp.fit_weighted(X, y, w, steps=200)
+    assert np.max(np.abs(fitted.gradient(X, y, w))) < 1e-4
 
 
 def test_mlp_fits_nonlinear_signal():
