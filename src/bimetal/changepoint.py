@@ -3,10 +3,11 @@
 A segmentation of the series into K blocks is scored by the sum of
 per-segment contrasts: the within-segment sum of squared deviations when
 only the mean is allowed to shift, or length * log(variance-MLE) when both
-mean and variance may shift. Dynamic programming over the full cost table
-gives the exact optimal segmentation for every K up to K_max; the number
-of segments is then chosen adaptively from the shape of the optimal-cost
-curve (the last big drop, measured by normalized second differences).
+mean and variance may shift. One dynamic-programming sweep over cost rows
+computed from prefix sums gives the exact optimal segmentation for every
+K up to K_max in O(K_max * T) memory; the number of segments is then
+chosen adaptively from the shape of the optimal-cost curve (the last big
+drop, measured by normalized second differences).
 
 Indices follow the half-open convention: a change-point tau means one
 segment ends at tau-1 and the next starts at tau, so the interior
@@ -93,24 +94,42 @@ def segment_cost(series, i, j, mode, min_seg_len=None, variance_floor=None) -> f
 
 @dataclass
 class SegCostTable:
-    """Full (T+1)x(T+1) contrast table; entry (i, j) covers series[i:j].
+    """Contrasts of every segment series[i:j], one row of j at a time.
 
-    Infeasible pairs (segments shorter than min_seg_len) hold +inf. Total
-    costs of multi-segment configurations come only from the DP summing
-    these entries; no subadditivity is assumed.
+    Only the prefix sums c1 (of the series) and c2 (of its squares) are
+    stored, so the state is O(T); ``row(i)`` computes the contrasts of
+    series[i:j] for j = i+min_seg_len..T on demand. Pairs shorter than
+    min_seg_len are infeasible and cost +inf. Total costs of multi-segment
+    configurations come only from the DP summing these entries; no
+    subadditivity is assumed.
     """
 
     mode: SegMode
     min_seg_len: int
     variance_floor: float
-    matrix: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
 
     @property
     def T(self) -> int:
-        return self.matrix.shape[0] - 1
+        return self.c1.shape[0] - 1
+
+    def row(self, i: int) -> np.ndarray:
+        """Contrast of series[i:j] for j = i+min_seg_len..T (empty when
+        no feasible segment starts at i)."""
+        m = self.min_seg_len
+        n = np.arange(m, self.T - i + 1)  # j - i
+        sums = self.c1[i + m :] - self.c1[i]
+        sse = (self.c2[i + m :] - self.c2[i]) - sums * sums / n
+        sse = np.maximum(sse, 0.0)  # guard tiny negative rounding
+        if self.mode is SegMode.MEAN:
+            return sse
+        return n * np.log(np.maximum(sse / n, self.variance_floor))
 
     def cost(self, i: int, j: int) -> float:
-        return float(self.matrix[i, j])
+        if j - i < self.min_seg_len:
+            return float("inf")
+        return float(self.row(i)[j - i - self.min_seg_len])
 
     @classmethod
     def build(cls, series, mode, min_seg_len=None, variance_floor=None) -> "SegCostTable":
@@ -119,44 +138,37 @@ class SegCostTable:
         min_seg_len = _check_min_seg_len(mode, min_seg_len)
         if variance_floor is None:
             variance_floor = _variance_floor(series)
-
-        T = series.shape[0]
-        c1 = np.concatenate([[0.0], np.cumsum(series)])
-        c2 = np.concatenate([[0.0], np.cumsum(series * series)])
-        n = np.arange(T + 1)[None, :] - np.arange(T + 1)[:, None]  # j - i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sums = c1[None, :] - c1[:, None]
-            sse = (c2[None, :] - c2[:, None]) - sums * sums / n
-            sse = np.maximum(sse, 0.0)  # guard tiny negative rounding
-            if mode is SegMode.MEAN:
-                cost = sse
-            else:
-                cost = n * np.log(np.maximum(sse / n, variance_floor))
-        cost[n < min_seg_len] = np.inf
         return cls(
-            mode=mode, min_seg_len=min_seg_len,
-            variance_floor=variance_floor, matrix=cost,
+            mode=mode, min_seg_len=min_seg_len, variance_floor=variance_floor,
+            c1=np.concatenate([[0.0], np.cumsum(series)]),
+            c2=np.concatenate([[0.0], np.cumsum(series * series)]),
         )
 
 
 def _suffix_tables(table: SegCostTable, K_max: int) -> np.ndarray:
-    """G[k, i] = minimal contrast of splitting series[i:] into k segments."""
-    T = table.T
+    """G[k, i] = minimal contrast of splitting series[i:] into k segments.
+
+    One sweep from the right: each cost row is computed once and fills
+    column i for every k, reading only the columns j >= i+min_seg_len
+    already done.
+    """
+    T, m = table.T, table.min_seg_len
     G = np.full((K_max + 1, T + 1), np.inf)
-    G[1] = table.matrix[:, T]
-    for k in range(2, K_max + 1):
-        G[k] = (table.matrix + G[k - 1][None, :]).min(axis=1)
+    for i in range(T - m, -1, -1):
+        row = table.row(i)
+        G[1, i] = row[-1]
+        G[2:, i] = (row + G[1:K_max, i + m :]).min(axis=1)
     return G
 
 
 def _backtrack(table: SegCostTable, G: np.ndarray, K: int) -> tuple[int, ...]:
     """Left-to-right backtracking; first-occurrence argmin at each stage
     yields the lexicographically smallest optimal change-point tuple."""
+    m = table.min_seg_len
     tau = []
     i = 0
     for k in range(K, 1, -1):
-        vals = table.matrix[i, :] + G[k - 1]
-        j = int(np.argmin(vals))
+        j = i + m + int(np.argmin(table.row(i) + G[k - 1, i + m :]))
         tau.append(j)
         i = j
     return tuple(tau)
@@ -313,8 +325,9 @@ def optimal_segmentation_for_k(
 ) -> Segmentation:
     """Exact global minimum-contrast segmentation into K segments.
 
-    Dynamic programming over the cost table; ties resolved to the earliest
-    (lexicographically smallest) change-point configuration.
+    The dynamic program sweeps the cost rows once for k = 1..K; ties
+    resolve to the earliest (lexicographically smallest) change-point
+    configuration.
     """
     series = _check_series(series)
     table = SegCostTable.build(series, mode, min_seg_len, variance_floor)
@@ -424,7 +437,9 @@ def detect(
     min_seg_len=None,
     variance_floor=None,
 ) -> Segmentation:
-    """Full detection: cost table, per-K dynamic programs, and selection."""
+    """Full detection: prefix sums, one DP sweep giving the optimal contrast
+    for every K up to K_max, adaptive (or penalized) selection of K, and the
+    backtracked change-points of the chosen K."""
     series = _check_series(series)
     table = SegCostTable.build(series, mode, min_seg_len, variance_floor)
     if K_max is None:

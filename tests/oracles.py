@@ -104,3 +104,48 @@ def enumerate_best_segmentation(series, K, mode, min_seg_len=1):
         if cost < best_cost:
             best_cost, best_tau = cost, tau
     return best_cost, best_tau
+
+
+def dense_cost_matrix(series, mode, min_seg_len):
+    """The full (T+1)x(T+1) prefix-sum contrast matrix; entry (i, j) covers
+    series[i:j] and pairs shorter than min_seg_len hold +inf."""
+    series = np.asarray(series, dtype=float)
+    T = series.shape[0]
+    floor = max(float(series.var()) * 1e-12, 1e-300)
+    c1 = np.concatenate([[0.0], np.cumsum(series)])
+    c2 = np.concatenate([[0.0], np.cumsum(series * series)])
+    n = np.arange(T + 1)[None, :] - np.arange(T + 1)[:, None]  # j - i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sums = c1[None, :] - c1[:, None]
+        sse = (c2[None, :] - c2[:, None]) - sums * sums / n
+        sse = np.maximum(sse, 0.0)
+        if mode == "mean":
+            cost = sse
+        else:
+            cost = n * np.log(np.maximum(sse / n, floor))
+    cost[n < min_seg_len] = np.inf
+    return cost
+
+
+def dense_dp(series, mode, K_max, min_seg_len):
+    """Quadratic-memory reference DP over the dense cost matrix.
+
+    G[k] is the minimum over the whole matrix row of cost + G[k-1], one
+    full-matrix pass per k; the backtrack takes the first argmin over each
+    full row. Returns the contrast curve J_1..J_K_max and, for every K, the
+    earliest optimal interior change-point tuple.
+    """
+    matrix = dense_cost_matrix(series, mode, min_seg_len)
+    T = matrix.shape[0] - 1
+    G = np.full((K_max + 1, T + 1), np.inf)
+    G[1] = matrix[:, T]
+    for k in range(2, K_max + 1):
+        G[k] = (matrix + G[k - 1][None, :]).min(axis=1)
+    taus = {}
+    for K in range(1, K_max + 1):
+        tau, i = [], 0
+        for k in range(K, 1, -1):
+            i = int(np.argmin(matrix[i, :] + G[k - 1]))
+            tau.append(i)
+        taus[K] = tuple(tau)
+    return G[1:, 0], taus

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +17,7 @@ from bimetal.changepoint import (
 )
 from bimetal.errors import ValidationError
 
-from oracles import enumerate_best_segmentation, two_pass_segment_stats
+from oracles import dense_dp, enumerate_best_segmentation, two_pass_segment_stats
 
 
 def stitched(seed, lengths, means, stds):
@@ -70,14 +73,17 @@ def test_cost_and_table_share_min_seg_len_check():
 def test_cost_table_matches_segment_cost():
     rng = np.random.default_rng(1)
     series = rng.standard_normal(25)
-    for mode in ("mean", "meanvar"):
-        table = SegCostTable.build(series, mode)
-        for i, j in [(0, 25), (2, 9), (10, 12), (24, 25)]:
-            if j - i < table.min_seg_len:
+    for mode, min_seg_len in itertools.product(("mean", "meanvar"), (None, 5)):
+        table = SegCostTable.build(series, mode, min_seg_len)
+        for i, j in itertools.product(range(26), repeat=2):
+            if j - i < table.min_seg_len:  # j <= i included
+                assert table.cost(i, j) == np.inf
                 continue
             assert table.cost(i, j) == pytest.approx(
-                segment_cost(series, i, j, mode), rel=1e-10, abs=1e-10
+                segment_cost(series, i, j, mode, min_seg_len),
+                rel=1e-10, abs=1e-10,
             )
+            assert table.cost(i, j) == table.row(i)[j - i - table.min_seg_len]
 
 
 def test_cost_table_infeasible_is_inf():
@@ -106,6 +112,44 @@ def test_constant_series_earliest_ties():
         seg = optimal_segmentation_for_k(series, K, "mean")
         assert seg.contrast_value == 0.0
         assert seg.tau == tuple(range(1, K))
+
+
+def _oracle_series(kind):
+    rng = np.random.default_rng(12)
+    if kind == "constant":
+        return np.full(300, 1.5)
+    if kind == "repeated":  # three values only: many exact cost ties
+        return rng.integers(0, 3, 300).astype(float)
+    return stitched(12, [90, 120, 90], [0.0, 2.0, -1.0], [1.0, 2.0, 0.5])
+
+
+@pytest.mark.parametrize("kind", ["shifts", "constant", "repeated"])
+@pytest.mark.parametrize("min_seg_len", [None, 5])
+@pytest.mark.parametrize("mode", ["mean", "meanvar"])
+def test_dp_matches_dense_oracle_bitwise(mode, min_seg_len, kind):
+    """The linear-memory sweep does the dense DP's float operations in the
+    same order, so the curve and every backtracked tuple are identical."""
+    series = _oracle_series(kind)
+    m = min_seg_len if min_seg_len is not None else (2 if mode == "meanvar" else 1)
+    J, taus = dense_dp(series, mode, 20, m)
+    _, diag = select_num_segments(series, 20, mode, min_seg_len=min_seg_len)
+    assert diag.contrasts == tuple(float(v) for v in J)
+    for K in range(1, 21):
+        seg = optimal_segmentation_for_k(series, K, mode, min_seg_len)
+        assert seg.tau == taus[K], K
+        assert seg.contrast_value == J[K - 1]
+
+
+def test_detect_memory_is_linear_in_T():
+    """A (T+1)^2 float table at T=4000 alone would take 128 MB."""
+    series = np.random.default_rng(3).standard_normal(4000)
+    tracemalloc.start()
+    try:
+        detect(series, "meanvar")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("seed", range(8))
