@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from .data import to_json
 from .errors import ValidationError
 
 _VAR_FLOOR_ABS = 1e-300
@@ -69,7 +70,7 @@ def _check_min_seg_len(mode: SegMode, min_seg_len) -> int:
     return min_seg_len
 
 
-def segment_cost(series, i, j, mode, min_seg_len=None, variance_floor=None) -> float:
+def segment_cost(series, i, j, mode, min_seg_len=None) -> float:
     """Contrast of treating series[i:j] as a single segment.
 
     The direct two-pass reference for the entries of SegCostTable.
@@ -88,8 +89,7 @@ def segment_cost(series, i, j, mode, min_seg_len=None, variance_floor=None) -> f
     sse = float(((seg - seg.mean()) ** 2).sum())
     if mode is SegMode.MEAN:
         return sse
-    floor = variance_floor if variance_floor is not None else _variance_floor(series)
-    return n * float(np.log(max(sse / n, floor)))
+    return n * float(np.log(max(sse / n, _variance_floor(series))))
 
 
 @dataclass
@@ -132,14 +132,12 @@ class SegCostTable:
         return float(self.row(i)[j - i - self.min_seg_len])
 
     @classmethod
-    def build(cls, series, mode, min_seg_len=None, variance_floor=None) -> "SegCostTable":
+    def build(cls, series, mode, min_seg_len=None) -> "SegCostTable":
         series = _check_series(series)
         mode = SegMode.parse(mode)
-        min_seg_len = _check_min_seg_len(mode, min_seg_len)
-        if variance_floor is None:
-            variance_floor = _variance_floor(series)
         return cls(
-            mode=mode, min_seg_len=min_seg_len, variance_floor=variance_floor,
+            mode=mode, min_seg_len=_check_min_seg_len(mode, min_seg_len),
+            variance_floor=_variance_floor(series),
             c1=np.concatenate([[0.0], np.cumsum(series)]),
             c2=np.concatenate([[0.0], np.cumsum(series * series)]),
         )
@@ -180,22 +178,11 @@ class SelectionDiagnostics:
 
     scheme: str
     K_max: int
-    contrasts: tuple          # J_K for K = 1..K_max
-    normalized: tuple | None  # rescaled curve (adaptive scheme)
-    second_differences: dict | None  # K -> D_K (adaptive scheme)
+    contrasts: tuple[float, ...]  # J_K for K = 1..K_max
+    normalized: tuple[float, ...] | None  # rescaled curve (adaptive scheme)
+    second_differences: dict[int, float] | None  # K -> D_K (adaptive scheme)
     threshold: float | None
     chosen_K: int
-
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "K_max": self.K_max,
-            "contrasts": list(self.contrasts),
-            "normalized": None if self.normalized is None else list(self.normalized),
-            "second_differences": self.second_differences,
-            "threshold": self.threshold,
-            "chosen_K": self.chosen_K,
-        }
 
 
 @dataclass
@@ -215,7 +202,7 @@ class Segmentation:
     T: int
     tau: tuple[int, ...]
     segment_means: tuple[float, ...]
-    segment_covs: tuple
+    segment_covs: tuple[np.ndarray, ...]
     contrast_value: float
     min_seg_len: int
     penalty_used: float | None = None
@@ -237,53 +224,13 @@ class Segmentation:
         return int(np.searchsorted(np.asarray(self.tau), t, side="right"))
 
     def to_dict(self, labels=None) -> dict:
-        d = {
-            "mode": self.mode.value,
-            "T": self.T,
-            "n_segments": self.n_segments,
-            "tau": list(self.tau),
-            "segment_means": list(self.segment_means),
-            "segment_covs": [
-                [[float(c[0][0])]] for c in self.segment_covs
-            ],
-            "contrast_value": self.contrast_value,
-            "min_seg_len": self.min_seg_len,
-            "penalty_used": self.penalty_used,
-            "selection": None if self.selection is None else self.selection.to_dict(),
-        }
+        """The JSON form, with the derived segment count after ``T`` and,
+        given per-observation labels, the labels of the change-points."""
+        d = to_json(self)
+        d = {"mode": d.pop("mode"), "T": d.pop("T"), "n_segments": self.n_segments, **d}
         if labels is not None:
             d["tau_labels"] = [labels[t] for t in self.tau]
         return d
-
-
-def segmentation_from_dict(d: dict) -> Segmentation:
-    sel = d.get("selection")
-    diagnostics = None
-    if sel is not None:
-        diagnostics = SelectionDiagnostics(
-            scheme=sel["scheme"],
-            K_max=sel["K_max"],
-            contrasts=tuple(sel["contrasts"]),
-            normalized=None if sel["normalized"] is None else tuple(sel["normalized"]),
-            second_differences=(
-                None
-                if sel["second_differences"] is None
-                else {int(k): v for k, v in sel["second_differences"].items()}
-            ),
-            threshold=sel["threshold"],
-            chosen_K=sel["chosen_K"],
-        )
-    return Segmentation(
-        mode=SegMode.parse(d["mode"]),
-        T=d["T"],
-        tau=tuple(d["tau"]),
-        segment_means=tuple(d["segment_means"]),
-        segment_covs=tuple(np.array(c) for c in d["segment_covs"]),
-        contrast_value=d["contrast_value"],
-        min_seg_len=d["min_seg_len"],
-        penalty_used=d["penalty_used"],
-        selection=diagnostics,
-    )
 
 
 def _segment_estimates(series, boundaries):
@@ -320,9 +267,7 @@ def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int) -> Segment
     )
 
 
-def optimal_segmentation_for_k(
-    series, K, mode, min_seg_len=None, variance_floor=None
-) -> Segmentation:
+def optimal_segmentation_for_k(series, K, mode, min_seg_len=None) -> Segmentation:
     """Exact global minimum-contrast segmentation into K segments.
 
     The dynamic program sweeps the cost rows once for k = 1..K; ties
@@ -330,7 +275,7 @@ def optimal_segmentation_for_k(
     configuration.
     """
     series = _check_series(series)
-    table = SegCostTable.build(series, mode, min_seg_len, variance_floor)
+    table = SegCostTable.build(series, mode, min_seg_len)
     _require_feasible(table, K, "K")
     return _segmentation(series, table, _suffix_tables(table, K), K)
 
@@ -342,7 +287,6 @@ def select_num_segments(
     threshold: float = 0.75,
     penalty: float | None = None,
     min_seg_len=None,
-    variance_floor=None,
 ) -> tuple[int, SelectionDiagnostics]:
     """Choose the number of segments from the optimal-contrast curve.
 
@@ -352,7 +296,7 @@ def select_num_segments(
     ``penalty`` beta switches to minimizing J_K + beta * K instead.
     """
     series = _check_series(series)
-    table = SegCostTable.build(series, mode, min_seg_len, variance_floor)
+    table = SegCostTable.build(series, mode, min_seg_len)
     _require_feasible(table, K_max, "K_max")
     G = _suffix_tables(table, K_max)
     return _select(G[1 : K_max + 1, 0], threshold, penalty)
@@ -435,13 +379,12 @@ def detect(
     threshold: float = 0.75,
     penalty: float | None = None,
     min_seg_len=None,
-    variance_floor=None,
 ) -> Segmentation:
     """Full detection: prefix sums, one DP sweep giving the optimal contrast
     for every K up to K_max, adaptive (or penalized) selection of K, and the
     backtracked change-points of the chosen K."""
     series = _check_series(series)
-    table = SegCostTable.build(series, mode, min_seg_len, variance_floor)
+    table = SegCostTable.build(series, mode, min_seg_len)
     if K_max is None:
         # the automatic bound, lowered to the largest feasible K
         K_max = max(1, min(auto_k_max(table.T, table.min_seg_len),

@@ -6,17 +6,23 @@ six series: the gold-silver prices in Paris, London, and Hamburg
 This module parses and validates that table, fills missing cells, and
 derives the two model inputs: the per-week feature vectors used by the
 SOM periodization and the weekly spread series used by the switching and
-change-point models.
+change-point models. It also holds the one JSON codec of the package:
+``to_json`` and ``from_json`` write and read back every persisted record.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -270,21 +276,7 @@ def impute_missing(
 
 
 def imputation_report_to_dict(report: list[ImputedCell]) -> dict:
-    return {
-        "n_imputed": len(report),
-        "cells": [
-            {
-                "week_index": c.week_index,
-                "year": c.year,
-                "week": c.week,
-                "series": c.series,
-                "day": c.day,
-                "value": c.value,
-                "method": c.method,
-            }
-            for c in report
-        ],
-    }
+    return {"n_imputed": len(report), "cells": to_json(report)}
 
 
 # ---------------------------------------------------------------------------
@@ -482,34 +474,20 @@ def write_features_csv(fs: FeatureSet, target) -> None:
 
 
 def features_to_dict(fs: FeatureSet) -> dict:
+    d = to_json(fs)
     return {
-        "years": fs.years.tolist(),
-        "weeks": fs.weeks.tolist(),
-        "base_names": list(VALUE_COLUMNS),
-        "base": fs.base.tolist(),
-        "hpl_names": ["hpl_t", "hpl_f"],
-        "hpl": fs.hpl.tolist(),
-        "feature_names": list(fs.feature_names),
-        "standardized": fs.standardized.tolist(),
-        "standardization": {"mean": fs.means.tolist(), "std": fs.stds.tolist()},
-        "include_hpl": fs.include_hpl,
-        "hpl_kind": fs.hpl_kind,
+        "years": d["years"], "weeks": d["weeks"],
+        "base_names": list(VALUE_COLUMNS), "base": d["base"],
+        "hpl_names": ["hpl_t", "hpl_f"], "hpl": d["hpl"],
+        "feature_names": d["feature_names"], "standardized": d["standardized"],
+        "standardization": {"mean": d["means"], "std": d["stds"]},
+        "include_hpl": fs.include_hpl, "hpl_kind": fs.hpl_kind,
     }
 
 
 def features_from_dict(d: dict) -> FeatureSet:
-    return FeatureSet(
-        years=np.array(d["years"]),
-        weeks=np.array(d["weeks"]),
-        base=np.array(d["base"]),
-        hpl=np.array(d["hpl"]),
-        standardized=np.array(d["standardized"]),
-        feature_names=tuple(d["feature_names"]),
-        means=np.array(d["standardization"]["mean"]),
-        stds=np.array(d["standardization"]["std"]),
-        include_hpl=d["include_hpl"],
-        hpl_kind=d["hpl_kind"],
-    )
+    std = d["standardization"]
+    return from_json(FeatureSet, dict(d, means=std["mean"], stds=std["std"]))
 
 
 def write_spread_csv(spread: SpreadSeries, target) -> None:
@@ -524,28 +502,73 @@ def write_spread_csv(spread: SpreadSeries, target) -> None:
     )
 
 
-def spread_to_dict(spread: SpreadSeries) -> dict:
-    return {
-        "t_index": spread.t_index.tolist(),
-        "years": spread.years.tolist(),
-        "weeks": spread.weeks.tolist(),
-        "values": spread.values.tolist(),
-        "aggregation": spread.aggregation,
-    }
-
-
-def spread_from_dict(d: dict) -> SpreadSeries:
-    return SpreadSeries(
-        t_index=np.array(d["t_index"]),
-        years=np.array(d["years"]),
-        weeks=np.array(d["weeks"]),
-        values=np.array(d["values"]),
-        aggregation=d["aggregation"],
-    )
-
-
 def write_json(obj: dict, target) -> None:
     """Write a JSON artifact with stable formatting (used by the pipeline)."""
     with _stream(target, "w", newline=None) as stream:
         json.dump(obj, stream, indent=2, sort_keys=False)
         stream.write("\n")
+
+
+def to_json(obj):
+    """JSON-ready form of a record: a dataclass becomes its fields in
+    declaration order, arrays and tuples become lists, an Enum its value."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, Enum):
+        return obj.value
+    return obj
+
+
+def from_json(cls, value):
+    """Rebuild a ``cls`` record from its to_json form, led by the field
+    annotations. Keys that are not init fields of a record are ignored."""
+    decode = _decoder(cls)
+    return value if decode is None else decode(value)
+
+
+@functools.cache
+def _decoder(tp):
+    """A function turning the JSON form of type ``tp`` back into ``tp``, or
+    None when the JSON value already is one (scalars pass through)."""
+    if tp is np.ndarray:
+        return np.array
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        fields = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(tp) if f.init]
+        return lambda d: tp(**{
+            name: d[name] if dec is None else dec(d[name]) for name, dec in fields
+        })
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        members = [a for a in args if a is not type(None)]
+        if len(members) == 1:  # X | None
+            inner = _decoder(members[0])
+            return None if inner is None else lambda v: None if v is None else inner(v)
+        # records told apart by their ``kind`` tag
+        by_kind = {m.kind: _decoder(m) for m in members}
+
+        def tagged(v):
+            if v["kind"] not in by_kind:
+                raise ValueError(f"unknown kind {v['kind']!r}")
+            return by_kind[v["kind"]](v)
+        return tagged
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            item = _decoder(args[0])
+            return tuple if item is None else lambda v: tuple(item(x) for x in v)
+        items = [_decoder(a) for a in args]
+        if all(dec is None for dec in items):
+            return tuple
+        return lambda v: tuple(x if dec is None else dec(x) for dec, x in zip(items, v))
+    if origin is dict:
+        key, item = args[0], _decoder(args[1])  # JSON object keys are strings
+        return lambda v: {key(k): x if item is None else item(x) for k, x in v.items()}
+    return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +107,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_json(path))
 
     def merged(self, overrides: dict) -> "RunConfig":
         d = self.to_dict()
@@ -168,7 +168,7 @@ def _ingest(config: RunConfig, outdir: Path, manifest: dict):
     dio.write_features_csv(features, outdir / "features.csv")
     dio.write_json(dio.features_to_dict(features), outdir / "features.json")
     dio.write_spread_csv(spread, outdir / "spread.csv")
-    dio.write_json(dio.spread_to_dict(spread), outdir / "spread.json")
+    dio.write_json(dio.to_json(spread), outdir / "spread.json")
     dio.write_json(
         dio.imputation_report_to_dict(report), outdir / "imputation_report.json"
     )
@@ -243,11 +243,8 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
             classification = sommod.periodize(
                 features, grid, sommod.hac_macro_classes(grid, k=config.n_classes)
             )
-            dio.write_json(sommod.som_grid_to_dict(grid), outdir / "som_grid.json")
-            dio.write_json(
-                sommod.classification_to_dict(classification),
-                outdir / "periodization.json",
-            )
+            dio.write_json(dio.to_json(grid), outdir / "som_grid.json")
+            dio.write_json(dio.to_json(classification), outdir / "periodization.json")
             manifest["artifacts"].append(_artifact("som_grid", outdir / "som_grid.json"))
             manifest["artifacts"].append(
                 _artifact("periodization", outdir / "periodization.json")
@@ -266,7 +263,7 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
                 spec, spread.values, seed=config.ms_seed, tol=config.ms_tol,
                 max_iter=config.ms_max_iter, n_restarts=config.ms_restarts,
             )
-            dio.write_json(em.to_dict(), outdir / "ms_model.json")
+            dio.write_json(dio.to_json(em), outdir / "ms_model.json")
             manifest["artifacts"].append(_artifact("ms_model", outdir / "ms_model.json"))
             bundle.em = em
 
@@ -300,34 +297,48 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
 # (attribute None) are keyed by their mode
 _DECODERS = {
     "features": ("features", dio.features_from_dict),
-    "spread": ("spread", dio.spread_from_dict),
-    "som_grid": ("grid", sommod.som_grid_from_dict),
-    "periodization": ("classification", sommod.classification_from_dict),
-    "ms_model": ("em", msmod.EmResult.from_dict),
-    "segmentation_mean": (None, cpd.segmentation_from_dict),
-    "segmentation_meanvar": (None, cpd.segmentation_from_dict),
+    "spread": ("spread", partial(dio.from_json, dio.SpreadSeries)),
+    "som_grid": ("grid", partial(dio.from_json, sommod.SomGrid)),
+    "periodization": ("classification", partial(dio.from_json, sommod.MacroClassification)),
+    "ms_model": ("em", partial(dio.from_json, msmod.EmResult)),
+    "segmentation_mean": (None, partial(dio.from_json, cpd.Segmentation)),
+    "segmentation_meanvar": (None, partial(dio.from_json, cpd.Segmentation)),
 }
 
 
+def _read_json(path: Path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def load_bundle(outdir) -> AnalysisBundle:
-    """Reload a persisted analysis from its manifest."""
+    """Reload a persisted analysis from its manifest.
+
+    A manifest or artifact that cannot be decoded is a DataError naming
+    the file.
+    """
     outdir = Path(outdir)
-    manifest_path = outdir / "manifest.json"
-    if not manifest_path.exists():
+    path = outdir / "manifest.json"
+    if not path.exists():
         raise DataError(f"no manifest in {outdir}: run analyze first")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
-    for entry in manifest["artifacts"]:
-        if entry["name"] not in _DECODERS:
-            continue  # an artifact this version does not read
-        attr, decode = _DECODERS[entry["name"]]
-        with open(outdir / entry.get("json", entry["path"]), "r", encoding="utf-8") as fh:
-            obj = decode(json.load(fh))
-        if attr is None:
-            bundle.segmentations[obj.mode.value] = obj
-        else:
-            setattr(bundle, attr, obj)
+    try:
+        manifest = _read_json(path)
+        files = [
+            (entry["name"], outdir / entry.get("json", entry["path"]))
+            for entry in manifest["artifacts"]
+        ]
+        bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
+        for name, path in files:  # from here on, path names the file in error
+            if name not in _DECODERS:
+                continue  # an artifact this version does not read
+            attr, decode = _DECODERS[name]
+            obj = decode(_read_json(path))
+            if attr is None:
+                bundle.segmentations[obj.mode.value] = obj
+            else:
+                setattr(bundle, attr, obj)
+    except (DataError, LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed artifact {path}: {exc!r}") from exc
     return bundle
 
 
@@ -342,11 +353,12 @@ def run_report(bundle: AnalysisBundle) -> dict:
     """Emit the three report files from a completed analysis.
 
     class_table.csv mirrors the regime/volatility cross-tabulation
-    (per class: size, share of weeks ruled by regime 1, spread volatility);
-    class_means.csv holds the per-class raw-variable means; and
-    aligned_series.csv lines up, week by week, the spread, the smoothed
-    probability of regime 1, and indicator columns for the change-points
-    of both modes, ready for external plotting.
+    (per class: size, share of observations ruled by regime 1, spread
+    volatility); class_means.csv holds the per-class raw-variable means; and
+    aligned_series.csv lines up, one row per spread observation (two per
+    week with per_day aggregation), the spread, the smoothed probability of
+    regime 1, and indicator columns for the change-points of both modes,
+    ready for external plotting.
     """
     _require(bundle, "spread", "spread", "ingest")
     _require(bundle, "classification", "periodization", "som")

@@ -10,7 +10,7 @@ weighted squared error that never let that error rise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,7 @@ def make_design(series: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
 class LinearMean:
     """Affine conditional mean: a_0 + a_1 y_{t-1} + ... + a_l y_{t-l}."""
 
+    kind: str = field(default="linear", init=False)  # tag in the JSON form
     coef: np.ndarray  # (lag + 1,), intercept first
 
     def __post_init__(self):
@@ -68,14 +69,12 @@ class LinearMean:
         coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
         return LinearMean(coef)
 
-    def to_dict(self) -> dict:
-        return {"kind": "linear", "coef": self.coef.tolist()}
-
 
 @dataclass
 class MlpMean:
     """One-hidden-layer perceptron: w2 . tanh(W1 x + b1) + b2."""
 
+    kind: str = field(default="mlp", init=False)  # tag in the JSON form
     w1: np.ndarray  # (hidden, lag)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
@@ -199,25 +198,3 @@ class MlpMean:
             if stalled:
                 break
         return current
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mlp",
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2,
-        }
-
-
-def mean_from_dict(d: dict):
-    if d["kind"] == "linear":
-        return LinearMean(np.array(d["coef"]))
-    if d["kind"] == "mlp":
-        return MlpMean(
-            w1=np.array(d["w1"]),
-            b1=np.array(d["b1"]),
-            w2=np.array(d["w2"]),
-            b2=d["b2"],
-        )
-    raise ValueError(f"unknown mean family {d['kind']!r}")

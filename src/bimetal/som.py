@@ -9,7 +9,7 @@ dataset into contiguous (mostly) intervals.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import cut_tree, linkage
@@ -32,13 +32,6 @@ class SomSchedule:
     lr_end: float = 0.01
     radius_start: float | None = None
     radius_end: float = 0.5
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SomSchedule":
-        return cls(**d)
 
 
 @dataclass
@@ -189,11 +182,12 @@ class MacroClassification:
 
     k: int
     node_to_class: np.ndarray
-    linkage_history: tuple  # merges (node_a, node_b, height, size) from Ward
+    # merges (node_a, node_b, height, size) from Ward
+    linkage_history: tuple[tuple[int, int, float, int], ...]
     week_to_class: np.ndarray | None = None
-    class_means: dict | None = None
-    intervals: tuple | None = None
-    class_counts: dict | None = None
+    class_means: dict[int, dict[str, float]] | None = None
+    intervals: tuple[tuple[int, int, int], ...] | None = None
+    class_counts: dict[int, int] | None = None
 
 
 def _canonical_relabel(labels: np.ndarray) -> np.ndarray:
@@ -276,54 +270,3 @@ def periodize(
         class_counts=class_counts,
     )
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def som_grid_to_dict(grid: SomGrid) -> dict:
-    return {
-        "rows": grid.rows,
-        "cols": grid.cols,
-        "code_vectors": grid.code_vectors.tolist(),
-        "trained_epochs": grid.trained_epochs,
-        "seed": grid.seed,
-        "schedule": grid.schedule.to_dict(),
-    }
-
-
-def som_grid_from_dict(d: dict) -> SomGrid:
-    return SomGrid(
-        rows=d["rows"],
-        cols=d["cols"],
-        code_vectors=np.array(d["code_vectors"]),
-        trained_epochs=d["trained_epochs"],
-        seed=d["seed"],
-        schedule=SomSchedule.from_dict(d["schedule"]),
-    )
-
-
-def classification_to_dict(mc: MacroClassification) -> dict:
-    return {
-        "k": mc.k,
-        "node_to_class": mc.node_to_class.tolist(),
-        "linkage_history": [list(m) for m in mc.linkage_history],
-        "week_to_class": None if mc.week_to_class is None else mc.week_to_class.tolist(),
-        "class_means": mc.class_means,
-        "intervals": None if mc.intervals is None else [list(iv) for iv in mc.intervals],
-        "class_counts": mc.class_counts,
-    }
-
-
-def classification_from_dict(d: dict) -> MacroClassification:
-    means = d["class_means"]
-    counts = d["class_counts"]
-    return MacroClassification(
-        k=d["k"],
-        node_to_class=np.array(d["node_to_class"]),
-        linkage_history=tuple(tuple(m) for m in d["linkage_history"]),
-        week_to_class=None if d["week_to_class"] is None else np.array(d["week_to_class"]),
-        class_means=None if means is None else {int(c): v for c, v in means.items()},
-        intervals=None if d["intervals"] is None else tuple(tuple(iv) for iv in d["intervals"]),
-        class_counts=None if counts is None else {int(c): v for c, v in counts.items()},
-    )

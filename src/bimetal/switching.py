@@ -26,11 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModelError, MonotonicityError, NumericalError, ValidationError
-from .regression import LinearMean, MlpMean, make_design, mean_from_dict
+from .regression import LinearMean, MlpMean, make_design
 
 MEAN_FAMILIES = ("linear", "mlp")
 
 _SIGMA_TINY = 1e-150
+# A restart aborts as degenerate once a regime's total posterior mass falls
+# below this many observation-equivalents.
+_MIN_WEIGHT = 1.0
 
 
 @dataclass(frozen=True)
@@ -71,23 +74,6 @@ class MsSpec:
                 per_mean.append(self.hidden_units * (self.lag + 2) + 1)
         return self.n_regimes * (self.n_regimes - 1) + sum(per_mean) + self.n_regimes
 
-    def to_dict(self) -> dict:
-        return {
-            "n_regimes": self.n_regimes,
-            "lag": self.lag,
-            "families": list(self.families),
-            "hidden_units": self.hidden_units,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MsSpec":
-        return cls(
-            n_regimes=d["n_regimes"],
-            lag=d["lag"],
-            families=tuple(d["families"]),
-            hidden_units=d["hidden_units"],
-        )
-
 
 @dataclass
 class MsParams:
@@ -95,7 +81,7 @@ class MsParams:
     scale per regime."""
 
     transition: np.ndarray
-    means: tuple
+    means: tuple[LinearMean | MlpMean, ...]
     sigmas: np.ndarray
 
     def __post_init__(self):
@@ -155,21 +141,6 @@ class MsParams:
     def swapped(self) -> "MsParams":
         """Exchange the two regime labels (n_regimes == 2)."""
         return self.permuted([1, 0])
-
-    def to_dict(self) -> dict:
-        return {
-            "transition": self.transition.tolist(),
-            "means": [m.to_dict() for m in self.means],
-            "sigmas": self.sigmas.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MsParams":
-        return cls(
-            transition=np.array(d["transition"]),
-            means=tuple(mean_from_dict(m) for m in d["means"]),
-            sigmas=np.array(d["sigmas"]),
-        )
 
 
 def transition_from_pq(p: float, q: float) -> np.ndarray:
@@ -273,34 +244,17 @@ class RegimeProbabilities:
     the recursion and carry no probability row.
     """
 
+    offset: int
+    loglik: float
     filtered: np.ndarray
     smoothed: np.ndarray
-    loglik: float
-    offset: int
-
-    def to_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "loglik": self.loglik,
-            "filtered": self.filtered.tolist(),
-            "smoothed": self.smoothed.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegimeProbabilities":
-        return cls(
-            filtered=np.array(d["filtered"]),
-            smoothed=np.array(d["smoothed"]),
-            loglik=d["loglik"],
-            offset=d["offset"],
-        )
 
     @classmethod
     def from_filter(cls, filt, smoothed: np.ndarray) -> "RegimeProbabilities":
         """Pair a filter pass with the smoother output computed from it."""
         return cls(
+            offset=filt.offset, loglik=filt.loglik,
             filtered=filt.filtered, smoothed=smoothed,
-            loglik=filt.loglik, offset=filt.offset,
         )
 
 
@@ -453,46 +407,22 @@ def _update_transition(A_old, xi, sm0) -> np.ndarray:
 
 @dataclass
 class EmResult:
+    """The best restart's fit; ``restart_logliks`` holds every restart's
+    final log-likelihood, None for a restart that collapsed."""
+
+    spec: MsSpec | None
+    seed: int | None
     params: MsParams
     probabilities: RegimeProbabilities
-    trace: tuple
+    trace: tuple[float, ...]
     converged: bool
     n_iter: int
     restart: int
-    restart_logliks: tuple
-    spec: MsSpec | None = None
-    seed: int | None = None
+    restart_logliks: tuple[float | None, ...]
 
     @property
     def loglik(self) -> float:
         return self.trace[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": None if self.spec is None else self.spec.to_dict(),
-            "seed": self.seed,
-            "params": self.params.to_dict(),
-            "probabilities": self.probabilities.to_dict(),
-            "trace": list(self.trace),
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-            "restart": self.restart,
-            "restart_logliks": list(self.restart_logliks),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmResult":
-        return cls(
-            params=MsParams.from_dict(d["params"]),
-            probabilities=RegimeProbabilities.from_dict(d["probabilities"]),
-            trace=tuple(d["trace"]),
-            converged=d["converged"],
-            n_iter=d["n_iter"],
-            restart=d["restart"],
-            restart_logliks=tuple(d["restart_logliks"]),
-            spec=None if d["spec"] is None else MsSpec.from_dict(d["spec"]),
-            seed=d["seed"],
-        )
 
 
 def _initial_params(spec: MsSpec, series, rng) -> MsParams:
@@ -526,9 +456,9 @@ def _initial_params(spec: MsSpec, series, rng) -> MsParams:
     return MsParams(transition=A, means=tuple(means), sigmas=sigmas)
 
 
-def _m_step(params, X, y, smoothed, xi, min_weight, mlp_steps) -> MsParams:
+def _m_step(params, X, y, smoothed, xi, mlp_steps) -> MsParams:
     masses = smoothed.sum(axis=0)
-    if np.any(masses < min_weight):
+    if np.any(masses < _MIN_WEIGHT):
         weak = int(np.argmin(masses))
         raise _DegenerateRestart(
             f"regime {weak + 1} holds {masses[weak]:.3g} observation-equivalents"
@@ -551,7 +481,7 @@ def _m_step(params, X, y, smoothed, xi, min_weight, mlp_steps) -> MsParams:
     return MsParams(transition=A, means=tuple(means), sigmas=sigmas)
 
 
-def _em_single(spec, series, params, tol, max_iter, min_weight, mlp_steps):
+def _em_single(spec, series, params, tol, max_iter, mlp_steps):
     X, y = make_design(series, spec.lag)
     trace: list[float] = []
     converged = False
@@ -569,7 +499,7 @@ def _em_single(spec, series, params, tol, max_iter, min_weight, mlp_steps):
             converged = True
             break
         xi = _pairwise_counts(params, filt, smoothed)
-        params = _m_step(params, X, y, smoothed, xi, min_weight, mlp_steps)
+        params = _m_step(params, X, y, smoothed, xi, mlp_steps)
     return params, RegimeProbabilities.from_filter(filt, smoothed), trace, converged
 
 
@@ -587,7 +517,6 @@ def em_fit(
     tol: float = 1e-6,
     max_iter: int = 200,
     n_restarts: int = 10,
-    min_weight: float = 1.0,
     mlp_steps: int = 200,
 ) -> EmResult:
     """Fit by EM; best of ``n_restarts`` seeded jittered initializations.
@@ -595,7 +524,7 @@ def em_fit(
     When ``init`` params are given a single run starts from them instead.
     Regimes in the result are relabeled so regime 1 has the larger
     stationary probability. A restart aborts as degenerate when a regime's
-    total posterior mass drops below ``min_weight`` observation-equivalents;
+    total posterior mass drops below one observation-equivalent;
     if every restart degenerates the model is likely over-specified and a
     DegenerateModelError suggests fewer regimes.
     """
@@ -629,7 +558,7 @@ def em_fit(
     for r, start in enumerate(starts):
         try:
             params, probs, trace, converged = _em_single(
-                spec, series, start, tol, max_iter, min_weight, mlp_steps
+                spec, series, start, tol, max_iter, mlp_steps
             )
         except _DegenerateRestart as exc:
             restart_logliks.append(None)
@@ -650,12 +579,14 @@ def em_fit(
     if order != list(range(spec.n_regimes)):
         params = params.permuted(order)
         probs = RegimeProbabilities(
+            offset=probs.offset,
+            loglik=probs.loglik,
             filtered=probs.filtered[:, order].copy(),
             smoothed=probs.smoothed[:, order].copy(),
-            loglik=probs.loglik,
-            offset=probs.offset,
         )
     return EmResult(
+        spec=spec,
+        seed=seed,
         params=params,
         probabilities=probs,
         trace=tuple(trace),
@@ -663,8 +594,6 @@ def em_fit(
         n_iter=len(trace),
         restart=restart,
         restart_logliks=tuple(restart_logliks),
-        spec=spec,
-        seed=seed,
     )
 
 
@@ -683,32 +612,41 @@ class ClassRegimeRow:
 
 
 def cross_tabulate(probs: RegimeProbabilities, classification, spread) -> list[ClassRegimeRow]:
-    """Per macro-class: week count, share of weeks with smoothed
-    P(regime 1) > 0.5, and the standard deviation of the spread."""
+    """Per macro-class: observation count, share of observations with
+    smoothed P(regime 1) > 0.5, and the standard deviation of the spread.
+
+    Each spread observation takes the class of its week, ``spread.t_index``;
+    with per_day aggregation a week contributes two observations.
+    """
     week_to_class = classification.week_to_class
     if week_to_class is None:
         raise ValidationError("classification lacks week assignments; run periodize")
     n_weeks = week_to_class.shape[0]
     values = spread.values
-    if values.shape[0] != n_weeks:
-        raise ValidationError(
-            f"misaligned indices: {n_weeks} classified weeks vs "
-            f"{values.shape[0]} spread observations"
-        )
-    if probs.offset + probs.smoothed.shape[0] != n_weeks:
+    n_obs = values.shape[0]
+    if probs.offset + probs.smoothed.shape[0] != n_obs:
         raise ValidationError(
             f"misaligned indices: probabilities cover {probs.smoothed.shape[0]} "
-            f"steps from week {probs.offset}, dataset has {n_weeks} weeks"
+            f"steps from observation {probs.offset}, spread has {n_obs} observations"
         )
+    t_index = np.asarray(spread.t_index)
+    if t_index.shape != (n_obs,) or not np.array_equal(
+        np.unique(t_index), np.arange(n_weeks)
+    ):
+        raise ValidationError(
+            f"misaligned indices: {n_weeks} classified weeks vs the weeks of "
+            f"{n_obs} spread observations"
+        )
+    obs_class = week_to_class[t_index]
 
-    regime1 = np.zeros(n_weeks, dtype=bool)
-    has_prob = np.zeros(n_weeks, dtype=bool)
+    regime1 = np.zeros(n_obs, dtype=bool)
+    has_prob = np.zeros(n_obs, dtype=bool)
     regime1[probs.offset:] = probs.smoothed[:, 0] > 0.5
     has_prob[probs.offset:] = True
 
     rows = []
-    for cls in sorted(set(week_to_class.tolist())):
-        member = week_to_class == cls
+    for cls in sorted(set(obs_class.tolist())):
+        member = obs_class == cls
         with_prob = member & has_prob
         share = float(regime1[with_prob].mean()) if with_prob.any() else float("nan")
         rows.append(

@@ -8,13 +8,14 @@ from numpy.testing import assert_allclose
 from bimetal.changepoint import (
     SegCostTable,
     SegMode,
+    Segmentation,
     auto_k_max,
     detect,
     optimal_segmentation_for_k,
     segment_cost,
-    segmentation_from_dict,
     select_num_segments,
 )
+from bimetal.data import from_json
 from bimetal.errors import ValidationError
 
 from oracles import dense_dp, enumerate_best_segmentation, two_pass_segment_stats
@@ -312,7 +313,7 @@ def test_segmentation_serialization_roundtrip():
     labels = [f"w{t}" for t in range(len(series))]
     d = seg.to_dict(labels=labels)
     assert d["tau_labels"] == [f"w{t}" for t in seg.tau]
-    again = segmentation_from_dict(d)
+    again = from_json(Segmentation, d)
     assert again.tau == seg.tau
     assert again.mode is SegMode.MEAN_VAR
     assert_allclose(

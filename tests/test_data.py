@@ -9,11 +9,12 @@ from bimetal.data import (
     build_features,
     compute_spread,
     dataset_to_string,
+    SpreadSeries,
     features_from_dict,
     features_to_dict,
+    from_json,
     impute_missing,
-    spread_from_dict,
-    spread_to_dict,
+    to_json,
     write_features_csv,
     write_spread_csv,
 )
@@ -284,7 +285,7 @@ def test_spread_length_equals_rows(small_weeks):
 
 def test_spread_serialization_roundtrip(small_weeks):
     spread = compute_spread(small_weeks)
-    again = spread_from_dict(spread_to_dict(spread))
+    again = from_json(SpreadSeries, to_json(spread))
     assert_allclose(again.values, spread.values)
     assert again.aggregation == "mean"
 

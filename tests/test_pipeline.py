@@ -1,4 +1,6 @@
+import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bimetal.cli import main
+from bimetal.data import features_to_dict, to_json, write_json
 from bimetal.errors import DataError, ValidationError
 from bimetal.pipeline import (
     AnalysisBundle,
@@ -230,10 +233,66 @@ def test_load_bundle_roundtrip(analyzed):
         loaded.classification.week_to_class, bundle.classification.week_to_class
     )
 
+    # each loaded record, re-encoded as analyze encodes it, gives its file's text
+    labels = loaded.spread.labels
+    records = {
+        "features": features_to_dict(loaded.features),
+        "spread": to_json(loaded.spread),
+        "som_grid": to_json(loaded.grid),
+        "periodization": to_json(loaded.classification),
+        "ms_model": to_json(loaded.em),
+        "segmentation_mean": loaded.segmentations["mean"].to_dict(labels=labels),
+        "segmentation_meanvar": loaded.segmentations["meanvar"].to_dict(labels=labels),
+    }
+    outdir = Path(config.outdir)
+    files = {"manifest": "manifest.json"}
+    files.update((e["name"], e.get("json", e["path"])) for e in loaded.manifest["artifacts"])
+    records["manifest"] = loaded.manifest
+    assert records.keys() == files.keys()
+    for name, filename in files.items():
+        buf = io.StringIO()
+        write_json(records[name], buf)
+        assert buf.getvalue() == (outdir / filename).read_text(), filename
+
 
 def test_load_bundle_missing_manifest(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         load_bundle(tmp_path)
+
+
+def _unknown_mean_kind(text):
+    d = json.loads(text)
+    d["params"]["means"][0]["kind"] = "spline"
+    return json.dumps(d)
+
+
+def _without_values(text):
+    d = json.loads(text)
+    del d["values"]
+    return json.dumps(d)
+
+
+def _truncated(text):
+    return text[: len(text) // 2]
+
+
+@pytest.mark.parametrize("filename, corrupt", [
+    ("ms_model.json", _unknown_mean_kind),
+    ("spread.json", _without_values),
+    ("som_grid.json", _truncated),
+    ("manifest.json", _truncated),
+])
+def test_report_on_malformed_artifact_is_data_error(analyzed, tmp_path, capsys,
+                                                    filename, corrupt):
+    config, _ = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    path = run / filename
+    path.write_text(corrupt(path.read_text()))
+    assert main(["report", "--outdir", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: malformed artifact")
+    assert filename in err
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +327,25 @@ def test_report_files(analyzed):
     offset = bundle.em.probabilities.offset
     assert all(r[2] == "" for r in rows[:offset])
     assert all(r[2] != "" for r in rows[offset:])
+
+
+def test_report_after_per_day_analyze(sim_dataset, tmp_path):
+    out = tmp_path / "per_day"
+    config = fast_config(input=str(sim_dataset), outdir=str(out),
+                         spread_aggregation="per_day")
+    bundle = run_analyze(config)
+    n_weeks = bundle.manifest["n_weeks"]
+    assert len(bundle.spread) == 2 * n_weeks
+    assert main(["report", "--outdir", str(out)]) == 0
+
+    # each week's two observations count in its class
+    table = (out / "class_table.csv").read_text().splitlines()[1:]
+    counts = bundle.classification.class_counts
+    assert [int(row.split(",")[1]) for row in table] == \
+        [2 * counts[c] for c in sorted(counts)]
+    aligned = (out / "aligned_series.csv").read_text().splitlines()
+    assert len(aligned) == 2 * n_weeks + 1
+    assert aligned[1].split(",")[0] == aligned[2].split(",")[0]  # same week
 
 
 def test_report_missing_artifact_names_stage(analyzed, tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bimetal.regression import LinearMean, MlpMean, make_design, mean_from_dict
+from bimetal.data import from_json, to_json
+from bimetal.regression import LinearMean, MlpMean, make_design
 
 
 def test_make_design_layout():
@@ -135,8 +136,8 @@ def test_mlp_fits_nonlinear_signal():
 def test_mean_serialization_roundtrip():
     rng = np.random.default_rng(5)
     lin = LinearMean(np.array([0.1, 0.9]))
-    assert_allclose(mean_from_dict(lin.to_dict()).coef, lin.coef)
+    assert_allclose(from_json(LinearMean, to_json(lin)).coef, lin.coef)
     mlp = MlpMean.random(2, 3, rng)
-    again = mean_from_dict(mlp.to_dict())
+    again = from_json(MlpMean, to_json(mlp))
     X = rng.standard_normal((5, 2))
     assert_allclose(again.predict(X), mlp.predict(X))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bimetal.data import build_features
+from bimetal.data import build_features, from_json, to_json
 from bimetal.errors import ValidationError
 from bimetal.som import (
     MacroClassification,
@@ -13,13 +13,9 @@ from bimetal.som import (
     SomSchedule,
     best_matching_unit,
     bmu_indices,
-    classification_from_dict,
-    classification_to_dict,
     hac_macro_classes,
     initialize_grid,
     periodize,
-    som_grid_from_dict,
-    som_grid_to_dict,
     train_som,
 )
 
@@ -306,7 +302,7 @@ def test_grid_serialization_roundtrip():
     rng = np.random.default_rng(3)
     grid = train_som(rng.standard_normal((30, 4)), 2, 3,
                      schedule=SomSchedule(epochs=4), seed=9)
-    again = som_grid_from_dict(som_grid_to_dict(grid))
+    again = from_json(SomGrid, to_json(grid))
     assert_array_equal(again.code_vectors, grid.code_vectors)
     assert again.schedule == grid.schedule
     assert again.seed == 9
@@ -316,7 +312,7 @@ def test_classification_serialization_roundtrip(small_weeks):
     fs = build_features(small_weeks)
     grid = train_som(fs, 2, 2, schedule=SomSchedule(epochs=4), seed=2)
     full = periodize(fs, grid, hac_macro_classes(grid, k=2))
-    again = classification_from_dict(classification_to_dict(full))
+    again = from_json(MacroClassification, to_json(full))
     assert_array_equal(again.week_to_class, full.week_to_class)
     assert again.class_means == full.class_means
     assert again.intervals == full.intervals

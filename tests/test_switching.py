@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bimetal.data import from_json, to_json
 from bimetal.errors import (
     DegenerateModelError,
     NumericalError,
@@ -340,12 +341,12 @@ def test_em_result_serialization():
     series, _ = simulate(true, T=200, seed=10)
     res = em_fit(MsSpec(families=("linear", "linear")), series, seed=0,
                  n_restarts=2, max_iter=30)
-    d = res.to_dict()
-    again = EmResult.from_dict(d)
+    d = to_json(res)
+    again = from_json(EmResult, d)
     assert_allclose(again.params.transition, res.params.transition)
     assert_allclose(again.probabilities.smoothed, res.probabilities.smoothed)
     assert again.spec == res.spec
-    assert again.to_dict() == d
+    assert to_json(again) == d
 
 
 def test_em_with_mlp_regime_runs_monotone():
@@ -367,8 +368,10 @@ class _FakeClassification:
 
 
 class _FakeSpread:
-    def __init__(self, values):
+    def __init__(self, values, t_index=None):
         self.values = np.asarray(values, dtype=float)
+        n = self.values.shape[0]
+        self.t_index = np.arange(n) if t_index is None else np.asarray(t_index)
 
 
 def _probs(smoothed, offset=1):
@@ -406,3 +409,20 @@ def test_cross_tab_misaligned_errors():
         cross_tabulate(probs, classes, _FakeSpread(np.ones(7)))
     with pytest.raises(ValidationError, match="misaligned"):
         cross_tabulate(_probs(np.ones((3, 2)) * 0.5), classes, _FakeSpread(np.ones(6)))
+    # week indices past the classified weeks, or weeks without an observation
+    for t_index in ([0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 4, 4]):
+        with pytest.raises(ValidationError, match="misaligned"):
+            cross_tabulate(probs, classes, _FakeSpread(np.ones(6), t_index))
+
+
+def test_cross_tab_per_day_observations_take_their_weeks_class():
+    # three weeks, two observations each (Tuesday, Friday)
+    probs = _probs(np.column_stack([[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]]))
+    classes = _FakeClassification([1, 2, 2])
+    spread = _FakeSpread([0.1, 0.3, 0.2, 0.2, 0.5, 0.5], t_index=[0, 0, 1, 1, 2, 2])
+    rows = cross_tabulate(probs, classes, spread)
+    assert [(r.class_id, r.n_obs) for r in rows] == [(1, 2), (2, 4)]
+    assert rows[0].pct_regime1 == 1.0  # only the Friday has a probability
+    assert rows[1].pct_regime1 == 0.25
+    assert rows[0].spread_std == pytest.approx(0.1)
+    assert rows[1].spread_std == pytest.approx(0.15)
