@@ -466,8 +466,8 @@ def write_features_csv(fs: FeatureSet, target) -> None:
         ["year", "week"] + list(fs.raw_names) + std_names,
         (
             [fs.years[i], fs.weeks[i]]
-            + [repr(v) for v in raw[i]]
-            + [repr(v) for v in fs.standardized[i]]
+            + [repr(float(v)) for v in raw[i]]
+            + [repr(float(v)) for v in fs.standardized[i]]
             for i in range(len(fs))
         ),
     )

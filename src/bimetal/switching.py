@@ -1,4 +1,4 @@
-"""Two-regime Markov-switching autoregression fitted by EM.
+"""Markov-switching autoregression (two or more regimes) fitted by EM.
 
 The observed series follows, in each period, one of a small set of
 autoregressive conditional-mean models (affine or one-hidden-layer
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -287,7 +288,12 @@ def hamilton_filter(params: MsParams, series) -> FilterResult:
     """Forward recursion: filtered regime probabilities and log-likelihood.
 
     The first ``lag`` observations condition the recursion and contribute
-    no likelihood terms. Probability updates run in the log domain.
+    no likelihood terms. The recursion is scaled rather than run in the log
+    domain: each step's densities are divided by their largest value,
+    E[t] = exp(L[t] - c[t]) with c[t] = max L[t], once for all t in numpy.
+    Only w = pred * E[t], s = sum(w) and pred = A w / s stay in the loop,
+    on Python floats, for any number of regimes. Afterwards the filtered
+    rows are w / s and the log-likelihood is sum(c) + sum(log s).
     """
     series = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(series)):
@@ -296,45 +302,57 @@ def hamilton_filter(params: MsParams, series) -> FilterResult:
     lag = params.lag
     X, y = make_design(series, lag)
     L = _log_densities(params, X, y)
-    A = params.transition
-    n_use = y.shape[0]
-    n = params.n_regimes
+    # a row of -inf gives c = -inf and a NaN row of E; the loop rejects it
+    with np.errstate(invalid="ignore"):
+        c = L.max(axis=1)
+        E = np.exp(L - c[:, None]).tolist()
+    A = params.transition.tolist()
 
-    filtered = np.empty((n_use, n))
-    predicted = np.empty((n_use, n))
-    with np.errstate(divide="ignore"):
-        pred = stationary_distribution(A)
-        loglik = 0.0
-        for t in range(n_use):
-            predicted[t] = pred
-            joint = np.log(pred) + L[t]
-            m = joint.max()
-            if not np.isfinite(m):
-                raise NumericalError(
-                    f"vanishing likelihood at step {t}: check sigmas"
-                )
-            w = np.exp(joint - m)
-            s = w.sum()
-            loglik += m + np.log(s)
-            f = w / s
-            filtered[t] = f
-            pred = A @ f
+    pred = stationary_distribution(params.transition).tolist()
+    predicted, weights, scales = [], [], []
+    for t, e in enumerate(E):
+        predicted.append(pred)
+        w = list(map(mul, pred, e))
+        s = sum(w)
+        if not s > 0:
+            raise NumericalError(f"vanishing likelihood at step {t}: check sigmas")
+        weights.append(w)
+        scales.append(s)
+        pred = [sum(map(mul, row, w)) / s for row in A]
+
+    scales = np.array(scales)
     return FilterResult(
-        filtered=filtered, predicted=predicted, loglik=float(loglik), offset=lag,
+        filtered=np.array(weights) / scales[:, None],
+        predicted=np.array(predicted),
+        loglik=float(c.sum() + np.log(scales).sum()),
+        offset=lag,
     )
 
 
 def kim_smoother(params: MsParams, filt: FilterResult) -> np.ndarray:
-    """Backward recursion: P(x_t | whole sample) from the filter output."""
-    A = params.transition
-    filtered, predicted = filt.filtered, filt.predicted
-    n_use = filtered.shape[0]
-    smoothed = np.empty_like(filtered)
-    smoothed[-1] = filtered[-1]
-    for t in range(n_use - 2, -1, -1):
-        ratio = smoothed[t + 1] / predicted[t + 1]
-        smoothed[t] = filtered[t] * (A.T @ ratio)
-        smoothed[t] /= smoothed[t].sum()
+    """Backward recursion: P(x_t | whole sample) from the filter output.
+
+    With g_t = filtered_t / predicted_t, the ratio r_t = smoothed_t /
+    predicted_t obeys r_t = g_t * (A^T r_{t+1}) from r_{T-1} = g_{T-1}.
+    That recursion runs on Python floats, for any number of regimes, and
+    is not renormalized per step; smoothed_t = filtered_t * (A^T r_{t+1})
+    then has its rows normalized once after the loop, which removes the
+    rounding drift of the scale. The last row is the last filtered row.
+    """
+    filtered = filt.filtered
+    g = (filtered / filt.predicted).tolist()
+    AT = params.transition.T.tolist()
+
+    r = g[-1]
+    back = []  # A^T r_{t+1} for t = T-2 down to 0
+    for g_t in g[-2::-1]:
+        q = [sum(map(mul, col, r)) for col in AT]
+        back.append(q)
+        r = list(map(mul, g_t, q))
+
+    head = filtered[:-1] * np.reshape(back[::-1], (-1, filtered.shape[1]))
+    smoothed = filtered.copy()
+    smoothed[:-1] = head / head.sum(axis=1, keepdims=True)
     return smoothed
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 Everything here recomputes quantities from first principles (exhaustive
-enumeration, direct two-pass statistics) without touching the recursive
-implementations under test.
+enumeration, direct two-pass statistics) or with the plain reference
+algorithms that the optimized code replaced (dense DP, per-step numpy
+filter and smoother), without touching the implementations under test.
 """
 
 import itertools
@@ -11,27 +12,29 @@ import numpy as np
 from scipy.special import logsumexp
 
 from bimetal.regression import make_design
-from bimetal.switching import stationary_distribution
+from bimetal.switching import FilterResult, stationary_distribution
 
 
-def _path_log_weights(params, series):
-    """Log joint weight of every state path over the usable steps."""
-    series = np.asarray(series, dtype=float)
-    lag = params.lag
-    X, y = make_design(series, lag)
-    n_use = y.shape[0]
-    n = params.n_regimes
-    A = params.transition
-    pi = stationary_distribution(A)
-
-    L = np.empty((n_use, n))
-    for i in range(n):
+def _log_density_matrix(params, series):
+    """L[t, i] = log N(y_t; mean_i(x_t), sigma_i) over the usable steps."""
+    X, y = make_design(np.asarray(series, dtype=float), params.lag)
+    L = np.empty((y.shape[0], params.n_regimes))
+    for i in range(params.n_regimes):
         resid = y - params.means[i].predict(X)
         L[:, i] = (
             -0.5 * np.log(2 * np.pi)
             - np.log(params.sigmas[i])
             - 0.5 * (resid / params.sigmas[i]) ** 2
         )
+    return L
+
+
+def _path_log_weights(params, series):
+    """Log joint weight of every state path over the usable steps."""
+    L = _log_density_matrix(params, series)
+    n_use, n = L.shape
+    A = params.transition
+    pi = stationary_distribution(A)
 
     paths = np.array(list(itertools.product(range(n), repeat=n_use)))
     logw = np.log(pi[paths[:, 0]])
@@ -42,7 +45,7 @@ def _path_log_weights(params, series):
 
 
 def enumerate_loglik(params, series):
-    """Log-likelihood as a direct sum over all 2^n state paths."""
+    """Log-likelihood as a direct sum over all n_regimes^T state paths."""
     _, logw = _path_log_weights(params, series)
     return float(logsumexp(logw))
 
@@ -59,6 +62,49 @@ def enumerate_posteriors(params, series):
             mask = paths[:, t] == i
             post[t, i] = np.exp(logsumexp(logw[mask]) - total) if mask.any() else 0.0
     return post, float(total)
+
+
+def numpy_filter(params, series):
+    """Reference Hamilton filter: one log-domain numpy step per t.
+
+    The per-step numpy recursion that the scaled Python-float
+    ``hamilton_filter`` replaced; same inputs, same FilterResult.
+    """
+    L = _log_density_matrix(params, series)
+    A = params.transition
+    n_use, n = L.shape
+    filtered = np.empty((n_use, n))
+    predicted = np.empty((n_use, n))
+    with np.errstate(divide="ignore"):
+        pred = stationary_distribution(A)
+        loglik = 0.0
+        for t in range(n_use):
+            predicted[t] = pred
+            joint = np.log(pred) + L[t]
+            m = joint.max()
+            w = np.exp(joint - m)
+            s = w.sum()
+            loglik += m + np.log(s)
+            f = w / s
+            filtered[t] = f
+            pred = A @ f
+    return FilterResult(
+        filtered=filtered, predicted=predicted, loglik=float(loglik),
+        offset=params.lag,
+    )
+
+
+def numpy_smoother(params, filt):
+    """Reference Kim smoother: one normalized numpy step per t."""
+    A = params.transition
+    filtered, predicted = filt.filtered, filt.predicted
+    smoothed = np.empty_like(filtered)
+    smoothed[-1] = filtered[-1]
+    for t in range(filtered.shape[0] - 2, -1, -1):
+        ratio = smoothed[t + 1] / predicted[t + 1]
+        smoothed[t] = filtered[t] * (A.T @ ratio)
+        smoothed[t] /= smoothed[t].sum()
+    return smoothed
 
 
 def two_pass_segment_stats(series, i, j):

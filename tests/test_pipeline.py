@@ -464,3 +464,22 @@ def test_cli_flag_overrides_config_file(tmp_path):
                  "--outdir", str(out)])
     assert code == 0
     assert (out / "features.csv").exists()
+
+
+def test_features_csv_cells_are_the_json_floats(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text(make_csv(synthetic_rows(12, seed=4)))
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(data), "--outdir", str(out)]) == 0
+    saved = json.loads((out / "features.json").read_text())
+    header, *rows = (out / "features.csv").read_text().splitlines()
+    assert header.split(",")[2:] == (
+        saved["base_names"] + saved["hpl_names"]
+        + [f"std_{name}" for name in saved["feature_names"]]
+    )
+    assert len(rows) == len(saved["years"])
+    for i, line in enumerate(rows):
+        cells = line.split(",")
+        assert [int(c) for c in cells[:2]] == [saved["years"][i], saved["weeks"][i]]
+        want = saved["base"][i] + saved["hpl"][i] + saved["standardized"][i]
+        assert [float(c) for c in cells[2:]] == want

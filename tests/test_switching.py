@@ -25,7 +25,7 @@ from bimetal.switching import (
     transition_from_pq,
 )
 
-from oracles import enumerate_loglik, enumerate_posteriors
+from oracles import enumerate_loglik, enumerate_posteriors, numpy_filter, numpy_smoother
 
 REF_P, REF_Q = 0.844298, 0.746643
 
@@ -38,18 +38,21 @@ def linear_params(p=0.9, q=0.8, coefs=((2.0, 0.5), (-1.0, 0.2)), sigmas=(0.3, 0.
     )
 
 
-def random_params(rng, lag=1, mlp=False):
-    p, q = rng.uniform(0.1, 0.9, size=2)
+def random_params(rng, lag=1, mlp=False, n_regimes=2):
+    if n_regimes == 2:
+        transition = transition_from_pq(*rng.uniform(0.1, 0.9, size=2))
+    else:  # column j is the distribution of the next regime from regime j
+        transition = rng.dirichlet(np.ones(n_regimes), size=n_regimes).T
     means = []
-    for _ in range(2):
+    for _ in range(n_regimes):
         if mlp:
             means.append(MlpMean.random(lag, 2, rng))
         else:
             means.append(LinearMean(rng.uniform(-1, 1, size=lag + 1)))
     return MsParams(
-        transition=transition_from_pq(p, q),
+        transition=transition,
         means=tuple(means),
-        sigmas=rng.uniform(0.2, 1.5, size=2),
+        sigmas=rng.uniform(0.2, 1.5, size=n_regimes),
     )
 
 
@@ -167,19 +170,31 @@ def test_filter_single_step_hand_computed():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_filter_matches_path_enumeration(seed):
-    rng = np.random.default_rng(seed)
-    lag = int(rng.integers(1, 3))
-    params = random_params(rng, lag=lag, mlp=bool(seed % 3 == 0))
-    T = int(rng.integers(lag + 3, lag + 11))
-    series, _ = simulate(params, T=T, seed=seed + 100, burn_in=20)
-    out = hamilton_filter(params, series)
-    assert out.loglik == pytest.approx(enumerate_loglik(params, series), abs=1e-8)
+    for n_regimes in (2, 3):
+        rng = np.random.default_rng(seed)
+        lag = int(rng.integers(1, 3))
+        params = random_params(rng, lag=lag, mlp=bool(seed % 3 == 0),
+                               n_regimes=n_regimes)
+        T = int(rng.integers(lag + 3, lag + 11))
+        series, _ = simulate(params, T=T, seed=seed + 100, burn_in=20)
+        out = hamilton_filter(params, series)
+        want = enumerate_loglik(params, series)
+        assert out.loglik == pytest.approx(want, abs=1e-8), n_regimes
 
 
 def test_filter_rejects_nonfinite():
     params = linear_params()
     with pytest.raises(ValidationError, match="non-finite"):
         hamilton_filter(params, [1.0, np.nan, 2.0])
+
+
+def test_filter_vanishing_likelihood():
+    # series[10] = 1e200 is the target of usable step 9, where every
+    # regime's log-density is -inf
+    series = np.zeros(20)
+    series[10] = 1e200
+    with pytest.raises(NumericalError, match="vanishing likelihood at step 9"):
+        hamilton_filter(linear_params(), series)
 
 
 def test_filter_sigma_underflow():
@@ -216,24 +231,49 @@ def test_smoother_identical_regimes_stationary():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_smoother_matches_path_enumeration(seed):
-    rng = np.random.default_rng(seed + 50)
-    params = random_params(rng, lag=1)
-    series, _ = simulate(params, T=10, seed=seed, burn_in=10)
-    probs = posterior_probabilities(params, series)
-    post, total = enumerate_posteriors(params, series)
-    assert_allclose(probs.smoothed, post, atol=1e-8)
-    assert probs.loglik == pytest.approx(total, abs=1e-8)
+    for n_regimes in (2, 3):
+        rng = np.random.default_rng(seed + 50)
+        params = random_params(rng, lag=1, n_regimes=n_regimes)
+        series, _ = simulate(params, T=10, seed=seed, burn_in=10)
+        probs = posterior_probabilities(params, series)
+        post, total = enumerate_posteriors(params, series)
+        assert_allclose(probs.smoothed, post, atol=1e-8)
+        assert probs.loglik == pytest.approx(total, abs=1e-8)
 
 
 def test_probability_rows_normalized():
-    rng = np.random.default_rng(11)
-    for seed in range(10):
-        params = random_params(rng, lag=1)
-        series, _ = simulate(params, T=60, seed=seed)
-        probs = posterior_probabilities(params, series)
-        for mat in (probs.filtered, probs.smoothed):
-            assert_allclose(mat.sum(axis=1), 1.0, atol=1e-9)
-            assert ((mat >= 0) & (mat <= 1)).all()
+    for n_regimes in (2, 3):
+        rng = np.random.default_rng(11)
+        for seed in range(10):
+            params = random_params(rng, lag=1, n_regimes=n_regimes)
+            series, _ = simulate(params, T=60, seed=seed)
+            probs = posterior_probabilities(params, series)
+            for mat in (probs.filtered, probs.smoothed):
+                assert_allclose(mat.sum(axis=1), 1.0, atol=1e-9)
+                assert ((mat >= 0) & (mat <= 1)).all()
+
+
+@pytest.mark.parametrize(
+    "families",
+    [("linear", "linear"), ("mlp", "linear"), ("linear", "linear", "linear")],
+)
+def test_recursions_match_numpy_reference_at_historical_scale(families):
+    # T = 2078 weeks, the length of the historical series
+    rng = np.random.default_rng(7)
+    params = random_params(rng, lag=1, n_regimes=len(families))
+    params.means = tuple(
+        MlpMean.random(1, 3, rng) if fam == "mlp" else mean
+        for fam, mean in zip(families, params.means)
+    )
+    series, _ = simulate(params, T=2078, seed=1)
+    filt = hamilton_filter(params, series)
+    ref = numpy_filter(params, series)
+    assert filt.loglik == pytest.approx(ref.loglik, rel=1e-12, abs=0)
+    assert_allclose(filt.filtered, ref.filtered, rtol=0, atol=1e-15)
+    assert_allclose(filt.predicted, ref.predicted, rtol=0, atol=1e-15)
+    assert_allclose(
+        kim_smoother(params, filt), numpy_smoother(params, ref), rtol=0, atol=1e-15
+    )
 
 
 def test_label_switching_symmetry():
@@ -347,6 +387,20 @@ def test_em_result_serialization():
     assert_allclose(again.probabilities.smoothed, res.probabilities.smoothed)
     assert again.spec == res.spec
     assert to_json(again) == d
+
+
+def test_em_three_regimes_runs_monotone():
+    true = MsParams(
+        transition=np.array([[0.9, 0.05, 0.1], [0.05, 0.9, 0.1], [0.05, 0.05, 0.8]]),
+        means=tuple(LinearMean(np.array(c)) for c in ((2.0, 0.3), (-2.0, 0.3), (0.0, 0.8))),
+        sigmas=np.array([0.3, 0.3, 0.5]),
+    )
+    series, _ = simulate(true, T=400, seed=13)
+    res = em_fit(MsSpec(n_regimes=3, families="linear"), series, seed=0,
+                 n_restarts=2, max_iter=40)
+    assert res.params.n_regimes == 3
+    assert res.probabilities.smoothed.shape == (399, 3)
+    assert (np.diff(res.trace) >= -1e-8).all()
 
 
 def test_em_with_mlp_regime_runs_monotone():
