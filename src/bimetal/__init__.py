@@ -17,7 +17,6 @@ from .changepoint import (
     Segmentation,
     detect,
     optimal_segmentation_for_k,
-    segment_cost,
     select_num_segments,
 )
 from .data import (
@@ -54,7 +53,6 @@ from .som import (
     MacroClassification,
     SomGrid,
     SomSchedule,
-    best_matching_unit,
     bmu_indices,
     hac_macro_classes,
     periodize,
@@ -105,7 +103,6 @@ __all__ = [
     "SpreadSeries",
     "ValidationError",
     "__version__",
-    "best_matching_unit",
     "bmu_indices",
     "build_features",
     "compute_spread",
@@ -127,7 +124,6 @@ __all__ = [
     "run_ingest",
     "run_report",
     "run_simulate",
-    "segment_cost",
     "select_num_segments",
     "simulate",
     "stationary_distribution",

@@ -70,38 +70,16 @@ def _check_min_seg_len(mode: SegMode, min_seg_len) -> int:
     return min_seg_len
 
 
-def segment_cost(series, i, j, mode, min_seg_len=None) -> float:
-    """Contrast of treating series[i:j] as a single segment.
-
-    The direct two-pass reference for the entries of SegCostTable.
-    """
-    series = _check_series(series)
-    mode = SegMode.parse(mode)
-    min_seg_len = _check_min_seg_len(mode, min_seg_len)
-    n = j - i
-    if not 0 <= i <= j <= series.shape[0]:
-        raise ValidationError(f"bad segment bounds ({i}, {j})")
-    if n < min_seg_len:
-        raise ValidationError(
-            f"segment ({i}, {j}) shorter than min_seg_len={min_seg_len}"
-        )
-    seg = series[i:j]
-    sse = float(((seg - seg.mean()) ** 2).sum())
-    if mode is SegMode.MEAN:
-        return sse
-    return n * float(np.log(max(sse / n, _variance_floor(series))))
-
-
 @dataclass
 class SegCostTable:
     """Contrasts of every segment series[i:j], one row of j at a time.
 
     Only the prefix sums c1 (of the series) and c2 (of its squares) are
     stored, so the state is O(T); ``row(i)`` computes the contrasts of
-    series[i:j] for j = i+min_seg_len..T on demand. Pairs shorter than
-    min_seg_len are infeasible and cost +inf. Total costs of multi-segment
-    configurations come only from the DP summing these entries; no
-    subadditivity is assumed.
+    series[i:j] for j = i+min_seg_len..T on demand; a segment shorter than
+    min_seg_len has no entry. Total costs of multi-segment configurations
+    come only from the DP summing these entries; no subadditivity is
+    assumed.
     """
 
     mode: SegMode
@@ -125,11 +103,6 @@ class SegCostTable:
         if self.mode is SegMode.MEAN:
             return sse
         return n * np.log(np.maximum(sse / n, self.variance_floor))
-
-    def cost(self, i: int, j: int) -> float:
-        if j - i < self.min_seg_len:
-            return float("inf")
-        return float(self.row(i)[j - i - self.min_seg_len])
 
     @classmethod
     def build(cls, series, mode, min_seg_len=None) -> "SegCostTable":

@@ -7,7 +7,9 @@ This module parses and validates that table, fills missing cells, and
 derives the two model inputs: the per-week feature vectors used by the
 SOM periodization and the weekly spread series used by the switching and
 change-point models. It also holds the one JSON codec of the package:
-``to_json`` and ``from_json`` write and read back every persisted record.
+``to_json`` and ``from_json`` write and read back every persisted record
+(the features record keeps its matrices in features.csv, see
+``write_features``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import types
@@ -178,12 +179,6 @@ def write_dataset(weeks: list[QuotationWeek], target) -> None:
     write_csv(target, HEADER, ([_format_cell(c) for c in wk.row()] for wk in weeks))
 
 
-def dataset_to_string(weeks: list[QuotationWeek]) -> str:
-    buf = io.StringIO()
-    write_dataset(weeks, buf)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # Missing-value treatment
 # ---------------------------------------------------------------------------
@@ -292,7 +287,7 @@ def _hpl(hoa: float, poa: float, lgs: float, kind: str) -> float:
         return hoa - avg
     if kind == "ratio":
         return hoa / avg
-    raise ValueError(f"unknown hpl kind {kind!r}")
+    raise ValidationError(f"unknown hpl kind {kind!r}")
 
 
 @dataclass
@@ -341,7 +336,7 @@ def build_features(
     if not weeks:
         raise ValidationError("no data rows")
     if hpl_kind not in HPL_KINDS:
-        raise ValueError(f"hpl_kind must be one of {HPL_KINDS}")
+        raise ValidationError(f"hpl_kind {hpl_kind!r} is not one of {HPL_KINDS}")
     for wk in weeks:
         if not wk.is_complete():
             raise ValidationError(
@@ -419,7 +414,9 @@ def compute_spread(
     """Per week: max minus min of the three gold-silver prices, per quotation
     day, aggregated to one weekly value (default: mean of the two days)."""
     if aggregation not in SPREAD_AGGREGATIONS:
-        raise ValueError(f"aggregation must be one of {SPREAD_AGGREGATIONS}")
+        raise ValidationError(
+            f"spread aggregation {aggregation!r} is not one of {SPREAD_AGGREGATIONS}"
+        )
     for wk in weeks:
         for series in GOLD_SILVER_SERIES:
             if any(v is None for v in wk.values[series]):
@@ -458,12 +455,21 @@ def compute_spread(
 # Serialization
 # ---------------------------------------------------------------------------
 
+#: FeatureSet fields stored as the cells of features.csv; features.json
+#: holds the other fields.
+_FEATURE_COLUMNS = ("years", "weeks", "base", "hpl", "standardized")
+
+
+def _features_header(feature_names) -> list[str]:
+    return (["year", "week"] + list(VALUE_COLUMNS) + ["hpl_t", "hpl_f"]
+            + [f"std_{name}" for name in feature_names])
+
+
 def write_features_csv(fs: FeatureSet, target) -> None:
-    std_names = [f"std_{name}" for name in fs.feature_names]
     raw = fs.raw_matrix
     write_csv(
         target,
-        ["year", "week"] + list(fs.raw_names) + std_names,
+        _features_header(fs.feature_names),
         (
             [fs.years[i], fs.weeks[i]]
             + [repr(float(v)) for v in raw[i]]
@@ -473,21 +479,40 @@ def write_features_csv(fs: FeatureSet, target) -> None:
     )
 
 
-def features_to_dict(fs: FeatureSet) -> dict:
-    d = to_json(fs)
-    return {
-        "years": d["years"], "weeks": d["weeks"],
-        "base_names": list(VALUE_COLUMNS), "base": d["base"],
-        "hpl_names": ["hpl_t", "hpl_f"], "hpl": d["hpl"],
-        "feature_names": d["feature_names"], "standardized": d["standardized"],
-        "standardization": {"mean": d["means"], "std": d["stds"]},
-        "include_hpl": fs.include_hpl, "hpl_kind": fs.hpl_kind,
-    }
+def write_features(fs: FeatureSet, csv_target, json_target) -> None:
+    """Store each FeatureSet field once: the matrices as features.csv cells,
+    the names, standardization and flags as JSON (see ``read_features``)."""
+    write_features_csv(fs, csv_target)
+    write_json(
+        {f.name: to_json(getattr(fs, f.name)) for f in dataclasses.fields(fs)
+         if f.name not in _FEATURE_COLUMNS},
+        json_target,
+    )
 
 
-def features_from_dict(d: dict) -> FeatureSet:
-    std = d["standardization"]
-    return from_json(FeatureSet, dict(d, means=std["mean"], stds=std["std"]))
+def read_features(csv_source, json_source) -> FeatureSet:
+    """Rebuild the FeatureSet that ``write_features`` stored.
+
+    Cells written by ``repr(float)`` read back exactly. A table that does
+    not parse, or whose header does not match the JSON's feature names, is
+    a ParseError naming ``csv_source``.
+    """
+    meta = read_json(json_source)
+    with _stream(csv_source, "r") as stream:
+        header = stream.readline().rstrip("\n").split(",")
+        try:
+            table = np.loadtxt(stream, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"malformed artifact {csv_source}: {exc}") from exc
+    if header != _features_header(meta["feature_names"]) or table.shape[1] != len(header):
+        raise ParseError(
+            f"malformed artifact {csv_source}: columns do not match feature_names"
+        )
+    b = 2 + len(VALUE_COLUMNS)  # first hpl column
+    return from_json(FeatureSet, dict(
+        meta, years=table[:, 0].astype(int), weeks=table[:, 1].astype(int),
+        base=table[:, 2:b], hpl=table[:, b : b + 2], standardized=table[:, b + 2 :],
+    ))
 
 
 def write_spread_csv(spread: SpreadSeries, target) -> None:
@@ -507,6 +532,11 @@ def write_json(obj: dict, target) -> None:
     with _stream(target, "w", newline=None) as stream:
         json.dump(obj, stream, indent=2, sort_keys=False)
         stream.write("\n")
+
+
+def read_json(source):
+    with _stream(source, "r") as stream:
+        return json.load(stream)
 
 
 def to_json(obj):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import changepoint as cpd
 from . import data as dio
 from . import som as sommod
 from . import switching as msmod
-from .errors import DataError, ValidationError
+from .errors import DataError, ParseError, ValidationError
 from .regression import LinearMean
 
 REFERENCE_TRANSITION = (0.844298, 0.746643)
@@ -107,7 +106,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(_read_json(path))
+        return cls.from_dict(dio.read_json(path))
 
     def merged(self, overrides: dict) -> "RunConfig":
         d = self.to_dict()
@@ -165,8 +164,7 @@ def _ingest(config: RunConfig, outdir: Path, manifest: dict):
         "imputation_report": "imputation_report.json",
         "n_imputed": len(report),
     }
-    dio.write_features_csv(features, outdir / "features.csv")
-    dio.write_json(dio.features_to_dict(features), outdir / "features.json")
+    dio.write_features(features, outdir / "features.csv", outdir / "features.json")
     dio.write_spread_csv(spread, outdir / "spread.csv")
     dio.write_json(dio.to_json(spread), outdir / "spread.json")
     dio.write_json(
@@ -293,22 +291,22 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     return bundle
 
 
-# artifact name -> (AnalysisBundle attribute, JSON decoder); segmentations
-# (attribute None) are keyed by their mode
+def _record(cls):
+    """Decoder of an artifact whose JSON file holds the whole record."""
+    return lambda table_path, json_path: dio.from_json(cls, dio.read_json(json_path))
+
+
+# artifact name -> (AnalysisBundle attribute, decoder of the artifact's table
+# and JSON files); segmentations (attribute None) are keyed by their mode
 _DECODERS = {
-    "features": ("features", dio.features_from_dict),
-    "spread": ("spread", partial(dio.from_json, dio.SpreadSeries)),
-    "som_grid": ("grid", partial(dio.from_json, sommod.SomGrid)),
-    "periodization": ("classification", partial(dio.from_json, sommod.MacroClassification)),
-    "ms_model": ("em", partial(dio.from_json, msmod.EmResult)),
-    "segmentation_mean": (None, partial(dio.from_json, cpd.Segmentation)),
-    "segmentation_meanvar": (None, partial(dio.from_json, cpd.Segmentation)),
+    "features": ("features", dio.read_features),
+    "spread": ("spread", _record(dio.SpreadSeries)),
+    "som_grid": ("grid", _record(sommod.SomGrid)),
+    "periodization": ("classification", _record(sommod.MacroClassification)),
+    "ms_model": ("em", _record(msmod.EmResult)),
+    "segmentation_mean": (None, _record(cpd.Segmentation)),
+    "segmentation_meanvar": (None, _record(cpd.Segmentation)),
 }
-
-
-def _read_json(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def load_bundle(outdir) -> AnalysisBundle:
@@ -322,21 +320,23 @@ def load_bundle(outdir) -> AnalysisBundle:
     if not path.exists():
         raise DataError(f"no manifest in {outdir}: run analyze first")
     try:
-        manifest = _read_json(path)
+        manifest = dio.read_json(path)
         files = [
-            (entry["name"], outdir / entry.get("json", entry["path"]))
+            (entry["name"], outdir / entry["path"], outdir / entry.get("json", entry["path"]))
             for entry in manifest["artifacts"]
         ]
         bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
-        for name, path in files:  # from here on, path names the file in error
+        for name, table, path in files:  # from here on, path names the file in error
             if name not in _DECODERS:
                 continue  # an artifact this version does not read
             attr, decode = _DECODERS[name]
-            obj = decode(_read_json(path))
+            obj = decode(table, path)
             if attr is None:
                 bundle.segmentations[obj.mode.value] = obj
             else:
                 setattr(bundle, attr, obj)
+    except ParseError:
+        raise  # a table that does not parse; the error names its file
     except (DataError, LookupError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"malformed artifact {path}: {exc!r}") from exc
     return bundle

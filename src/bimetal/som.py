@@ -71,44 +71,33 @@ def _as_matrix(features) -> np.ndarray:
     return X
 
 
-def initialize_grid(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
-    """Seeded random-sample initialization: code vectors drawn from the data."""
-    return _init_grid(
-        _as_matrix(features), rows, cols, schedule, seed, np.random.default_rng(seed)
-    )
+def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
+    """Train by the online Kohonen rule; deterministic given the seed.
 
-
-def _init_grid(X, rows, cols, schedule, seed, rng) -> SomGrid:
-    if X.shape[0] == 0:
+    The code vectors start as a seeded random sample of the observations
+    (with ``epochs=0`` that sample is the result). Each step pulls the
+    best-matching node and its (Gaussian-weighted) grid neighborhood toward
+    the presented observation, with learning rate and radius decaying per
+    the schedule. Observation order is reshuffled every epoch from the same
+    seeded generator used for initialization.
+    """
+    X = _as_matrix(features)
+    n = X.shape[0]
+    if n == 0:
         raise ValidationError("empty input: cannot initialize a SOM")
     if rows < 1 or cols < 1:
         raise ValidationError("grid must have at least one node")
     schedule = schedule or SomSchedule()
-    n_nodes = rows * cols
-    idx = rng.choice(X.shape[0], size=n_nodes, replace=X.shape[0] < n_nodes)
-    return SomGrid(
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(n, size=rows * cols, replace=n < rows * cols)
+    grid = SomGrid(
         rows=rows,
         cols=cols,
         code_vectors=X[idx].copy(),
-        trained_epochs=0,
+        trained_epochs=schedule.epochs,
         seed=seed,
         schedule=schedule,
     )
-
-
-def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
-    """Train by the online Kohonen rule; deterministic given the seed.
-
-    Each step pulls the best-matching node and its (Gaussian-weighted) grid
-    neighborhood toward the presented observation, with learning rate and
-    radius decaying per the schedule. Observation order is reshuffled every
-    epoch from the same seeded generator used for initialization.
-    """
-    X = _as_matrix(features)
-    rng = np.random.default_rng(seed)
-    grid = _init_grid(X, rows, cols, schedule, seed, rng)
-    schedule = grid.schedule
-    n, _ = X.shape
     code = grid.code_vectors
 
     pos = grid.positions()
@@ -132,19 +121,7 @@ def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
             h = np.exp(-grid_d2[bmu] / (2.0 * radius * radius))
             code += (lr * h)[:, None] * (x - code)
             step += 1
-
-    grid.trained_epochs = schedule.epochs
     return grid
-
-
-def best_matching_unit(grid: SomGrid, v) -> int:
-    """Index of the node with minimal squared distance; ties -> lowest index."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.dim,):
-        raise ValidationError(
-            f"dimension mismatch: vector has shape {v.shape}, grid dim {grid.dim}"
-        )
-    return int(bmu_indices(grid, v[None, :])[0])
 
 
 def _sq_dists(X: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -153,7 +130,8 @@ def _sq_dists(X: np.ndarray, code: np.ndarray) -> np.ndarray:
 
 
 def bmu_indices(grid: SomGrid, features) -> np.ndarray:
-    """Vectorized best_matching_unit over the rows of a matrix."""
+    """Best-matching node of each row: the node with minimal squared
+    distance, ties to the lowest index."""
     X = _as_matrix(features)
     if X.shape[1] != grid.dim:
         raise ValidationError(

@@ -139,10 +139,6 @@ class MsParams:
             sigmas=self.sigmas[order],
         )
 
-    def swapped(self) -> "MsParams":
-        """Exchange the two regime labels (n_regimes == 2)."""
-        return self.permuted([1, 0])
-
 
 def transition_from_pq(p: float, q: float) -> np.ndarray:
     return np.array([[p, 1.0 - q], [1.0 - p, q]])

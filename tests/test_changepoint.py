@@ -12,13 +12,17 @@ from bimetal.changepoint import (
     auto_k_max,
     detect,
     optimal_segmentation_for_k,
-    segment_cost,
     select_num_segments,
 )
 from bimetal.data import from_json
 from bimetal.errors import ValidationError
 
-from oracles import dense_dp, enumerate_best_segmentation, two_pass_segment_stats
+from oracles import (
+    dense_dp,
+    enumerate_best_segmentation,
+    naive_cost_table,
+    two_pass_segment_stats,
+)
 
 
 def stitched(seed, lengths, means, stds):
@@ -30,66 +34,64 @@ def stitched(seed, lengths, means, stds):
 
 
 # ---------------------------------------------------------------------------
-# segment_cost
+# segment costs (SegCostTable rows)
 # ---------------------------------------------------------------------------
 
 def test_cost_constant_segment_mean_mode():
-    assert segment_cost(np.full(8, 3.25), 0, 8, "mean") == 0.0
+    series = np.full(8, 3.25)
+    assert SegCostTable.build(series, "mean").row(0)[-1] == 0.0
+    assert naive_cost_table(series, "mean", 1)[0, 8] == 0.0
 
 
 def test_cost_two_point_hand_value():
-    assert segment_cost(np.array([0.0, 2.0]), 0, 2, "mean") == pytest.approx(2.0)
+    series = np.array([0.0, 2.0])
+    assert SegCostTable.build(series, "mean").row(0)[-1] == pytest.approx(2.0)
+    assert naive_cost_table(series, "mean", 1)[0, 2] == pytest.approx(2.0)
 
 
 def test_cost_matches_two_pass_oracle():
     rng = np.random.default_rng(0)
     series = rng.standard_normal(40)
+    tables = {mode: SegCostTable.build(series, mode) for mode in ("mean", "meanvar")}
     for i, j in [(0, 40), (3, 17), (20, 22), (5, 6)]:
         mean, var = two_pass_segment_stats(series, i, j)
         sse = ((series[i:j] - mean) ** 2).sum()
-        assert segment_cost(series, i, j, "mean") == pytest.approx(sse, rel=1e-12)
+        assert tables["mean"].row(i)[j - i - 1] == pytest.approx(sse, rel=1e-12)
         if j - i >= 2:
             expect = (j - i) * np.log(var)
-            assert segment_cost(series, i, j, "meanvar") == pytest.approx(
+            assert tables["meanvar"].row(i)[j - i - 2] == pytest.approx(
                 expect, rel=1e-12
             )
 
 
 def test_cost_too_short_errors():
+    # a series shorter than one minimal segment has no feasible segmentation
     series = np.arange(10.0)
     with pytest.raises(ValidationError, match="min_seg_len"):
-        segment_cost(series, 4, 5, "meanvar")
+        detect(series[4:5], "meanvar")
     with pytest.raises(ValidationError, match="min_seg_len"):
-        segment_cost(series, 4, 4, "mean")
+        optimal_segmentation_for_k(series[4:6], 1, "mean", min_seg_len=3)
 
 
 def test_cost_and_table_share_min_seg_len_check():
     series = np.arange(10.0)
     with pytest.raises(ValidationError, match="too small for mode meanvar"):
-        segment_cost(series, 4, 5, "meanvar", min_seg_len=1)
-    with pytest.raises(ValidationError, match="too small for mode meanvar"):
         SegCostTable.build(series, "meanvar", min_seg_len=1)
 
 
-def test_cost_table_matches_segment_cost():
+def test_cost_table_rows_match_naive_oracle():
     rng = np.random.default_rng(1)
     series = rng.standard_normal(25)
     for mode, min_seg_len in itertools.product(("mean", "meanvar"), (None, 5)):
         table = SegCostTable.build(series, mode, min_seg_len)
-        for i, j in itertools.product(range(26), repeat=2):
-            if j - i < table.min_seg_len:  # j <= i included
-                assert table.cost(i, j) == np.inf
-                continue
-            assert table.cost(i, j) == pytest.approx(
-                segment_cost(series, i, j, mode, min_seg_len),
-                rel=1e-10, abs=1e-10,
-            )
-            assert table.cost(i, j) == table.row(i)[j - i - table.min_seg_len]
-
-
-def test_cost_table_infeasible_is_inf():
-    table = SegCostTable.build(np.arange(6.0), "meanvar")
-    assert np.isinf(table.cost(2, 3))
+        m = table.min_seg_len
+        naive = naive_cost_table(series, mode, m)
+        for i in range(26):
+            row = table.row(i)
+            # one entry per feasible end j = i+m..T; none when i > T - m
+            assert row.shape == (max(0, 25 - i - m + 1),)
+            assert_allclose(row, naive[i, i + m :], rtol=1e-10, atol=1e-10)
+            assert np.all(np.isinf(naive[i, : i + m]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ from bimetal.data import (
     QuotationWeek,
     build_features,
     compute_spread,
-    dataset_to_string,
     SpreadSeries,
-    features_from_dict,
-    features_to_dict,
     from_json,
     impute_missing,
+    read_features,
     to_json,
-    write_features_csv,
+    write_dataset,
+    write_features,
     write_spread_csv,
 )
 from bimetal.errors import ImputationError, ParseError, ValidationError
@@ -94,8 +93,9 @@ def test_parse_week_out_of_calendar_range():
 def test_roundtrip_preserves_cells():
     src = make_csv(synthetic_rows(12, seed=3, missing={(2, 5), (7, 0)}))
     weeks = parse_csv(src)
-    again = parse_csv(dataset_to_string(weeks))
-    assert again == weeks
+    buf = io.StringIO()
+    write_dataset(weeks, buf)
+    assert parse_csv(buf.getvalue()) == weeks
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +202,12 @@ def test_features_require_complete_data():
 
 def test_features_serialization_roundtrip(small_weeks, tmp_path):
     fs = build_features(small_weeks)
-    fs2 = features_from_dict(features_to_dict(fs))
+    write_features(fs, tmp_path / "features.csv", tmp_path / "features.json")
+    fs2 = read_features(tmp_path / "features.csv", tmp_path / "features.json")
     assert_allclose(fs2.standardized, fs.standardized)
     assert fs2.feature_names == fs.feature_names
 
-    buf = io.StringIO()
-    write_features_csv(fs, buf)
-    lines = buf.getvalue().splitlines()
+    lines = (tmp_path / "features.csv").read_text().splitlines()
     assert len(lines) == 31
     assert lines[0].split(",")[:3] == ["year", "week", "poa_t"]
     assert "std_hpl_f" in lines[0]

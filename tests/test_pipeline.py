@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import shutil
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bimetal.cli import main
-from bimetal.data import features_to_dict, to_json, write_json
+from bimetal.data import to_json, write_features, write_json
 from bimetal.errors import DataError, ValidationError
 from bimetal.pipeline import (
     AnalysisBundle,
@@ -233,10 +234,14 @@ def test_load_bundle_roundtrip(analyzed):
         loaded.classification.week_to_class, bundle.classification.week_to_class
     )
 
-    # each loaded record, re-encoded as analyze encodes it, gives its file's text
+    # each loaded record, re-encoded as analyze encodes it, gives its files' text
+    outdir = Path(config.outdir)
+    csv_text, json_text = io.StringIO(), io.StringIO()
+    write_features(loaded.features, csv_text, json_text)
+    assert csv_text.getvalue() == (outdir / "features.csv").read_text()
+    assert json_text.getvalue() == (outdir / "features.json").read_text()
     labels = loaded.spread.labels
     records = {
-        "features": features_to_dict(loaded.features),
         "spread": to_json(loaded.spread),
         "som_grid": to_json(loaded.grid),
         "periodization": to_json(loaded.classification),
@@ -244,15 +249,30 @@ def test_load_bundle_roundtrip(analyzed):
         "segmentation_mean": loaded.segmentations["mean"].to_dict(labels=labels),
         "segmentation_meanvar": loaded.segmentations["meanvar"].to_dict(labels=labels),
     }
-    outdir = Path(config.outdir)
     files = {"manifest": "manifest.json"}
     files.update((e["name"], e.get("json", e["path"])) for e in loaded.manifest["artifacts"])
     records["manifest"] = loaded.manifest
-    assert records.keys() == files.keys()
-    for name, filename in files.items():
+    assert records.keys() | {"features"} == files.keys()
+    for name, record in records.items():
         buf = io.StringIO()
-        write_json(records[name], buf)
-        assert buf.getvalue() == (outdir / filename).read_text(), filename
+        write_json(record, buf)
+        assert buf.getvalue() == (outdir / files[name]).read_text(), files[name]
+
+
+@pytest.mark.parametrize("hpl", [{}, {"include_hpl": False, "hpl_kind": "ratio"}])
+def test_load_bundle_reloads_features_exactly(sim_dataset, tmp_path, hpl):
+    config = fast_config(input=str(sim_dataset), outdir=str(tmp_path), run_som=False,
+                         run_ms=False, run_cpd=False, **hpl)
+    saved = run_analyze(config).features
+    loaded = load_bundle(tmp_path).features
+    for f in dataclasses.fields(saved):
+        want, got = getattr(saved, f.name), getattr(loaded, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want) and got.dtype == want.dtype, f.name
+        else:
+            assert got == want and type(got) is type(want), f.name
+    # features.json holds the names, the standardization and the flags only
+    assert (tmp_path / "features.json").stat().st_size < 2000
 
 
 def test_load_bundle_missing_manifest(tmp_path):
@@ -276,11 +296,17 @@ def _truncated(text):
     return text[: len(text) // 2]
 
 
+def _last_row_cut_short(text):
+    return text.rstrip("\n").rsplit(",", 1)[0] + "\n"
+
+
 @pytest.mark.parametrize("filename, corrupt", [
     ("ms_model.json", _unknown_mean_kind),
     ("spread.json", _without_values),
     ("som_grid.json", _truncated),
     ("manifest.json", _truncated),
+    ("features.json", _truncated),
+    ("features.csv", _last_row_cut_short),
 ])
 def test_report_on_malformed_artifact_is_data_error(analyzed, tmp_path, capsys,
                                                     filename, corrupt):
@@ -292,7 +318,7 @@ def test_report_on_malformed_artifact_is_data_error(analyzed, tmp_path, capsys,
     assert main(["report", "--outdir", str(run)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: malformed artifact")
-    assert filename in err
+    assert {p.name for p in run.iterdir() if p.name in err} == {filename}
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +493,36 @@ def test_cli_flag_overrides_config_file(tmp_path):
 
 
 def test_features_csv_cells_are_the_json_floats(tmp_path):
+    """Every features.csv cell is the repr of one float of the FeatureSet."""
     data = tmp_path / "data.csv"
     data.write_text(make_csv(synthetic_rows(12, seed=4)))
     out = tmp_path / "out"
-    assert main(["ingest", "--input", str(data), "--outdir", str(out)]) == 0
-    saved = json.loads((out / "features.json").read_text())
+    fs = run_analyze(RunConfig(input=str(data), outdir=str(out), run_som=False,
+                               run_ms=False, run_cpd=False)).features
     header, *rows = (out / "features.csv").read_text().splitlines()
     assert header.split(",")[2:] == (
-        saved["base_names"] + saved["hpl_names"]
-        + [f"std_{name}" for name in saved["feature_names"]]
+        list(fs.raw_names) + [f"std_{name}" for name in fs.feature_names]
     )
-    assert len(rows) == len(saved["years"])
+    assert len(rows) == len(fs)
     for i, line in enumerate(rows):
         cells = line.split(",")
-        assert [int(c) for c in cells[:2]] == [saved["years"][i], saved["weeks"][i]]
-        want = saved["base"][i] + saved["hpl"][i] + saved["standardized"][i]
+        assert [int(c) for c in cells[:2]] == [fs.years[i], fs.weeks[i]]
+        want = fs.base[i].tolist() + fs.hpl[i].tolist() + fs.standardized[i].tolist()
         assert [float(c) for c in cells[2:]] == want
+
+
+@pytest.mark.parametrize("key, value", [
+    ("spread_aggregation", "weekly"),
+    ("hpl_kind", "log"),
+])
+def test_cli_bad_ingest_value_in_config_is_data_error(tmp_path, capsys, key, value):
+    data = tmp_path / "data.csv"
+    data.write_text(make_csv(synthetic_rows(12, seed=4)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    code = main(["analyze", "--config", str(cfg_path), "--input", str(data),
+                 "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("data error:") and repr(value) in err[0]
+    assert len(err) == 1  # no traceback

@@ -281,7 +281,7 @@ def test_label_switching_symmetry():
     params = random_params(rng, lag=1)
     series, _ = simulate(params, T=50, seed=2)
     probs = posterior_probabilities(params, series)
-    swapped = posterior_probabilities(params.swapped(), series)
+    swapped = posterior_probabilities(params.permuted([1, 0]), series)
     assert swapped.loglik == pytest.approx(probs.loglik, abs=1e-10)
     assert_allclose(swapped.filtered, probs.filtered[:, ::-1], atol=1e-12)
     assert_allclose(swapped.smoothed, probs.smoothed[:, ::-1], atol=1e-12)
