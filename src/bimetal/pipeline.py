@@ -106,7 +106,15 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(dio.read_json(path))
+        """Read a JSON object of RunConfig keys; a file that is not one is
+        a DataError naming it."""
+        try:
+            d = dio.read_json(path)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise DataError(f"invalid config file {path}: {exc}") from exc
+        if not isinstance(d, dict):
+            raise DataError(f"invalid config file {path}: not a JSON object")
+        return cls.from_dict(d)
 
     def merged(self, overrides: dict) -> "RunConfig":
         d = self.to_dict()
@@ -335,6 +343,12 @@ def load_bundle(outdir) -> AnalysisBundle:
                 bundle.segmentations[obj.mode.value] = obj
             else:
                 setattr(bundle, attr, obj)
+        if bundle.features is not None and len(bundle.features) != manifest["n_weeks"]:
+            csv = next(table for name, table, _ in files if name == "features")
+            raise ParseError(
+                f"malformed artifact {csv}: {len(bundle.features)} rows, "
+                f"but the manifest has n_weeks {manifest['n_weeks']}"
+            )
     except ParseError:
         raise  # a table that does not parse; the error names its file
     except (DataError, LookupError, TypeError, ValueError, AttributeError) as exc:

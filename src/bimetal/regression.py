@@ -110,12 +110,23 @@ class MlpMean:
         return self.w1.size + self.b1.size + self.w2.size + 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.tanh(X @ self.w1.T + self.b1) @ self.w2 + self.b2
+        return self._forward(np.atleast_2d(np.asarray(X, dtype=float)))[1]
+
+    def _forward(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations and predictions on the rows of a 2-d X."""
+        H = np.tanh(X @ self.w1.T + self.b1)
+        return H, H @ self.w2 + self.b2
 
     def loss(self, X, y, w) -> float:
-        """Weighted half sum of squared errors."""
-        r = self.predict(X) - y
+        """Weighted half sum of squared errors.
+
+        The hidden activations and residuals of this pass are kept on the
+        instance (not as a field), so that fit_weighted can build the next
+        Jacobian of an accepted candidate without a second forward pass.
+        """
+        H, pred = self._forward(np.atleast_2d(np.asarray(X, dtype=float)))
+        r = pred - y
+        self._scored = (H, r)
         return float(0.5 * np.sum(w * r * r))
 
     def jacobian(self, X) -> tuple[np.ndarray, np.ndarray]:
@@ -125,14 +136,21 @@ class MlpMean:
         flat_params().
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        H = np.tanh(X @ self.w1.T + self.b1)
+        H, pred = self._forward(X)
+        J = np.empty((X.shape[0], self.n_params))
+        self._fill_jacobian(J, X, H)
+        return pred, J
+
+    def _fill_jacobian(self, J, X, H) -> None:
+        """Write d pred / d theta into the (n, n_params) array J, given the
+        hidden activations H of this model on X."""
+        n, (h, l) = X.shape[0], self.w1.shape
+        i = h * l
         dz = (1.0 - H * H) * self.w2  # d pred / d (pre-activation)
-        n = X.shape[0]
-        J = np.concatenate(
-            [(dz[:, :, None] * X[:, None, :]).reshape(n, -1), dz, H, np.ones((n, 1))],
-            axis=1,
-        )
-        return H @ self.w2 + self.b2, J
+        np.multiply(dz[:, :, None], X[:, None, :], out=J[:, :i].reshape(n, h, l))
+        J[:, i : i + h] = dz
+        J[:, i + h : i + 2 * h] = H
+        J[:, -1] = 1.0
 
     def gradient(self, X, y, w) -> np.ndarray:
         """Gradient of loss(), flattened like flat_params()."""
@@ -164,6 +182,14 @@ class MlpMean:
         (monotone) EM M-step requires. Iteration stops early once a step
         lowers the loss by at most a relative 1e-10, or when the damping
         overflows.
+
+        Every candidate is scored by loss(), and the Jacobian of an accepted
+        one is built from the hidden activations and residuals of that same
+        pass, into one preallocated array; the damping is added to the
+        diagonal of a copy of J'WJ. The products, the solve and the
+        acceptance test are those of a fit that recomputes the forward pass,
+        so the result is bit for bit the same
+        (``tests/oracles.seed_mlp_fit``).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float)
@@ -171,17 +197,21 @@ class MlpMean:
         current = self
         loss = current.loss(X, y, w)
         lam = _LM_DAMPING_START
+        J = np.empty((X.shape[0], self.n_params))
         for _ in range(steps):
-            pred, J = current.jacobian(X)
+            H, r = current._scored  # from the loss() call that scored current
+            current._fill_jacobian(J, X, H)
             JW = J.T * w
             A = JW @ J
-            g = JW @ (pred - y)
-            d = np.diag(A)  # zero for the inputs of a dead unit (w2[k] = 0)
-            D = np.diag(d + 1e-12 * (1.0 + d.max()))
+            g = JW @ r
+            d = A.diagonal()  # zero for the inputs of a dead unit (w2[k] = 0)
+            d = d + 1e-12 * (1.0 + d.max())
             theta = current.flat_params()
             while True:
+                damped = A.copy()
+                damped.flat[:: A.shape[0] + 1] += lam * d
                 try:
-                    delta = np.linalg.solve(A + lam * D, -g)
+                    delta = np.linalg.solve(damped, -g)
                 except np.linalg.LinAlgError:
                     delta = None
                 if delta is not None:

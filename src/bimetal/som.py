@@ -80,6 +80,12 @@ def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
     the presented observation, with learning rate and radius decaying per
     the schedule. Observation order is reshuffled every epoch from the same
     seeded generator used for initialization.
+
+    The schedule is evaluated once per epoch, as vectors of that epoch's
+    learning rates and Gaussian denominators, and each step runs on
+    preallocated buffers. The arithmetic is the per-step rule's, operation
+    for operation, so the code vectors are bit for bit those of a loop that
+    evaluates the schedule at every step (``tests/oracles.seed_train_som``).
     """
     X = _as_matrix(features)
     n = X.shape[0]
@@ -109,18 +115,37 @@ def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
         r_start = max(rows, cols) / 2.0
 
     total = max(schedule.epochs * n - 1, 1)
-    step = 0
-    for _ in range(schedule.epochs):
+    neg_d2 = -grid_d2
+    diff = np.empty_like(code)  # code - x, then the update
+    sq = np.empty_like(code)
+    dist = np.empty(code.shape[0])
+    h = np.empty(code.shape[0])
+    h_col = h[:, None]
+    # Bound once and given their output positionally: the step below runs
+    # epochs * n times, and its arrays are small enough that the cost of
+    # each ufunc call is mostly the call itself.
+    subtract, multiply, divide, exp, add_reduce = (
+        np.subtract, np.multiply, np.divide, np.exp, np.add.reduce
+    )
+    for epoch in range(schedule.epochs):
         order = rng.permutation(n)
-        for i in order:
-            frac = step / total
-            lr = schedule.lr_start + (schedule.lr_end - schedule.lr_start) * frac
-            radius = r_start + (schedule.radius_end - r_start) * frac
-            x = X[i]
-            bmu = int(((code - x) ** 2).sum(axis=1).argmin())
-            h = np.exp(-grid_d2[bmu] / (2.0 * radius * radius))
-            code += (lr * h)[:, None] * (x - code)
-            step += 1
+        # step / total and the schedule for this epoch's steps, with the
+        # float expressions of a single step; one epoch at a time keeps the
+        # memory at O(n), not O(epochs * n).
+        frac = np.arange(epoch * n, (epoch + 1) * n) / total
+        lrs = schedule.lr_start + (schedule.lr_end - schedule.lr_start) * frac
+        radius = r_start + (schedule.radius_end - r_start) * frac
+        denoms = 2.0 * radius * radius
+        for x, lr, denom in zip(X[order], lrs.tolist(), denoms.tolist()):
+            subtract(code, x, diff)
+            multiply(diff, diff, sq)
+            add_reduce(sq, 1, None, dist)  # squared distance to each node
+            divide(neg_d2[dist.argmin()], denom, h)
+            exp(h, h)
+            multiply(h, lr, h)
+            # code -= (lr*h)(code - x): the same bits as code += (lr*h)(x - code)
+            multiply(h_col, diff, diff)
+            subtract(code, diff, code)
     return grid
 
 

@@ -195,3 +195,90 @@ def dense_dp(series, mode, K_max, min_seg_len):
             tau.append(i)
         taus[K] = tuple(tau)
     return G[1:, 0], taus
+
+
+def seed_train_som(X, rows, cols, schedule, seed):
+    """Reference online Kohonen training: the per-step loop that the
+    per-epoch ``som.train_som`` schedule replaced; returns the code vectors."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(n, size=rows * cols, replace=n < rows * cols)
+    code = X[idx].copy()
+
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    pos = np.column_stack([r, c]).astype(float)
+    grid_d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+
+    r_start = schedule.radius_start
+    if r_start is None:
+        r_start = max(rows, cols) / 2.0
+
+    total = max(schedule.epochs * n - 1, 1)
+    step = 0
+    for _ in range(schedule.epochs):
+        order = rng.permutation(n)
+        for i in order:
+            frac = step / total
+            lr = schedule.lr_start + (schedule.lr_end - schedule.lr_start) * frac
+            radius = r_start + (schedule.radius_end - r_start) * frac
+            x = X[i]
+            bmu = int(((code - x) ** 2).sum(axis=1).argmin())
+            h = np.exp(-grid_d2[bmu] / (2.0 * radius * radius))
+            code += (lr * h)[:, None] * (x - code)
+            step += 1
+    return code
+
+
+def _seed_mlp_jacobian(mlp, X):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    H = np.tanh(X @ mlp.w1.T + mlp.b1)
+    dz = (1.0 - H * H) * mlp.w2
+    n = X.shape[0]
+    J = np.concatenate(
+        [(dz[:, :, None] * X[:, None, :]).reshape(n, -1), dz, H, np.ones((n, 1))],
+        axis=1,
+    )
+    return H @ mlp.w2 + mlp.b2, J
+
+
+def seed_mlp_fit(mlp, X, y, w, steps=200):
+    """Reference Levenberg–Marquardt fit: the loop that recomputed each
+    accepted candidate's forward pass for its Jacobian and built the damping
+    as two dense diagonal matrices. Scores every candidate through
+    ``MlpMean.loss``, as ``MlpMean.fit_weighted`` must."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    w = np.asarray(w, dtype=float)
+    current = mlp
+    loss = current.loss(X, y, w)
+    lam = 1e-3
+    for _ in range(steps):
+        pred, J = _seed_mlp_jacobian(current, X)
+        JW = J.T * w
+        A = JW @ J
+        g = JW @ (pred - y)
+        d = np.diag(A)
+        D = np.diag(d + 1e-12 * (1.0 + d.max()))
+        theta = current.flat_params()
+        while True:
+            try:
+                delta = np.linalg.solve(A + lam * D, -g)
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is not None:
+                candidate = current.with_flat_params(theta + delta)
+                cand_loss = candidate.loss(X, y, w)
+                if np.isfinite(cand_loss) and cand_loss <= loss:
+                    break
+            lam *= 10.0
+            if lam > 1e16:
+                return current
+        stalled = loss - cand_loss <= 1e-10 * loss
+        current, loss = candidate, cand_loss
+        lam = max(lam * 0.1, 1e-12)
+        if stalled:
+            break
+    return current

@@ -300,6 +300,10 @@ def _last_row_cut_short(text):
     return text.rstrip("\n").rsplit(",", 1)[0] + "\n"
 
 
+def _last_rows_dropped(text):
+    return "".join(text.splitlines(keepends=True)[:-30])
+
+
 @pytest.mark.parametrize("filename, corrupt", [
     ("ms_model.json", _unknown_mean_kind),
     ("spread.json", _without_values),
@@ -307,6 +311,7 @@ def _last_row_cut_short(text):
     ("manifest.json", _truncated),
     ("features.json", _truncated),
     ("features.csv", _last_row_cut_short),
+    ("features.csv", _last_rows_dropped),
 ])
 def test_report_on_malformed_artifact_is_data_error(analyzed, tmp_path, capsys,
                                                     filename, corrupt):
@@ -525,4 +530,15 @@ def test_cli_bad_ingest_value_in_config_is_data_error(tmp_path, capsys, key, val
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("data error:") and repr(value) in err[0]
+    assert len(err) == 1  # no traceback
+
+
+@pytest.mark.parametrize("text", ['{"som_rows": 5,}', "[5]", "\udcff"])
+def test_cli_invalid_config_file_is_data_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code = main(["analyze", "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("data error: invalid config file") and str(cfg_path) in err[0]
     assert len(err) == 1  # no traceback

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bimetal.data import from_json, to_json
 from bimetal.regression import LinearMean, MlpMean, make_design
+from oracles import seed_mlp_fit
 
 
 def test_make_design_layout():
@@ -85,16 +86,13 @@ def test_mlp_jacobian_matches_predict_and_finite_differences():
         assert_allclose(J[:, i], numeric, atol=1e-8)
 
 
-@pytest.mark.parametrize("seed,case", [
-    (3, "plain"), (0, "plain"), (1, "plain"), (2, "plain"),
-    (3, "dead_unit"), (3, "sparse_weights"), (3, "no_steps"),
-])
-def test_mlp_fit_never_increases_loss(seed, case):
+def lm_case(seed, case):
+    """(start, X, y, w, steps) of one perceptron fit on a smooth signal."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((200, 2))
     y = np.sin(X[:, 0]) + 0.5 * X[:, 1]
     w = rng.uniform(0.5, 1.5, size=200)
-    mlp = MlpMean.random(2, 3, rng)
+    mlp = MlpMean.random(2, 2 if case == "two_hidden" else 3, rng)
     steps = 100
     if case == "dead_unit":  # zero columns in the Jacobian
         mlp.w2[0] = 0.0
@@ -102,6 +100,17 @@ def test_mlp_fit_never_increases_loss(seed, case):
         w[rng.permutation(200)[:190]] = 0.0
     elif case == "no_steps":
         steps = 0
+    elif case == "nan_target":  # every candidate is rejected: damping overflow
+        y[7] = np.nan
+    return mlp, X, y, w, steps
+
+
+@pytest.mark.parametrize("seed,case", [
+    (3, "plain"), (0, "plain"), (1, "plain"), (2, "plain"),
+    (3, "dead_unit"), (3, "sparse_weights"), (3, "no_steps"),
+])
+def test_mlp_fit_never_increases_loss(seed, case):
+    mlp, X, y, w, steps = lm_case(seed, case)
     before = mlp.loss(X, y, w)
     fitted = mlp.fit_weighted(X, y, w, steps=steps)
     assert np.all(np.isfinite(fitted.flat_params()))
@@ -110,6 +119,41 @@ def test_mlp_fit_never_increases_loss(seed, case):
         assert_array_equal(fitted.flat_params(), mlp.flat_params())
     else:  # every case has room to improve on a random start
         assert fitted.loss(X, y, w) < before
+
+
+LM_ORACLE_CASES = [
+    (0, "plain"), (1, "plain"), (2, "plain"), (3, "plain"),
+    (3, "dead_unit"), (3, "sparse_weights"), (3, "no_steps"),
+    (3, "two_hidden"), (3, "nan_target"),
+]
+
+
+@pytest.mark.parametrize("seed,case", LM_ORACLE_CASES)
+def test_mlp_fit_is_bitwise_the_seed_loop(seed, case):
+    mlp, X, y, w, steps = lm_case(seed, case)
+    fitted = mlp.fit_weighted(X, y, w, steps=steps)
+    expected = seed_mlp_fit(mlp, X, y, w, steps=steps)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(fitted, name), getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("seed,case", LM_ORACLE_CASES)
+def test_mlp_fit_scores_as_many_candidates_as_the_seed_loop(seed, case, monkeypatch):
+    calls = []
+    loss = MlpMean.loss
+
+    def counted(self, X, y, w):
+        calls.append(1)
+        return loss(self, X, y, w)
+
+    monkeypatch.setattr(MlpMean, "loss", counted)
+    mlp, X, y, w, steps = lm_case(seed, case)
+    mlp.fit_weighted(X, y, w, steps=steps)
+    n_fit = len(calls)
+    seed_mlp_fit(mlp, X, y, w, steps=steps)
+    assert n_fit == len(calls) - n_fit
+    if case == "nan_target":  # the start, then one candidate per damping 1e-3..1e16
+        assert n_fit == 21
 
 
 def test_mlp_fit_reaches_a_stationary_point():

@@ -16,7 +16,7 @@ from bimetal.som import (
     periodize,
     train_som,
 )
-
+from oracles import seed_train_som
 
 
 def grid_from(code, rows=None, cols=None):
@@ -80,6 +80,22 @@ def test_training_deterministic():
     assert_array_equal(a.code_vectors, b.code_vectors)
     c = train_som(X, 4, 4, schedule=sched, seed=12)
     assert not np.array_equal(a.code_vectors, c.code_vectors)
+
+
+@pytest.mark.parametrize("n, dim, rows, cols, schedule", [
+    (60, 4, 5, 5, SomSchedule()),  # the default schedule, 6000 updates
+    (40, 3, 3, 4, SomSchedule(epochs=12, radius_start=1.3)),
+    (30, 3, 3, 3, SomSchedule(epochs=0)),  # the initial sample
+    (30, 3, 3, 3, SomSchedule(epochs=1)),  # one epoch: frac runs 0..1
+    (7, 2, 4, 4, SomSchedule(epochs=6)),  # fewer rows than nodes
+    (50, 2, 1, 1, SomSchedule(epochs=5)),
+    (50, None, 3, 2, SomSchedule(epochs=5)),  # 1-d features
+])
+def test_training_is_bitwise_the_per_step_loop(n, dim, rows, cols, schedule):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal(n if dim is None else (n, dim))
+    grid = train_som(X, rows, cols, schedule=schedule, seed=5)
+    assert np.array_equal(grid.code_vectors, seed_train_som(X, rows, cols, schedule, 5))
 
 
 def test_empty_input_errors():
