@@ -17,7 +17,6 @@ from .changepoint import (
     Segmentation,
     detect,
     optimal_segmentation_for_k,
-    select_num_segments,
 )
 from .data import (
     FeatureSet,
@@ -124,7 +123,6 @@ __all__ = [
     "run_ingest",
     "run_report",
     "run_simulate",
-    "select_num_segments",
     "simulate",
     "stationary_distribution",
     "train_som",

@@ -43,10 +43,6 @@ class SegMode(Enum):
         raise ValidationError(f"unknown segmentation mode {value!r}")
 
 
-def default_min_seg_len(mode: SegMode) -> int:
-    return 2 if mode is SegMode.MEAN_VAR else 1
-
-
 def _variance_floor(series: np.ndarray) -> float:
     return max(float(series.var()) * 1e-12, _VAR_FLOOR_ABS)
 
@@ -61,9 +57,12 @@ def _check_series(series) -> np.ndarray:
 
 
 def _check_min_seg_len(mode: SegMode, min_seg_len) -> int:
+    """``min_seg_len``, or the shortest segment ``mode`` allows when it is
+    None: one point for a mean shift, two when the variance may shift."""
+    least = 2 if mode is SegMode.MEAN_VAR else 1
     if min_seg_len is None:
-        return default_min_seg_len(mode)
-    if min_seg_len < default_min_seg_len(mode):
+        return least
+    if min_seg_len < least:
         raise ValidationError(
             f"min_seg_len={min_seg_len} too small for mode {mode.value}"
         )
@@ -215,14 +214,6 @@ def _segment_estimates(series, boundaries):
     return tuple(means), tuple(covs)
 
 
-def _require_feasible(table: SegCostTable, K: int, name: str) -> None:
-    if not (K >= 1 and K * table.min_seg_len <= table.T):
-        raise ValidationError(
-            f"{name}={K} infeasible for series of length {table.T} "
-            f"with min_seg_len={table.min_seg_len}"
-        )
-
-
 def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int) -> Segmentation:
     total = float(G[K, 0])
     if not np.isfinite(total):
@@ -240,6 +231,29 @@ def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int) -> Segment
     )
 
 
+def auto_k_max(T: int, min_seg_len: int) -> int:
+    return max(2, min(20, T // max(10, 2 * min_seg_len)))
+
+
+def _sweep(series, mode, K: int | None, min_seg_len, name: str):
+    """The one DP entry: check the series, build its cost table, resolve
+    K=None to the automatic bound, check that K segments fit, and sweep.
+
+    Returns the checked series, the table, K and the suffix tables G."""
+    series = _check_series(series)
+    table = SegCostTable.build(series, mode, min_seg_len)
+    if K is None:
+        # the automatic bound, lowered to the largest feasible K
+        K = max(1, min(auto_k_max(table.T, table.min_seg_len),
+                       table.T // table.min_seg_len))
+    if not (K >= 1 and K * table.min_seg_len <= table.T):
+        raise ValidationError(
+            f"{name}={K} infeasible for series of length {table.T} "
+            f"with min_seg_len={table.min_seg_len}"
+        )
+    return series, table, K, _suffix_tables(table, K)
+
+
 def optimal_segmentation_for_k(series, K, mode, min_seg_len=None) -> Segmentation:
     """Exact global minimum-contrast segmentation into K segments.
 
@@ -247,102 +261,60 @@ def optimal_segmentation_for_k(series, K, mode, min_seg_len=None) -> Segmentatio
     resolve to the earliest (lexicographically smallest) change-point
     configuration.
     """
-    series = _check_series(series)
-    table = SegCostTable.build(series, mode, min_seg_len)
-    _require_feasible(table, K, "K")
-    return _segmentation(series, table, _suffix_tables(table, K), K)
+    series, table, K, G = _sweep(series, mode, K, min_seg_len, "K")
+    return _segmentation(series, table, G, K)
 
 
-def select_num_segments(
-    series,
-    K_max,
-    mode,
-    threshold: float = 0.75,
-    penalty: float | None = None,
-    min_seg_len=None,
-) -> tuple[int, SelectionDiagnostics]:
-    """Choose the number of segments from the optimal-contrast curve.
+def _select(J: np.ndarray, threshold: float, penalty: float | None) -> SelectionDiagnostics:
+    """Choose the number of segments from the optimal-contrast curve J_K,
+    K = 1..len(J).
 
     Default adaptive scheme: rescale J_K so the curve falls from K_max to 1,
     take second differences D_K, and keep the largest K with D_K above the
-    threshold (no such K means a single segment). Passing an explicit
-    ``penalty`` beta switches to minimizing J_K + beta * K instead.
+    threshold (no such K, or a curve that does not fall, means a single
+    segment). An explicit ``penalty`` beta switches to minimizing
+    J_K + beta * K instead, and is recorded as the threshold.
     """
-    series = _check_series(series)
-    table = SegCostTable.build(series, mode, min_seg_len)
-    _require_feasible(table, K_max, "K_max")
-    G = _suffix_tables(table, K_max)
-    return _select(G[1 : K_max + 1, 0], threshold, penalty)
-
-
-def _select(J: np.ndarray, threshold: float, penalty: float | None):
-    """select_num_segments on the contrast curve J_K, K = 1..len(J)."""
     K_max = J.shape[0]
+    Jn, D, chosen = None, None, 1
     if penalty is not None:
+        threshold = penalty
         chosen = int(np.argmin(J + penalty * np.arange(1, K_max + 1))) + 1
-        diagnostics = SelectionDiagnostics(
-            scheme="penalty",
-            K_max=K_max,
-            contrasts=tuple(float(v) for v in J),
-            normalized=None,
-            second_differences=None,
-            threshold=penalty,
-            chosen_K=chosen,
-        )
-        return chosen, diagnostics
-
-    span = J[0] - J[K_max - 1]
-    if K_max < 3 or span <= 0:
-        normalized = tuple(float(v) for v in np.ones_like(J))
-        diagnostics = SelectionDiagnostics(
-            scheme="adaptive",
-            K_max=K_max,
-            contrasts=tuple(float(v) for v in J),
-            normalized=normalized,
-            second_differences={},
-            threshold=threshold,
-            chosen_K=1,
-        )
-        return 1, diagnostics
-
-    Jn = (J - J[K_max - 1]) / span * (K_max - 1) + 1  # falls from K_max to 1
-    # Second differences are taken along the lower convex hull of the curve:
-    # a K off the hull is never the minimizer of J_K + beta*K for any
-    # penalty beta, and the jagged steps it induces (pairs of cuts jointly
-    # removing a bump) would otherwise mimic a big drop on change-free data.
-    # At a hull vertex the slope change equals the length of the beta
-    # interval selecting that K, in normalized units.
-    hull = [0]
-    for k in range(1, K_max):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (Jn[b] - Jn[a]) * (k - b) >= (Jn[k] - Jn[b]) * (b - a):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    D = {}
-    for pos in range(1, len(hull) - 1):
-        a, b, c = hull[pos - 1], hull[pos], hull[pos + 1]
-        slope_in = (Jn[b] - Jn[a]) / (b - a)
-        slope_out = (Jn[c] - Jn[b]) / (c - b)
-        D[b + 1] = float(slope_out - slope_in)  # keys are K values (1-based)
-    above = [K for K, v in D.items() if v > threshold]
-    chosen = max(above) if above else 1
-    diagnostics = SelectionDiagnostics(
-        scheme="adaptive",
+    elif K_max < 3 or (span := J[0] - J[K_max - 1]) <= 0:
+        Jn, D = np.ones_like(J), {}
+    else:
+        Jn = (J - J[K_max - 1]) / span * (K_max - 1) + 1  # falls from K_max to 1
+        # Second differences are taken along the lower convex hull of the
+        # curve: a K off the hull is never the minimizer of J_K + beta*K for
+        # any penalty beta, and the jagged steps it induces (pairs of cuts
+        # jointly removing a bump) would otherwise mimic a big drop on
+        # change-free data. At a hull vertex the slope change equals the
+        # length of the beta interval selecting that K, in normalized units.
+        hull = [0]
+        for k in range(1, K_max):
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                if (Jn[b] - Jn[a]) * (k - b) >= (Jn[k] - Jn[b]) * (b - a):
+                    hull.pop()
+                else:
+                    break
+            hull.append(k)
+        D = {}
+        for pos in range(1, len(hull) - 1):
+            a, b, c = hull[pos - 1], hull[pos], hull[pos + 1]
+            slope_in = (Jn[b] - Jn[a]) / (b - a)
+            slope_out = (Jn[c] - Jn[b]) / (c - b)
+            D[b + 1] = float(slope_out - slope_in)  # keys are K values (1-based)
+        chosen = max((K for K, v in D.items() if v > threshold), default=1)
+    return SelectionDiagnostics(
+        scheme="adaptive" if penalty is None else "penalty",
         K_max=K_max,
         contrasts=tuple(float(v) for v in J),
-        normalized=tuple(float(v) for v in Jn),
+        normalized=None if Jn is None else tuple(float(v) for v in Jn),
         second_differences=D,
         threshold=threshold,
         chosen_K=chosen,
     )
-    return chosen, diagnostics
-
-
-def auto_k_max(T: int, min_seg_len: int) -> int:
-    return max(2, min(20, T // max(10, 2 * min_seg_len)))
 
 
 def detect(
@@ -355,17 +327,11 @@ def detect(
 ) -> Segmentation:
     """Full detection: prefix sums, one DP sweep giving the optimal contrast
     for every K up to K_max, adaptive (or penalized) selection of K, and the
-    backtracked change-points of the chosen K."""
-    series = _check_series(series)
-    table = SegCostTable.build(series, mode, min_seg_len)
-    if K_max is None:
-        # the automatic bound, lowered to the largest feasible K
-        K_max = max(1, min(auto_k_max(table.T, table.min_seg_len),
-                           table.T // table.min_seg_len))
-    _require_feasible(table, K_max, "K_max")
-    G = _suffix_tables(table, K_max)
-    chosen, diagnostics = _select(G[1 : K_max + 1, 0], threshold, penalty)
-    seg = _segmentation(series, table, G, chosen)
-    seg.penalty_used = penalty if penalty is not None else threshold
-    seg.selection = diagnostics
+    backtracked change-points of the chosen K. ``selection`` holds the
+    contrast curve and the decision trail."""
+    series, table, K_max, G = _sweep(series, mode, K_max, min_seg_len, "K_max")
+    selection = _select(G[1 : K_max + 1, 0], threshold, penalty)
+    seg = _segmentation(series, table, G, selection.chosen_K)
+    seg.penalty_used = selection.threshold
+    seg.selection = selection
     return seg

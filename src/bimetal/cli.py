@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import fields
 
+from .data import HPL_KINDS, SPREAD_AGGREGATIONS
 from .errors import DataError, NumericalError
 from .pipeline import RunConfig, load_bundle, run_analyze, run_ingest, run_report, run_simulate
 
@@ -49,13 +50,12 @@ def _add_ingest_opts(parser):
     parser.add_argument("--input", help="quotation table (CSV)")
     parser.add_argument("--max-gap", type=int, dest="max_gap",
                         help="longest imputable run of missing weeks")
-    parser.add_argument("--hpl-kind", dest="hpl_kind",
-                        choices=["difference", "ratio"])
+    parser.add_argument("--hpl-kind", dest="hpl_kind", choices=HPL_KINDS)
     parser.add_argument("--no-hpl", action="store_const", const=False,
                         dest="include_hpl",
                         help="exclude the derived hpl pair from the SOM input")
     parser.add_argument("--spread-aggregation", dest="spread_aggregation",
-                        choices=["mean", "tuesday", "friday", "per_day"])
+                        choices=SPREAD_AGGREGATIONS)
 
 
 def _add_analyze_opts(parser):
@@ -69,6 +69,7 @@ def _add_analyze_opts(parser):
                         help="number of macro-classes (default 6)")
     parser.add_argument("--ms-lag", type=int, dest="ms_lag")
     parser.add_argument("--ms-families", dest="ms_families",
+                        type=lambda text: tuple(text.split(",")),
                         help="comma list per regime, e.g. mlp,linear")
     parser.add_argument("--ms-hidden", type=int, dest="ms_hidden")
     parser.add_argument("--ms-tol", type=float, dest="ms_tol")
@@ -108,19 +109,17 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--sim-seed", type=int, dest="sim_seed")
     p_sim.add_argument("--sim-p", type=float, dest="sim_p")
     p_sim.add_argument("--sim-q", type=float, dest="sim_q")
-    p_sim.add_argument("--sim-coefs", dest="sim_coefs",
+    p_sim.add_argument("--sim-coefs", dest="sim_coefs", type=json.loads,
                        help='JSON, e.g. "[[0.05,0.6],[0.18,0.3]]"')
-    p_sim.add_argument("--sim-sigmas", dest="sim_sigmas",
+    p_sim.add_argument("--sim-sigmas", dest="sim_sigmas", type=json.loads,
                        help='JSON, e.g. "[0.02,0.08]"')
-    p_sim.add_argument("--sim-tau", dest="sim_tau",
+    p_sim.add_argument("--sim-tau", dest="sim_tau", type=json.loads,
                        help='JSON, e.g. "[166,333]" (steps kind)')
-    p_sim.add_argument("--sim-levels", dest="sim_levels", help="JSON list")
-    p_sim.add_argument("--sim-stds", dest="sim_stds", help="JSON list")
+    p_sim.add_argument("--sim-levels", dest="sim_levels", type=json.loads,
+                       help="JSON list")
+    p_sim.add_argument("--sim-stds", dest="sim_stds", type=json.loads,
+                       help="JSON list")
     return parser
-
-
-# RunConfig keys whose flag value is a JSON literal
-_JSON_FLAGS = ("sim_coefs", "sim_sigmas", "sim_tau", "sim_levels", "sim_stds")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -129,19 +128,7 @@ def _config_from_args(args) -> RunConfig:
     else:
         config = RunConfig()
 
-    overrides = {}
-    for key in (f.name for f in fields(RunConfig)):
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key == "ms_families":
-            value = tuple(value.split(","))
-        elif key in _JSON_FLAGS:
-            try:
-                value = json.loads(value)
-            except json.JSONDecodeError as exc:
-                raise _UsageError(f"--{key.replace('_', '-')}: invalid JSON ({exc})")
-        overrides[key] = value
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
 
     stages = getattr(args, "stages", None)
     if stages is not None:

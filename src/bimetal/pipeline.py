@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -24,6 +25,21 @@ from .errors import DataError, ParseError, ValidationError
 from .regression import LinearMean
 
 REFERENCE_TRANSITION = (0.844298, 0.746643)
+
+# what a JSON value may be for a field of each type, beyond the type itself
+_JSON_KINDS = {float: (int, float), tuple: (list, tuple)}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a RunConfig field's type: None only for an
+    ``X | None`` field, no bool where an int is expected, an int for a
+    float, and a list for a tuple."""
+    return any(
+        value is None if kind is type(None)
+        else isinstance(value, _JSON_KINDS.get(kind, kind))
+        and (kind is bool or not isinstance(value, bool))
+        for kind in typing.get_args(hint) or (hint,)
+    )
 
 
 @dataclass
@@ -96,6 +112,12 @@ class RunConfig:
         unknown = set(d) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if f.name in d and not _fits(d[f.name], hints[f.name]):
+                raise ValidationError(
+                    f"config key {f.name!r}: {d[f.name]!r} is not {f.type}"
+                )
         kwargs = dict(d)
         for key in ("ms_families", "sim_sigmas", "sim_tau", "sim_levels", "sim_stds"):
             if key in kwargs and kwargs[key] is not None:

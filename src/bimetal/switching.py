@@ -272,11 +272,14 @@ def _log_densities(params: MsParams, X: np.ndarray, y: np.ndarray) -> np.ndarray
         if sigma < _SIGMA_TINY:
             raise NumericalError(f"sigma underflow in regime {i + 1}")
         resid = y - mean.predict(X)
-        L[:, i] = (
-            -0.5 * np.log(2.0 * np.pi)
-            - np.log(sigma)
-            - 0.5 * (resid / sigma) ** 2
-        )
+        # an overflowing residual gives a -inf density, which the filter
+        # rejects as a vanishing likelihood
+        with np.errstate(over="ignore"):
+            L[:, i] = (
+                -0.5 * np.log(2.0 * np.pi)
+                - np.log(sigma)
+                - 0.5 * (resid / sigma) ** 2
+            )
     return L
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from bimetal.changepoint import detect, optimal_segmentation_for_k, select_num_segments
+from bimetal.changepoint import detect, optimal_segmentation_for_k
 from bimetal.data import compute_spread, impute_missing, parse_dataset
 from bimetal.errors import DegenerateModelError
 from bimetal.pipeline import RunConfig, run_analyze, run_simulate
@@ -191,7 +191,7 @@ def test_criterion_6_false_positive_control_on_noise():
     ones = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        K, _ = select_num_segments(rng.standard_normal(500), 10, "mean")
+        K = detect(rng.standard_normal(500), "mean", K_max=10).selection.chosen_K
         ones += K == 1
     report(
         6, "pure noise selects a single segment",

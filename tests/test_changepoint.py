@@ -9,10 +9,10 @@ from bimetal.changepoint import (
     SegCostTable,
     SegMode,
     Segmentation,
+    SelectionDiagnostics,
     auto_k_max,
     detect,
     optimal_segmentation_for_k,
-    select_num_segments,
 )
 from bimetal.data import from_json
 from bimetal.errors import ValidationError
@@ -135,7 +135,7 @@ def test_dp_matches_dense_oracle_bitwise(mode, min_seg_len, kind):
     series = _oracle_series(kind)
     m = min_seg_len if min_seg_len is not None else (2 if mode == "meanvar" else 1)
     J, taus = dense_dp(series, mode, 20, m)
-    _, diag = select_num_segments(series, 20, mode, min_seg_len=min_seg_len)
+    diag = detect(series, mode, K_max=20, min_seg_len=min_seg_len).selection
     assert diag.contrasts == tuple(float(v) for v in J)
     for K in range(1, 21):
         seg = optimal_segmentation_for_k(series, K, mode, min_seg_len)
@@ -224,20 +224,20 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
-# select_num_segments
+# selection of the number of segments (detect(...).selection)
 # ---------------------------------------------------------------------------
 
 def test_select_kmax_one_forced():
     rng = np.random.default_rng(2)
-    K, diag = select_num_segments(rng.standard_normal(50), 1, "mean")
-    assert K == 1 and diag.chosen_K == 1
+    seg = detect(rng.standard_normal(50), "mean", K_max=1)
+    assert seg.n_segments == 1 and seg.selection.chosen_K == 1
 
 
 def test_select_pure_noise_prefers_one_segment():
     hits = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        K, _ = select_num_segments(rng.standard_normal(500), 10, "mean")
+        K = detect(rng.standard_normal(500), "mean", K_max=10).selection.chosen_K
         hits += K == 1
     assert hits >= 19
 
@@ -245,7 +245,7 @@ def test_select_pure_noise_prefers_one_segment():
 def test_select_two_big_shifts():
     for seed in range(5):
         series = stitched(seed, [120, 120, 120], [0.0, 10.0, -5.0], [1, 1, 1])
-        K, _ = select_num_segments(series, 10, "mean")
+        K = detect(series, "mean", K_max=10).selection.chosen_K
         assert K == 3
         seg = optimal_segmentation_for_k(series, 3, "mean")
         assert abs(seg.tau[0] - 120) <= 2
@@ -254,17 +254,88 @@ def test_select_two_big_shifts():
 
 def test_select_explicit_penalty():
     series = stitched(3, [100, 100], [0.0, 8.0], [1, 1])
-    K, diag = select_num_segments(series, 8, "mean", penalty=50.0)
+    diag = detect(series, "mean", K_max=8, penalty=50.0).selection
+    K = diag.chosen_K
     assert K == 2
     assert diag.scheme == "penalty"
     # an enormous penalty forces a single segment
-    K1, _ = select_num_segments(series, 8, "mean", penalty=1e9)
+    K1 = detect(series, "mean", K_max=8, penalty=1e9).selection.chosen_K
     assert K1 == 1
 
 
 def test_select_constant_series():
-    K, _ = select_num_segments(np.full(100, 2.0), 8, "mean")
+    K = detect(np.full(100, 2.0), "mean", K_max=8).selection.chosen_K
     assert K == 1
+
+
+def _contrast_curve(series, mode, K_max):
+    return tuple(
+        optimal_segmentation_for_k(series, K, mode).contrast_value
+        for K in range(1, K_max + 1)
+    )
+
+
+def _lower_hull(y):
+    """Brute force: b is a vertex when it lies strictly below every chord
+    a-c with a < b < c."""
+    n = len(y)
+    return [
+        b for b in range(n)
+        if all((y[b] - y[a]) * (c - a) < (y[c] - y[a]) * (b - a)
+               for a in range(b) for c in range(b + 1, n))
+    ]
+
+
+def test_selection_record_penalty_branch():
+    series = stitched(3, [100, 100], [0.0, 8.0], [1, 1])
+    J = _contrast_curve(series, "mean", 8)
+    chosen = int(np.argmin(np.array(J) + 50.0 * np.arange(1, 9))) + 1
+    seg = detect(series, "mean", K_max=8, threshold=0.3, penalty=50.0)
+    assert seg.selection == SelectionDiagnostics(
+        scheme="penalty", K_max=8, contrasts=J, normalized=None,
+        second_differences=None, threshold=50.0, chosen_K=chosen,
+    )
+    assert seg.n_segments == chosen == 2
+    assert seg.penalty_used == seg.selection.threshold
+
+
+@pytest.mark.parametrize("series, K_max", [
+    (stitched(3, [100, 100], [0.0, 8.0], [1, 1]), 2),  # K_max < 3
+    (stitched(3, [100, 100], [0.0, 8.0], [1, 1]), 1),
+    (np.full(100, 2.0), 8),  # constant: the curve does not fall
+])
+def test_selection_record_flat_curve_branch(series, K_max):
+    seg = detect(series, "mean", K_max=K_max, threshold=0.3)
+    assert seg.selection == SelectionDiagnostics(
+        scheme="adaptive", K_max=K_max, contrasts=_contrast_curve(series, "mean", K_max),
+        normalized=(1.0,) * K_max, second_differences={}, threshold=0.3, chosen_K=1,
+    )
+    assert seg.n_segments == 1
+    assert seg.penalty_used == seg.selection.threshold
+
+
+@pytest.mark.parametrize("mode", ["mean", "meanvar"])
+def test_selection_record_adaptive_branch(mode):
+    series = stitched(0, [120, 120, 120], [0.0, 10.0, -5.0], [1.0, 1.0, 3.0])
+    seg = detect(series, mode, K_max=10, threshold=0.5)
+    sel = seg.selection
+    J = np.array(_contrast_curve(series, mode, 10))
+    assert (sel.scheme, sel.K_max, sel.threshold) == ("adaptive", 10, 0.5)
+    assert sel.contrasts == tuple(J)
+    # the rescaled curve runs from K_max down to 1
+    assert sel.normalized[0] == 10.0 and sel.normalized[-1] == 1.0
+    assert_allclose(sel.normalized, (J - J[-1]) / (J[0] - J[-1]) * 9 + 1, rtol=1e-12)
+    # D_K is the slope change at each interior vertex of the lower hull
+    hull = _lower_hull(sel.normalized)
+    assert sorted(sel.second_differences) == [b + 1 for b in hull[1:-1]]
+    for a, b, c in zip(hull, hull[1:], hull[2:]):
+        y = sel.normalized
+        slope_change = (y[c] - y[b]) / (c - b) - (y[b] - y[a]) / (b - a)
+        assert sel.second_differences[b + 1] == pytest.approx(slope_change, rel=1e-12)
+    above = [K for K, v in sel.second_differences.items() if v > 0.5]
+    assert sel.chosen_K == max(above) == 3
+    assert seg.n_segments == 3
+    assert seg.penalty_used == sel.threshold
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,23 @@ def test_config_merged_precedence():
     assert cfg.ms_seed == 0
 
 
+def test_config_values_are_type_checked():
+    # JSON-friendly: an int for a float, a list for a tuple, None for X | None
+    cfg = RunConfig.from_dict({"cpd_penalty": 5, "ms_tol": 1, "sim_tau": [10, 20],
+                               "cpd_k_max": None, "som_radius_start": 2})
+    assert (cfg.cpd_penalty, cfg.sim_tau, cfg.cpd_k_max) == (5, (10, 20), None)
+    with pytest.raises(ValidationError, match="config key 'outdir'"):
+        RunConfig.from_dict({"outdir": None})
+    for bad in ({"som_rows": "5"}, {"ms_restarts": 2.5}, {"ms_families": "mlp"},
+                {"include_hpl": "no"}, {"som_rows": True}, {"ms_tol": False},
+                {"cpd_k_max": 2.0}, {"sim_tau": "10,20"}, {"hpl_kind": 1}):
+        (key,) = bad
+        with pytest.raises(ValidationError, match=f"config key '{key}'"):
+            RunConfig.from_dict(bad)
+        with pytest.raises(ValidationError, match=f"config key '{key}'"):
+            RunConfig().merged(bad)  # the path of the CLI's flags
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -426,6 +443,19 @@ def test_cli_usage_error_exit_code(capsys):
     assert "unknown stages" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--sim-coefs", "[1,"),
+    ("--sim-tau", "166;333"),
+])
+def test_cli_bad_json_flag_is_usage_error(tmp_path, capsys, flag, value):
+    assert main(["simulate", "--outdir", str(tmp_path), flag, value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error:")]
+    assert len(errors) == 1 and flag in errors[0]
+    assert not any("Traceback" in line for line in err)
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_full_workflow(tmp_path, capsys, monkeypatch):
     out = tmp_path / "work"
     assert main(["simulate", "--outdir", str(out), "--sim-T", "140",
@@ -519,6 +549,11 @@ def test_features_csv_cells_are_the_json_floats(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("spread_aggregation", "weekly"),
     ("hpl_kind", "log"),
+    # values of the wrong type for their key
+    ("som_rows", "5"),
+    ("ms_restarts", 2.5),
+    ("ms_families", "mlp"),
+    ("include_hpl", "no"),
 ])
 def test_cli_bad_ingest_value_in_config_is_data_error(tmp_path, capsys, key, value):
     data = tmp_path / "data.csv"

@@ -188,9 +188,10 @@ def test_filter_rejects_nonfinite():
         hamilton_filter(params, [1.0, np.nan, 2.0])
 
 
+@pytest.mark.filterwarnings("error")
 def test_filter_vanishing_likelihood():
     # series[10] = 1e200 is the target of usable step 9, where every
-    # regime's log-density is -inf
+    # regime's log-density is -inf; the overflow behind it is no warning
     series = np.zeros(20)
     series[10] = 1e200
     with pytest.raises(NumericalError, match="vanishing likelihood at step 9"):
