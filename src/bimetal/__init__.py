@@ -20,7 +20,7 @@ from .changepoint import (
 )
 from .data import (
     FeatureSet,
-    QuotationWeek,
+    QuotationTable,
     SpreadSeries,
     build_features,
     compute_spread,
@@ -91,7 +91,7 @@ __all__ = [
     "MsSpec",
     "NumericalError",
     "ParseError",
-    "QuotationWeek",
+    "QuotationTable",
     "RegimeProbabilities",
     "RunConfig",
     "SegCostTable",

@@ -3,13 +3,14 @@
 The raw table carries, per calendar week, Tuesday and Friday quotations for
 six series: the gold-silver prices in Paris, London, and Hamburg
 (poa, lgs, hoa) and the three cross exchange rates (lpv, hlv, phv).
-This module parses and validates that table, fills missing cells, and
-derives the two model inputs: the per-week feature vectors used by the
-SOM periodization and the weekly spread series used by the switching and
-change-point models. It also holds the one JSON codec of the package:
-``to_json`` and ``from_json`` write and read back every persisted record
-(the features record keeps its matrices in features.csv, see
-``write_features``).
+This module parses and validates that table into one QuotationTable,
+a (weeks x 12) array with NaN for a missing quotation, fills the missing
+cells, and derives the two model inputs from it: the per-week feature
+vectors used by the SOM periodization and the weekly spread series used
+by the switching and change-point models. It also holds the one JSON
+codec of the package: ``to_json`` and ``from_json`` write and read back
+every persisted record (the features record keeps its matrices in
+features.csv, see ``write_features``).
 """
 
 from __future__ import annotations
@@ -43,34 +44,33 @@ HEADER = ("year", "week") + VALUE_COLUMNS
 SPREAD_AGGREGATIONS = ("mean", "tuesday", "friday", "per_day")
 
 
-@dataclass(frozen=True)
-class QuotationWeek:
-    """One calendar week's raw record: six series, two quotations each.
-
-    ``values`` maps a series id to its (tuesday, friday) prices; a missing
-    quotation is None. Present prices are strictly positive.
-    """
-
-    year: int
-    week: int
-    values: dict[str, tuple[float | None, float | None]]
-
-    def value(self, series: str, day: str) -> float | None:
-        return self.values[series][DAYS.index(day)]
+class _WeekLabels:
+    """``labels`` of a record with ``years`` and ``weeks`` arrays."""
 
     @property
-    def label(self) -> str:
-        return f"{self.year}/{self.week:02d}"
+    def labels(self) -> list[str]:
+        return [f"{y}/{w:02d}" for y, w in zip(self.years.tolist(), self.weeks.tolist())]
 
-    def is_complete(self) -> bool:
-        return all(v is not None for pair in self.values.values() for v in pair)
 
-    def row(self) -> list:
-        """Cells in file order (year, week, then the 12 value columns)."""
-        cells = [self.year, self.week]
-        for series in SERIES:
-            cells.extend(self.values[series])
-        return cells
+@dataclass
+class QuotationTable(_WeekLabels):
+    """The raw quotation table, one row per calendar week.
+
+    ``values`` holds each week's 12 quotations in VALUE_COLUMNS order
+    (each series' Tuesday price, then its Friday price); NaN marks a
+    missing quotation. Present prices are strictly positive.
+    """
+
+    years: np.ndarray   # (n,) int
+    weeks: np.ndarray   # (n,) int
+    values: np.ndarray  # (n, 12) float
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def by_series(self) -> np.ndarray:
+        """(n, 6, 2) view of ``values``: week, series (SERIES order), day."""
+        return self.values.reshape(-1, len(SERIES), len(DAYS))
 
 
 @contextmanager
@@ -92,8 +92,8 @@ def write_csv(target, header, rows) -> None:
         writer.writerows(rows)
 
 
-def parse_dataset(source) -> list[QuotationWeek]:
-    """Parse the delimited quotation table into validated QuotationWeeks.
+def parse_dataset(source) -> QuotationTable:
+    """Parse the delimited quotation table into a validated QuotationTable.
 
     ``source`` is a file path or an open text stream. The header row must
     name exactly the columns year, week, poa_t, poa_f, ..., phv_f; empty
@@ -111,8 +111,8 @@ def parse_dataset(source) -> list[QuotationWeek]:
                 f"unexpected header {header!r}; expected {list(HEADER)!r}", line=1
             )
 
-        weeks: list[QuotationWeek] = []
-        last_key = None
+        keys: list[tuple[int, int]] = []
+        rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -130,53 +130,48 @@ def parse_dataset(source) -> list[QuotationWeek]:
                     f"line {lineno}: week_of_year {week} outside 1..53"
                 )
             key = (year, week)
-            if last_key is not None and key <= last_key:
-                if key == last_key:
+            if keys and key <= keys[-1]:
+                if key == keys[-1]:
                     raise ValidationError(f"line {lineno}: duplicate week {year}/{week}")
                 raise ValidationError(
                     f"line {lineno}: weeks out of order ({year}/{week} after "
-                    f"{last_key[0]}/{last_key[1]})"
+                    f"{keys[-1][0]}/{keys[-1][1]})"
                 )
-            last_key = key
+            keys.append(key)
 
-            values: dict[str, tuple[float | None, float | None]] = {}
-            for i, series in enumerate(SERIES):
-                pair = []
-                for j, day in enumerate(DAYS):
-                    cell = row[2 + 2 * i + j].strip()
-                    if cell == "":
-                        pair.append(None)
-                        continue
-                    try:
-                        price = float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"bad price cell {cell!r} in column "
-                            f"{VALUE_COLUMNS[2 * i + j]}",
-                            line=lineno,
-                        )
-                    if not math.isfinite(price) or price <= 0:
-                        raise ValidationError(
-                            f"line {lineno}: non-positive price {cell} in column "
-                            f"{VALUE_COLUMNS[2 * i + j]}"
-                        )
-                    pair.append(price)
-                values[series] = (pair[0], pair[1])
-            weeks.append(QuotationWeek(year=year, week=week, values=values))
-        return weeks
+            prices = []
+            for column, cell in zip(VALUE_COLUMNS, row[2:]):
+                cell = cell.strip()
+                if cell == "":
+                    prices.append(math.nan)
+                    continue
+                try:
+                    price = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"bad price cell {cell!r} in column {column}", line=lineno
+                    )
+                if not math.isfinite(price) or price <= 0:
+                    raise ValidationError(
+                        f"line {lineno}: non-positive price {cell} in column {column}"
+                    )
+                prices.append(price)
+            rows.append(prices)
+    return QuotationTable(
+        years=np.array([y for y, _ in keys], dtype=int),
+        weeks=np.array([w for _, w in keys], dtype=int),
+        values=np.array(rows, dtype=float).reshape(-1, len(VALUE_COLUMNS)),
+    )
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_dataset(weeks: list[QuotationWeek], target) -> None:
-    """Write QuotationWeeks back to the ingestion format (round-trips parse)."""
-    write_csv(target, HEADER, ([_format_cell(c) for c in wk.row()] for wk in weeks))
+def write_dataset(table: QuotationTable, target) -> None:
+    """Write a QuotationTable back to the ingestion format (round-trips parse)."""
+    write_csv(target, HEADER, (
+        [year, week] + ["" if math.isnan(v) else repr(v) for v in row]
+        for year, week, row in zip(
+            table.years.tolist(), table.weeks.tolist(), table.values.tolist()
+        )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +192,8 @@ class ImputedCell:
 
 
 def impute_missing(
-    weeks: list[QuotationWeek], max_gap: int = 4
-) -> tuple[list[QuotationWeek], list[ImputedCell]]:
+    table: QuotationTable, max_gap: int = 4
+) -> tuple[QuotationTable, list[ImputedCell]]:
     """Fill missing quotations so every cell is present.
 
     Each (series, day) column is treated as an independent weekly series:
@@ -206,72 +201,62 @@ def impute_missing(
     values, leading gaps take the first observed value, trailing gaps the
     last. A run of more than ``max_gap`` consecutive missing weeks in one
     column is an ImputationError naming the series and the week range.
+    The report lists the filled cells column by column (VALUE_COLUMNS
+    order), each column in week order.
     """
-    n = len(weeks)
+    n = len(table)
+    values = table.values.copy()
+    years, weeks = table.years.tolist(), table.weeks.tolist()
     report: list[ImputedCell] = []
-    filled: dict[tuple[str, str], list[float]] = {}
-
-    for series in SERIES:
-        for di, day in enumerate(DAYS):
-            col = [wk.values[series][di] for wk in weeks]
-            present = [i for i, v in enumerate(col) if v is not None]
-            if not present and n > 0:
+    for c, missing in enumerate(np.isnan(values).T):
+        if not missing.any():
+            continue
+        series, day = SERIES[c // len(DAYS)], DAYS[c % len(DAYS)]
+        if missing.all():
+            raise ImputationError(f"series {series} ({day}) has no observed values")
+        col = values[:, c].tolist()
+        # each run of missing weeks is the half-open range [i, j)
+        edges = np.diff(missing, prepend=False, append=False)
+        bounds = np.flatnonzero(edges).tolist()
+        for i, j in zip(bounds[::2], bounds[1::2]):
+            run = j - i
+            if run > max_gap:
+                labels = table.labels
                 raise ImputationError(
-                    f"series {series} ({day}) has no observed values"
+                    f"series {series} ({day}): {run} consecutive missing weeks "
+                    f"from {labels[i]} to {labels[j - 1]} "
+                    f"exceeds max_gap={max_gap}"
                 )
-            # Scan runs of missing entries.
-            i = 0
-            while i < n:
-                if col[i] is not None:
-                    i += 1
-                    continue
-                j = i
-                while j < n and col[j] is None:
-                    j += 1
-                run = j - i
-                if run > max_gap:
-                    raise ImputationError(
-                        f"series {series} ({day}): {run} consecutive missing weeks "
-                        f"from {weeks[i].label} to {weeks[j - 1].label} "
-                        f"exceeds max_gap={max_gap}"
-                    )
-                if i == 0:
-                    method, fills = "backfill", [col[j]] * run
-                elif j == n:
-                    method, fills = "forwardfill", [col[i - 1]] * run
-                else:
-                    method = "linear"
-                    lo, hi = col[i - 1], col[j]
-                    span = j - (i - 1)
-                    fills = [lo + (hi - lo) * (k - (i - 1)) / span for k in range(i, j)]
-                for k, v in zip(range(i, j), fills):
-                    col[k] = v
-                    report.append(
-                        ImputedCell(
-                            week_index=k,
-                            year=weeks[k].year,
-                            week=weeks[k].week,
-                            series=series,
-                            day=day,
-                            value=v,
-                            method=method,
-                        )
-                    )
-                i = j
-            filled[(series, day)] = col
-
-    out = []
-    for i, wk in enumerate(weeks):
-        values = {
-            series: (filled[(series, "tuesday")][i], filled[(series, "friday")][i])
-            for series in SERIES
-        }
-        out.append(QuotationWeek(year=wk.year, week=wk.week, values=values))
-    return out, report
+            if i == 0:
+                method, fills = "backfill", [col[j]] * run
+            elif j == n:
+                method, fills = "forwardfill", [col[i - 1]] * run
+            else:
+                method = "linear"
+                lo, hi = col[i - 1], col[j]
+                span = j - (i - 1)
+                fills = [lo + (hi - lo) * (k - (i - 1)) / span for k in range(i, j)]
+            values[i:j, c] = fills
+            report.extend(
+                ImputedCell(week_index=k, year=years[k], week=weeks[k],
+                            series=series, day=day, value=v, method=method)
+                for k, v in zip(range(i, j), fills)
+            )
+    return QuotationTable(years=table.years, weeks=table.weeks, values=values), report
 
 
 def imputation_report_to_dict(report: list[ImputedCell]) -> dict:
     return {"n_imputed": len(report), "cells": to_json(report)}
+
+
+def _first_gap(table: QuotationTable, n_series: int):
+    """(week label, series) of the first missing quotation among the first
+    ``n_series`` series of SERIES, or None when all of them are present."""
+    gaps = np.argwhere(np.isnan(table.by_series()[:, :n_series]).any(axis=2))
+    if not gaps.size:
+        return None
+    i, s = gaps[0].tolist()
+    return table.labels[i], SERIES[s]
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +266,8 @@ def imputation_report_to_dict(report: list[ImputedCell]) -> dict:
 HPL_KINDS = ("difference", "ratio")
 
 
-def _hpl(hoa: float, poa: float, lgs: float, kind: str) -> float:
-    avg = (poa + lgs) / 2.0
-    if kind == "difference":
-        return hoa - avg
-    if kind == "ratio":
-        return hoa / avg
-    raise ValidationError(f"unknown hpl kind {kind!r}")
-
-
 @dataclass
-class FeatureSet:
+class FeatureSet(_WeekLabels):
     """All feature vectors of a dataset plus the standardization statistics
     needed to reproduce (or invert) the z-scoring."""
 
@@ -310,10 +286,6 @@ class FeatureSet:
         return self.base.shape[0]
 
     @property
-    def labels(self) -> list[str]:
-        return [f"{y}/{w:02d}" for y, w in zip(self.years, self.weeks)]
-
-    @property
     def raw_names(self) -> tuple[str, ...]:
         return VALUE_COLUMNS + ("hpl_t", "hpl_f")
 
@@ -324,34 +296,29 @@ class FeatureSet:
 
 
 def build_features(
-    weeks: list[QuotationWeek],
+    table: QuotationTable,
     include_hpl: bool = True,
     hpl_kind: str = "difference",
 ) -> FeatureSet:
-    """Turn complete QuotationWeeks into standardized feature vectors.
+    """Turn a complete QuotationTable into standardized feature vectors.
 
     Requires imputed (complete) data. Standardization is a global z-score
     over the whole dataset; a zero-variance coordinate is an error.
     """
-    if not weeks:
+    if not len(table):
         raise ValidationError("no data rows")
     if hpl_kind not in HPL_KINDS:
         raise ValidationError(f"hpl_kind {hpl_kind!r} is not one of {HPL_KINDS}")
-    for wk in weeks:
-        if not wk.is_complete():
-            raise ValidationError(
-                f"week {wk.label} has missing values; run imputation first"
-            )
+    gap = _first_gap(table, len(SERIES))
+    if gap is not None:
+        raise ValidationError(f"week {gap[0]} has missing values; run imputation first")
 
-    base = np.array([[float(c) for c in wk.row()[2:]] for wk in weeks])
-    hpl = np.empty((len(weeks), 2))
-    for i, wk in enumerate(weeks):
-        for di, day in enumerate(DAYS):
-            hpl[i, di] = _hpl(
-                wk.value("hoa", day), wk.value("poa", day), wk.value("lgs", day),
-                hpl_kind,
-            )
+    cells = table.by_series()
+    poa, lgs, hoa = cells[:, 0], cells[:, 1], cells[:, 2]  # each (n, 2)
+    avg = (poa + lgs) / 2.0
+    hpl = hoa - avg if hpl_kind == "difference" else hoa / avg
 
+    base = table.values
     if include_hpl:
         raw = np.hstack([base, hpl])
         names = VALUE_COLUMNS + ("hpl_t", "hpl_f")
@@ -369,8 +336,8 @@ def build_features(
     standardized = (raw - means) / stds
 
     return FeatureSet(
-        years=np.array([wk.year for wk in weeks]),
-        weeks=np.array([wk.week for wk in weeks]),
+        years=table.years,
+        weeks=table.weeks,
         base=base,
         hpl=hpl,
         standardized=standardized,
@@ -387,7 +354,7 @@ def build_features(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SpreadSeries:
+class SpreadSeries(_WeekLabels):
     """Weekly spread between the highest and lowest gold-silver price.
 
     ``t_index`` holds the week index of each observation; with per_day
@@ -403,13 +370,9 @@ class SpreadSeries:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def labels(self) -> list[str]:
-        return [f"{y}/{w:02d}" for y, w in zip(self.years, self.weeks)]
-
 
 def compute_spread(
-    weeks: list[QuotationWeek], aggregation: str = "mean"
+    table: QuotationTable, aggregation: str = "mean"
 ) -> SpreadSeries:
     """Per week: max minus min of the three gold-silver prices, per quotation
     day, aggregated to one weekly value (default: mean of the two days)."""
@@ -417,22 +380,14 @@ def compute_spread(
         raise ValidationError(
             f"spread aggregation {aggregation!r} is not one of {SPREAD_AGGREGATIONS}"
         )
-    for wk in weeks:
-        for series in GOLD_SILVER_SERIES:
-            if any(v is None for v in wk.values[series]):
-                raise ValidationError(
-                    f"week {wk.label} misses a {series} quotation; impute first"
-                )
+    gap = _first_gap(table, len(GOLD_SILVER_SERIES))
+    if gap is not None:
+        raise ValidationError(f"week {gap[0]} misses a {gap[1]} quotation; impute first")
 
-    per_day = np.empty((len(weeks), 2))
-    for i, wk in enumerate(weeks):
-        for di, day in enumerate(DAYS):
-            prices = [wk.value(series, day) for series in GOLD_SILVER_SERIES]
-            per_day[i, di] = max(prices) - min(prices)
-
-    years = np.array([wk.year for wk in weeks])
-    wnums = np.array([wk.week for wk in weeks])
-    idx = np.arange(len(weeks))
+    prices = table.by_series()[:, : len(GOLD_SILVER_SERIES)]  # (n, 3, 2)
+    per_day = prices.max(axis=1) - prices.min(axis=1)  # (n, 2)
+    years, wnums = table.years, table.weeks
+    idx = np.arange(len(table))
     if aggregation == "mean":
         values = per_day.mean(axis=1)
     elif aggregation == "tuesday":

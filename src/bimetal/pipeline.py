@@ -27,13 +27,17 @@ from .regression import LinearMean
 REFERENCE_TRANSITION = (0.844298, 0.746643)
 
 # what a JSON value may be for a field of each type, beyond the type itself
-_JSON_KINDS = {float: (int, float), tuple: (list, tuple)}
+_JSON_KINDS = {float: (int, float)}
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a RunConfig field's type: None only for an
     ``X | None`` field, no bool where an int is expected, an int for a
-    float, and a list for a tuple."""
+    float, and a list or tuple whose every element fits for a
+    ``tuple[X, ...]``."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
     return any(
         value is None if kind is type(None)
         else isinstance(value, _JSON_KINDS.get(kind, kind))
@@ -76,7 +80,7 @@ class RunConfig:
     # switching model
     ms_regimes: int = 2
     ms_lag: int = 1
-    ms_families: tuple = ("mlp", "linear")
+    ms_families: tuple[str, ...] = ("mlp", "linear")
     ms_hidden: int = 3
     ms_tol: float = 1e-6
     ms_max_iter: int = 200
@@ -96,12 +100,12 @@ class RunConfig:
     sim_seed: int = 0
     sim_p: float = REFERENCE_TRANSITION[0]
     sim_q: float = REFERENCE_TRANSITION[1]
-    sim_coefs: tuple = ((0.05, 0.6), (0.18, 0.3))
-    sim_sigmas: tuple = (0.02, 0.08)
+    sim_coefs: tuple[tuple[float, ...], ...] = ((0.05, 0.6), (0.18, 0.3))
+    sim_sigmas: tuple[float, ...] = (0.02, 0.08)
     sim_burn_in: int = 200
-    sim_tau: tuple = (166, 333)
-    sim_levels: tuple = (0.1, 0.5, 0.2)
-    sim_stds: tuple = (0.03, 0.08, 0.03)
+    sim_tau: tuple[int, ...] = (166, 333)
+    sim_levels: tuple[float, ...] = (0.1, 0.5, 0.2)
+    sim_stds: tuple[float, ...] = (0.03, 0.08, 0.03)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -118,13 +122,8 @@ class RunConfig:
                 raise ValidationError(
                     f"config key {f.name!r}: {d[f.name]!r} is not {f.type}"
                 )
-        kwargs = dict(d)
-        for key in ("ms_families", "sim_sigmas", "sim_tau", "sim_levels", "sim_stds"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        if "sim_coefs" in kwargs and kwargs["sim_coefs"] is not None:
-            kwargs["sim_coefs"] = tuple(tuple(c) for c in kwargs["sim_coefs"])
-        return cls(**kwargs)
+        # lists become the tuples of their field's type; numbers stay as given
+        return cls(**{key: dio.from_json(hints[key], value) for key, value in d.items()})
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -181,15 +180,15 @@ def _input_path(config: RunConfig) -> Path:
 def _ingest(config: RunConfig, outdir: Path, manifest: dict):
     """Parse and impute the input, write the features, the spread and the
     imputation report, and record them in ``manifest``."""
-    weeks = dio.parse_dataset(str(_input_path(config)))
-    if not weeks:
+    table = dio.parse_dataset(str(_input_path(config)))
+    if not len(table):
         raise DataError("no data rows")
-    weeks, report = dio.impute_missing(weeks, max_gap=config.max_gap)
+    table, report = dio.impute_missing(table, max_gap=config.max_gap)
     features = dio.build_features(
-        weeks, include_hpl=config.include_hpl, hpl_kind=config.hpl_kind
+        table, include_hpl=config.include_hpl, hpl_kind=config.hpl_kind
     )
-    spread = dio.compute_spread(weeks, aggregation=config.spread_aggregation)
-    manifest["n_weeks"] = len(weeks)
+    spread = dio.compute_spread(table, aggregation=config.spread_aggregation)
+    manifest["n_weeks"] = len(table)
     manifest["ingest"] = {
         "imputation_report": "imputation_report.json",
         "n_imputed": len(report),
@@ -461,49 +460,30 @@ def run_report(bundle: AnalysisBundle) -> dict:
 # Synthetic dataset generation
 # ---------------------------------------------------------------------------
 
-def _weeks_calendar(n, start_year=1821):
-    year, week = start_year, 1
-    out = []
-    for _ in range(n):
-        out.append((year, week))
-        week += 1
-        if week > 52:
-            year, week = year + 1, 1
-    return out
-
-
-def _spread_to_weeks(spread_values, rng, base=15.0):
-    """Quotation rows whose per-day spread reproduces ``spread_values``.
+def _spread_to_weeks(spread_values, rng, base=15.0) -> dio.QuotationTable:
+    """Quotation table whose per-day spread reproduces ``spread_values``,
+    one week per value from 1821 week 1 on, 52 weeks a year.
 
     A common per-day level offset is added to all three gold-silver prices;
     the spread (max minus min) is invariant to it, and it gives every
-    column the variance the feature standardization needs.
+    column the variance the feature standardization needs. Each week draws
+    five normals in turn: the Tuesday and Friday levels, then one value for
+    each exchange rate, which both days share.
     """
-    calendar = _weeks_calendar(len(spread_values))
-    weeks = []
-    for (year, wk), s in zip(calendar, spread_values):
-        s = float(s)
-        days = []
-        for _ in range(2):
-            level = base + 0.05 * rng.standard_normal()
-            days.append((level, level + s / 2.0, level + s))
-        lpv = 25.0 + 0.05 * rng.standard_normal()
-        hlv = 13.0 + 0.03 * rng.standard_normal()
-        phv = 1.9 + 0.01 * rng.standard_normal()
-        weeks.append(
-            dio.QuotationWeek(
-                year=year, week=wk,
-                values={
-                    "poa": (days[0][0], days[1][0]),
-                    "lgs": (days[0][1], days[1][1]),
-                    "hoa": (days[0][2], days[1][2]),
-                    "lpv": (lpv, lpv),
-                    "hlv": (hlv, hlv),
-                    "phv": (phv, phv),
-                },
-            )
-        )
-    return weeks
+    s = np.asarray(spread_values, dtype=float)[:, None]
+    n = s.shape[0]
+    z = rng.standard_normal((n, 5))
+    level = base + 0.05 * z[:, :2]  # (n, 2): Tuesday, Friday
+    rates = np.array([25.0, 13.0, 1.9]) + np.array([0.05, 0.03, 0.01]) * z[:, 2:]
+    values = np.empty((n, len(dio.SERIES), len(dio.DAYS)))
+    values[:, 0] = level              # poa
+    values[:, 1] = level + s / 2.0    # lgs
+    values[:, 2] = level + s          # hoa
+    values[:, 3:] = rates[:, :, None]  # lpv, hlv, phv
+    i = np.arange(n)
+    return dio.QuotationTable(
+        years=1821 + i // 52, weeks=i % 52 + 1, values=values.reshape(n, -1)
+    )
 
 
 def run_simulate(config: RunConfig) -> dict:
@@ -566,12 +546,12 @@ def run_simulate(config: RunConfig) -> dict:
     else:
         raise ValidationError(f"unknown sim_kind {config.sim_kind!r}")
 
-    weeks = _spread_to_weeks(y, rng)
+    table = _spread_to_weeks(y, rng)
     dataset_path = outdir / "dataset.csv"
-    dio.write_dataset(weeks, str(dataset_path))
+    dio.write_dataset(table, str(dataset_path))
     dio.write_json(truth, outdir / "dataset_truth.json")
     return {
-        "rows": len(weeks),
+        "rows": len(table),
         "dataset": str(dataset_path),
         "truth": str(outdir / "dataset_truth.json"),
     }

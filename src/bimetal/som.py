@@ -149,25 +149,27 @@ def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
     return grid
 
 
-def _sq_dists(X: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """(n, n_nodes) squared distances from each row of X to each node."""
+def _sq_dists(grid: SomGrid, features) -> np.ndarray:
+    """(n, n_nodes) squared distances from each observation to each node;
+    data of another dimension than the grid's is a ValidationError."""
+    X = _as_matrix(features)
+    if X.shape[1] != grid.dim:
+        raise ValidationError(
+            f"dimension mismatch: data dim {X.shape[1]}, grid dim {grid.dim}"
+        )
+    code = grid.code_vectors
     return ((X[:, None, :] - code[None, :, :]) ** 2).sum(axis=2)
 
 
 def bmu_indices(grid: SomGrid, features) -> np.ndarray:
     """Best-matching node of each row: the node with minimal squared
     distance, ties to the lowest index."""
-    X = _as_matrix(features)
-    if X.shape[1] != grid.dim:
-        raise ValidationError(
-            f"dimension mismatch: data dim {X.shape[1]}, grid dim {grid.dim}"
-        )
-    return _sq_dists(X, grid.code_vectors).argmin(axis=1)
+    return _sq_dists(grid, features).argmin(axis=1)
 
 
 def quantization_error(grid: SomGrid, features) -> float:
     """Mean squared distance of each observation to its best-matching node."""
-    return float(_sq_dists(_as_matrix(features), grid.code_vectors).min(axis=1).mean())
+    return float(_sq_dists(grid, features).min(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from bimetal.data import HEADER, QuotationWeek, parse_dataset
+from bimetal.data import HEADER, SERIES, QuotationTable, parse_dataset
 
 
 def make_csv(rows, header=None):
@@ -45,21 +45,27 @@ def synthetic_rows(n, seed=0, missing=()):
 
 
 @pytest.fixture
-def small_weeks():
+def small_table():
     return parse_csv(make_csv(synthetic_rows(30, seed=42)))
 
 
-def make_week(year, week, poa, lgs, hoa, lpv=25.0, hlv=13.0, phv=1.9):
-    """QuotationWeek with identical Tuesday/Friday quotations."""
-    return QuotationWeek(
-        year=year,
-        week=week,
-        values={
-            "poa": (poa, poa),
-            "lgs": (lgs, lgs),
-            "hoa": (hoa, hoa),
-            "lpv": (lpv, lpv),
-            "hlv": (hlv, hlv),
-            "phv": (phv, phv),
-        },
+def make_table(*weeks):
+    """QuotationTable of weeks 1821/01, 1821/02, ...; each week maps a series
+    to its price on both days or to a (tuesday, friday) pair. The exchange
+    rates default to lpv 25.0, hlv 13.0 and phv 1.9."""
+    defaults = {"lpv": 25.0, "hlv": 13.0, "phv": 1.9}
+    values = np.array(
+        [[np.broadcast_to({**defaults, **wk}[s], 2) for s in SERIES] for wk in weeks],
+        dtype=float,
     )
+    n = len(weeks)
+    return QuotationTable(
+        years=np.full(n, 1821), weeks=np.arange(1, n + 1), values=values.reshape(n, -1)
+    )
+
+
+def assert_tables_equal(a, b):
+    """Same weeks and the same cells, NaN for NaN."""
+    assert a.years.tolist() == b.years.tolist()
+    assert a.weeks.tolist() == b.weeks.tolist()
+    np.testing.assert_array_equal(a.values, b.values)

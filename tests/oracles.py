@@ -3,7 +3,8 @@
 Everything here recomputes quantities from first principles (exhaustive
 enumeration, direct two-pass statistics) or with the plain reference
 algorithms that the optimized code replaced (dense DP, per-step numpy
-filter and smoother), without touching the implementations under test.
+filter and smoother, per-cell quotation loops), without touching the
+implementations under test.
 """
 
 import itertools
@@ -282,3 +283,21 @@ def seed_mlp_fit(mlp, X, y, w, steps=200):
         if stalled:
             break
     return current
+
+
+def seed_week_derivations(values, hpl_kind):
+    """Per-day spread and hpl of a complete (n, 12) quotation array, cell by
+    cell in Python floats, as the per-week records computed them: the spread
+    is max minus min of poa, lgs and hoa, and hpl is hoa minus, or over,
+    the mean of poa and lgs. Returns two (n, 2) arrays, Tuesday first."""
+    per_day, hpl = [], []
+    for row in values.tolist():
+        spreads, hpls = [], []
+        for day in range(2):
+            poa, lgs, hoa = row[day], row[2 + day], row[4 + day]
+            spreads.append(max(poa, lgs, hoa) - min(poa, lgs, hoa))
+            avg = (poa + lgs) / 2.0
+            hpls.append(hoa - avg if hpl_kind == "difference" else hoa / avg)
+        per_day.append(spreads)
+        hpl.append(hpls)
+    return np.array(per_day), np.array(hpl)

@@ -307,9 +307,8 @@ DATASET_ENV = "BIMETAL_DATASET"
     reason=f"historical dataset not supplied (set {DATASET_ENV})",
 )
 def test_criterion_11_historical_dataset_golden():
-    weeks = parse_dataset(os.environ[DATASET_ENV])
-    weeks, _ = impute_missing(weeks)
-    spread = compute_spread(weeks)
+    table, _ = impute_missing(parse_dataset(os.environ[DATASET_ENV]))
+    spread = compute_spread(table)
     length_ok = len(spread) == 2078
 
     seg_mean = detect(spread.values, "mean", K_max=20)

@@ -1,11 +1,14 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from bimetal.data import (
-    QuotationWeek,
+    HPL_KINDS,
+    VALUE_COLUMNS,
+    ImputedCell,
     build_features,
     compute_spread,
     SpreadSeries,
@@ -19,7 +22,12 @@ from bimetal.data import (
 )
 from bimetal.errors import ImputationError, ParseError, ValidationError
 
-from conftest import make_csv, make_week, parse_csv, synthetic_rows
+from conftest import (
+    assert_tables_equal, make_csv, make_table, parse_csv, synthetic_rows,
+)
+from oracles import seed_week_derivations
+
+POA_T = VALUE_COLUMNS.index("poa_t")
 
 
 # ---------------------------------------------------------------------------
@@ -27,18 +35,17 @@ from conftest import make_csv, make_week, parse_csv, synthetic_rows
 # ---------------------------------------------------------------------------
 
 def test_parse_full_row():
-    weeks = parse_csv(make_csv(synthetic_rows(3)))
-    assert len(weeks) == 3
-    assert weeks[0].year == 1821 and weeks[0].week == 1
-    assert all(wk.is_complete() for wk in weeks)
+    table = parse_csv(make_csv(synthetic_rows(3)))
+    assert len(table) == 3
+    assert table.years[0] == 1821 and table.weeks[0] == 1
+    assert not np.isnan(table.values).any()
 
 
 def test_parse_missing_cell_marked():
-    # poa friday is value-column index 1
-    weeks = parse_csv(make_csv(synthetic_rows(2, missing={(0, 1)})))
-    assert weeks[0].value("poa", "friday") is None
-    assert weeks[0].value("poa", "tuesday") is not None
-    assert weeks[1].is_complete()
+    table = parse_csv(make_csv(synthetic_rows(2, missing={(0, 1)})))
+    assert np.isnan(table.values[0, VALUE_COLUMNS.index("poa_f")])
+    assert not np.isnan(table.values[0, POA_T])
+    assert not np.isnan(table.values[1]).any()
 
 
 def test_parse_weeks_out_of_order():
@@ -92,10 +99,10 @@ def test_parse_week_out_of_calendar_range():
 
 def test_roundtrip_preserves_cells():
     src = make_csv(synthetic_rows(12, seed=3, missing={(2, 5), (7, 0)}))
-    weeks = parse_csv(src)
+    table = parse_csv(src)
     buf = io.StringIO()
-    write_dataset(weeks, buf)
-    assert parse_csv(buf.getvalue()) == weeks
+    write_dataset(table, buf)
+    assert_tables_equal(parse_csv(buf.getvalue()), table)
 
 
 # ---------------------------------------------------------------------------
@@ -111,42 +118,97 @@ def _column_track(values):
 
 
 def test_impute_linear_midpoint():
-    weeks = _column_track([15.70, None, 15.74])
-    out, report = impute_missing(weeks)
-    assert out[1].value("poa", "tuesday") == pytest.approx(15.72)
+    table = _column_track([15.70, None, 15.74])
+    out, report = impute_missing(table)
+    assert out.values[1, POA_T] == pytest.approx(15.72)
     linear = [c for c in report if c.series == "poa" and c.day == "tuesday"]
     assert len(linear) == 1 and linear[0].method == "linear"
     assert linear[0].week_index == 1
 
 
 def test_impute_backfill_at_start():
-    weeks = _column_track([None, None, 15.80, 15.82])
-    out, report = impute_missing(weeks)
-    assert out[0].value("poa", "tuesday") == pytest.approx(15.80)
-    assert out[1].value("poa", "tuesday") == pytest.approx(15.80)
+    table = _column_track([None, None, 15.80, 15.82])
+    out, report = impute_missing(table)
+    assert out.values[0, POA_T] == pytest.approx(15.80)
+    assert out.values[1, POA_T] == pytest.approx(15.80)
     methods = {c.method for c in report if c.series == "poa" and c.day == "tuesday"}
     assert methods == {"backfill"}
 
 
 def test_impute_forwardfill_at_end():
-    weeks = _column_track([15.80, None])
-    out, report = impute_missing(weeks)
-    assert out[1].value("poa", "tuesday") == pytest.approx(15.80)
+    table = _column_track([15.80, None])
+    out, report = impute_missing(table)
+    assert out.values[1, POA_T] == pytest.approx(15.80)
     assert report[0].method == "forwardfill"
 
 
 def test_impute_gap_above_max_gap_errors():
-    weeks = _column_track([15.7, None, None, None, None, None, 15.8])
+    table = _column_track([15.7, None, None, None, None, None, 15.8])
     with pytest.raises(ImputationError, match=r"poa \(tuesday\).*5 consecutive"):
-        impute_missing(weeks, max_gap=4)
-    out, _ = impute_missing(weeks, max_gap=5)
-    assert all(wk.is_complete() for wk in out)
+        impute_missing(table, max_gap=4)
+    out, _ = impute_missing(table, max_gap=5)
+    assert not np.isnan(out.values).any()
 
 
-def test_impute_complete_data_is_noop(small_weeks):
-    out, report = impute_missing(small_weeks)
+def test_impute_complete_data_is_noop(small_table):
+    out, report = impute_missing(small_table)
     assert report == []
-    assert out == small_weeks
+    assert_tables_equal(out, small_table)
+
+
+def test_impute_report_across_columns():
+    """Gaps at the start, inside and at the end of four columns: the report
+    runs column by column in VALUE_COLUMNS order, each column in week order,
+    and every linear fill is the interpolation formula's float."""
+    missing = {
+        (0, 0), (1, 0),          # poa_t: leading gap
+        (2, 3), (3, 3), (4, 3), (5, 3),  # lgs_f: interior gap
+        (7, 4), (6, 4), (2, 4),  # hoa_t: interior gap, then trailing gap
+        (7, 11), (0, 11), (4, 11), (5, 11),  # phv_f: all three kinds
+    }
+    table = parse_csv(make_csv(synthetic_rows(8, seed=5, missing=missing)))
+    obs = table.values.tolist()
+    out, report = impute_missing(table)
+
+    def cell(k, column, value, method):
+        series, day = column.split("_")
+        return ImputedCell(
+            week_index=k, year=1821, week=k + 1, series=series,
+            day={"t": "tuesday", "f": "friday"}[day], value=value, method=method,
+        )
+
+    def linear(column, k, i, j):
+        """Fill of week k in the gap [i, j) of ``column``."""
+        c = VALUE_COLUMNS.index(column)
+        lo, hi, span = obs[i - 1][c], obs[j][c], j - (i - 1)
+        return lo + (hi - lo) * (k - (i - 1)) / span
+
+    poa_t, lgs_f, hoa_t, phv_f = (VALUE_COLUMNS.index(c)
+                                  for c in ("poa_t", "lgs_f", "hoa_t", "phv_f"))
+    assert report == [
+        cell(0, "poa_t", obs[2][poa_t], "backfill"),
+        cell(1, "poa_t", obs[2][poa_t], "backfill"),
+        cell(2, "lgs_f", linear("lgs_f", 2, 2, 6), "linear"),
+        cell(3, "lgs_f", linear("lgs_f", 3, 2, 6), "linear"),
+        cell(4, "lgs_f", linear("lgs_f", 4, 2, 6), "linear"),
+        cell(5, "lgs_f", linear("lgs_f", 5, 2, 6), "linear"),
+        cell(2, "hoa_t", linear("hoa_t", 2, 2, 3), "linear"),
+        cell(6, "hoa_t", obs[5][hoa_t], "forwardfill"),
+        cell(7, "hoa_t", obs[5][hoa_t], "forwardfill"),
+        cell(0, "phv_f", obs[1][phv_f], "backfill"),
+        cell(4, "phv_f", linear("phv_f", 4, 4, 6), "linear"),
+        cell(5, "phv_f", linear("phv_f", 5, 4, 6), "linear"),
+        cell(7, "phv_f", obs[6][phv_f], "forwardfill"),
+    ]
+    for c in report:
+        assert all(type(getattr(c, f)) is int for f in ("week_index", "year", "week"))
+        assert type(c.value) is float
+        assert out.values[c.week_index, VALUE_COLUMNS.index(
+            f"{c.series}_{c.day[0]}")] == c.value
+    filled = np.zeros(table.values.shape, dtype=bool)
+    filled[tuple(np.array(sorted(missing)).T)] = True
+    assert_array_equal(out.values[~filled], table.values[~filled])
+    assert not np.isnan(out.values).any()
 
 
 # ---------------------------------------------------------------------------
@@ -155,39 +217,39 @@ def test_impute_complete_data_is_noop(small_weeks):
 
 def test_hpl_difference_example():
     # hoa=15.9, poa=15.8, lgs=15.7 on both days -> hpl = +0.15 each day
-    weeks = [
-        make_week(1821, 1, poa=15.8, lgs=15.7, hoa=15.9),
-        make_week(1821, 2, poa=15.6, lgs=15.5, hoa=15.4, lpv=25.1, hlv=13.2, phv=1.8),
-    ]
-    fs = build_features(weeks)
+    table = make_table(
+        dict(poa=15.8, lgs=15.7, hoa=15.9),
+        dict(poa=15.6, lgs=15.5, hoa=15.4, lpv=25.1, hlv=13.2, phv=1.8),
+    )
+    fs = build_features(table)
     assert_allclose(fs.hpl[0], [0.15, 0.15])
     assert_allclose(fs.hpl[1], [15.4 - 15.55, 15.4 - 15.55])
 
 
 def test_hpl_ratio_switch():
-    weeks = [
-        make_week(1821, 1, poa=15.8, lgs=15.7, hoa=15.9),
-        make_week(1821, 2, poa=15.0, lgs=15.2, hoa=15.4, lpv=25.3, hlv=13.4, phv=1.8),
-    ]
-    fs = build_features(weeks, hpl_kind="ratio")
+    table = make_table(
+        dict(poa=15.8, lgs=15.7, hoa=15.9),
+        dict(poa=15.0, lgs=15.2, hoa=15.4, lpv=25.3, hlv=13.4, phv=1.8),
+    )
+    fs = build_features(table, hpl_kind="ratio")
     assert_allclose(fs.hpl[0, 0], 15.9 / 15.75)
 
 
 def test_zero_variance_errors():
-    weeks = [make_week(1821, w, poa=15.8, lgs=15.7, hoa=15.9) for w in (1, 2, 3)]
+    table = make_table(*[dict(poa=15.8, lgs=15.7, hoa=15.9)] * 3)
     with pytest.raises(ValidationError, match="zero variance"):
-        build_features(weeks)
+        build_features(table)
 
 
-def test_standardization_moments(small_weeks):
-    fs = build_features(small_weeks)
+def test_standardization_moments(small_table):
+    fs = build_features(small_table)
     assert fs.standardized.shape == (30, 14)
     assert_allclose(fs.standardized.mean(axis=0), 0.0, atol=1e-9)
     assert_allclose(fs.standardized.var(axis=0), 1.0, atol=1e-9)
 
 
-def test_features_without_hpl(small_weeks):
-    fs = build_features(small_weeks, include_hpl=False)
+def test_features_without_hpl(small_table):
+    fs = build_features(small_table, include_hpl=False)
     assert fs.standardized.shape == (30, 12)
     assert fs.feature_names[-1] == "phv_f"
     # hpl is still computed for descriptive tables
@@ -195,13 +257,13 @@ def test_features_without_hpl(small_weeks):
 
 
 def test_features_require_complete_data():
-    weeks = parse_csv(make_csv(synthetic_rows(3, missing={(1, 3)})))
+    table = parse_csv(make_csv(synthetic_rows(3, missing={(1, 3)})))
     with pytest.raises(ValidationError, match="missing"):
-        build_features(weeks)
+        build_features(table)
 
 
-def test_features_serialization_roundtrip(small_weeks, tmp_path):
-    fs = build_features(small_weeks)
+def test_features_serialization_roundtrip(small_table, tmp_path):
+    fs = build_features(small_table)
     write_features(fs, tmp_path / "features.csv", tmp_path / "features.json")
     fs2 = read_features(tmp_path / "features.csv", tmp_path / "features.json")
     assert_allclose(fs2.standardized, fs.standardized)
@@ -218,34 +280,34 @@ def test_features_serialization_roundtrip(small_weeks, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_spread_example():
-    weeks = [make_week(1821, 1, poa=15.8, lgs=15.7, hoa=15.9)]
-    spread = compute_spread(weeks)
+    table = make_table(dict(poa=15.8, lgs=15.7, hoa=15.9))
+    spread = compute_spread(table)
     assert_allclose(spread.values, [0.2])
 
 
 def test_spread_zero_iff_equal():
-    weeks = [make_week(1821, 1, poa=15.8, lgs=15.8, hoa=15.8)]
-    assert compute_spread(weeks).values[0] == 0.0
+    table = make_table(dict(poa=15.8, lgs=15.8, hoa=15.8))
+    assert compute_spread(table).values[0] == 0.0
+
+
+def test_spread_requires_gold_silver_quotations():
+    # a missing exchange rate does not stop the spread; a missing price does
+    table = make_table(dict(poa=15.8, lgs=15.7, hoa=15.9), dict(poa=15.6, lgs=15.5, hoa=15.4))
+    table.values[0, VALUE_COLUMNS.index("phv_t")] = np.nan
+    assert len(compute_spread(table)) == 2
+    table.values[1, VALUE_COLUMNS.index("hoa_f")] = np.nan
+    table.values[1, VALUE_COLUMNS.index("lgs_t")] = np.nan
+    with pytest.raises(ValidationError, match="week 1821/02 misses a lgs quotation"):
+        compute_spread(table)
 
 
 def test_spread_aggregations():
-    wk = QuotationWeek(
-        year=1821,
-        week=1,
-        values={
-            "poa": (15.8, 15.6),
-            "lgs": (15.7, 15.7),
-            "hoa": (15.9, 16.0),
-            "lpv": (25.0, 25.0),
-            "hlv": (13.0, 13.0),
-            "phv": (1.9, 1.9),
-        },
-    )
+    table = make_table({"poa": (15.8, 15.6), "lgs": (15.7, 15.7), "hoa": (15.9, 16.0)})
     # tuesday spread 0.2, friday spread 0.4
-    assert compute_spread([wk], "tuesday").values[0] == pytest.approx(0.2)
-    assert compute_spread([wk], "friday").values[0] == pytest.approx(0.4)
-    assert compute_spread([wk], "mean").values[0] == pytest.approx(0.3)
-    per_day = compute_spread([wk], "per_day")
+    assert compute_spread(table, "tuesday").values[0] == pytest.approx(0.2)
+    assert compute_spread(table, "friday").values[0] == pytest.approx(0.4)
+    assert compute_spread(table, "mean").values[0] == pytest.approx(0.3)
+    per_day = compute_spread(table, "per_day")
     assert_allclose(per_day.values, [0.2, 0.4])
     assert per_day.t_index.tolist() == [0, 0]
 
@@ -262,28 +324,38 @@ def test_spread_aggregations():
     st.floats(0.0, 50.0),
 )
 def test_spread_permutation_and_shift_invariance(triples, perm, shift):
-    def weeks_from(ts, offset=0.0):
-        return [
-            make_week(1821, i + 1, poa=a + offset, lgs=b + offset, hoa=c + offset)
-            for i, (a, b, c) in enumerate(ts)
-        ]
+    def table_from(ts, offset=0.0):
+        return make_table(*[
+            dict(poa=a + offset, lgs=b + offset, hoa=c + offset) for a, b, c in ts
+        ])
 
-    base = compute_spread(weeks_from(triples)).values
+    base = compute_spread(table_from(triples)).values
     permuted = compute_spread(
-        weeks_from([tuple(t[p] for p in perm) for t in triples])
+        table_from([tuple(t[p] for p in perm) for t in triples])
     ).values
-    shifted = compute_spread(weeks_from(triples, offset=shift)).values
+    shifted = compute_spread(table_from(triples, offset=shift)).values
     assert_allclose(permuted, base, atol=1e-12)
     assert_allclose(shifted, base, atol=1e-9)
     assert (base >= 0).all()
 
 
-def test_spread_length_equals_rows(small_weeks):
-    assert len(compute_spread(small_weeks)) == len(small_weeks)
+@pytest.mark.parametrize("hpl_kind", HPL_KINDS)
+def test_table_derivations_match_per_cell_loop(hpl_kind):
+    """hpl and every spread aggregation are the per-cell floats, bit for bit."""
+    table = parse_csv(make_csv(synthetic_rows(60, seed=8)))
+    per_day, hpl = seed_week_derivations(table.values, hpl_kind)
+    assert build_features(table, hpl_kind=hpl_kind).hpl.tolist() == hpl.tolist()
+    for aggregation, want in (("mean", per_day.mean(axis=1)), ("tuesday", per_day[:, 0]),
+                              ("friday", per_day[:, 1]), ("per_day", per_day.reshape(-1))):
+        assert compute_spread(table, aggregation).values.tolist() == want.tolist()
 
 
-def test_spread_serialization_roundtrip(small_weeks):
-    spread = compute_spread(small_weeks)
+def test_spread_length_equals_rows(small_table):
+    assert len(compute_spread(small_table)) == len(small_table)
+
+
+def test_spread_serialization_roundtrip(small_table):
+    spread = compute_spread(small_table)
     again = from_json(SpreadSeries, to_json(spread))
     assert_allclose(again.values, spread.values)
     assert again.aggregation == "mean"
@@ -292,4 +364,4 @@ def test_spread_serialization_roundtrip(small_weeks):
     write_spread_csv(spread, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "week_index,year,week,spread"
-    assert len(lines) == len(small_weeks) + 1
+    assert len(lines) == len(small_table) + 1

@@ -102,11 +102,19 @@ def test_config_values_are_type_checked():
     cfg = RunConfig.from_dict({"cpd_penalty": 5, "ms_tol": 1, "sim_tau": [10, 20],
                                "cpd_k_max": None, "som_radius_start": 2})
     assert (cfg.cpd_penalty, cfg.sim_tau, cfg.cpd_k_max) == (5, (10, 20), None)
+    # nested lists become nested tuples; numbers stay as given
+    cfg = RunConfig.from_dict({"sim_coefs": [[1, 0.5], [0.2, 0.3]], "sim_stds": [1, 2, 3]})
+    assert cfg.sim_coefs == ((1, 0.5), (0.2, 0.3)) and cfg.sim_stds == (1, 2, 3)
+    assert type(cfg.sim_coefs[0]) is tuple and type(cfg.sim_coefs[0][0]) is int
     with pytest.raises(ValidationError, match="config key 'outdir'"):
         RunConfig.from_dict({"outdir": None})
     for bad in ({"som_rows": "5"}, {"ms_restarts": 2.5}, {"ms_families": "mlp"},
                 {"include_hpl": "no"}, {"som_rows": True}, {"ms_tol": False},
-                {"cpd_k_max": 2.0}, {"sim_tau": "10,20"}, {"hpl_kind": 1}):
+                {"cpd_k_max": 2.0}, {"sim_tau": "10,20"}, {"hpl_kind": 1},
+                # tuple elements of the wrong type
+                {"sim_coefs": [1, 2]}, {"sim_coefs": [[0.1, "a"]]},
+                {"sim_levels": ["a", 1, 2]}, {"sim_tau": [1.5, 3]},
+                {"sim_tau": [True, 3]}, {"ms_families": ["mlp", None]}):
         (key,) = bad
         with pytest.raises(ValidationError, match=f"config key '{key}'"):
             RunConfig.from_dict(bad)
@@ -142,8 +150,7 @@ def test_simulate_steps_sidecar_matches_seams(tmp_path):
     # spread recovered from the dataset shows the constructed levels
     from bimetal.data import compute_spread, parse_dataset
 
-    weeks = parse_dataset(summary["dataset"])
-    spread = compute_spread(weeks)
+    spread = compute_spread(parse_dataset(summary["dataset"]))
     assert np.mean(spread.values[50:100]) == pytest.approx(0.6, abs=0.05)
 
 
@@ -554,6 +561,10 @@ def test_features_csv_cells_are_the_json_floats(tmp_path):
     ("ms_restarts", 2.5),
     ("ms_families", "mlp"),
     ("include_hpl", "no"),
+    # tuple elements of the wrong type
+    ("sim_coefs", [1, 2]),
+    ("sim_levels", ["a", 1, 2]),
+    ("sim_tau", [1.5, 3]),
 ])
 def test_cli_bad_ingest_value_in_config_is_data_error(tmp_path, capsys, key, value):
     data = tmp_path / "data.csv"

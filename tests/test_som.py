@@ -14,6 +14,7 @@ from bimetal.som import (
     bmu_indices,
     hac_macro_classes,
     periodize,
+    quantization_error,
     train_som,
 )
 from oracles import seed_train_som
@@ -103,8 +104,8 @@ def test_empty_input_errors():
         train_som(np.empty((0, 3)), 2, 2)
 
 
-def test_train_accepts_featureset(small_weeks):
-    fs = build_features(small_weeks)
+def test_train_accepts_featureset(small_table):
+    fs = build_features(small_table)
     grid = train_som(fs, rows=2, cols=2, schedule=SomSchedule(epochs=3), seed=0)
     assert grid.code_vectors.shape == (4, 14)
     assert grid.trained_epochs == 3
@@ -153,9 +154,18 @@ def test_bmu_matches_linear_scan(seed):
     assert bmu_indices(grid, v[None, :])[0] == best
 
 
-def test_quantization_error_zero_on_codebook_data():
-    from bimetal.som import quantization_error
+@pytest.mark.parametrize("measure", [bmu_indices, quantization_error])
+def test_dimension_mismatch_is_validation_error(measure):
+    # one column of 3-dim data would broadcast against every code vector
+    grid = grid_from(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
+    X = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
+    with pytest.raises(ValidationError, match="data dim 1, grid dim 3"):
+        measure(grid, X[:, :1])
+    with pytest.raises(ValidationError, match="data dim 4, grid dim 3"):
+        measure(grid, np.hstack([X, X[:, :1]]))
 
+
+def test_quantization_error_zero_on_codebook_data():
     code = np.array([[0.0, 0.0], [5.0, 5.0]])
     grid = grid_from(code)
     X = np.tile(code[1], (6, 1))
@@ -163,15 +173,12 @@ def test_quantization_error_zero_on_codebook_data():
 
 
 def test_quantization_error_single_observation():
-    from bimetal.som import quantization_error
-
     grid = grid_from(np.array([[0.0, 0.0], [4.0, 0.0]]))
     assert quantization_error(grid, np.array([[1.0, 1.0]])) == pytest.approx(2.0)
 
 
 def test_training_reduces_quantization_error():
     # paired comparison over a seed family: training helps on average
-    from bimetal.som import quantization_error
 
     X, _ = blobs(np.array([[0, 0, 0], [8.0, 8.0, 8.0]]), 50, 1.0, seed=2)
     before, after = [], []
@@ -270,8 +277,8 @@ def test_blob_partition_recovery_quick():
 # Periodization
 # ---------------------------------------------------------------------------
 
-def test_periodize_single_interval(small_weeks):
-    fs = build_features(small_weeks)
+def test_periodize_single_interval(small_table):
+    fs = build_features(small_table)
     grid = train_som(fs, 2, 2, schedule=SomSchedule(epochs=5), seed=0)
     mc = MacroClassification(
         k=1,
@@ -294,8 +301,8 @@ def test_periodize_singleton_class_means():
     )
 
 
-def test_periodize_intervals_partition(small_weeks):
-    fs = build_features(small_weeks)
+def test_periodize_intervals_partition(small_table):
+    fs = build_features(small_table)
     grid = train_som(fs, 3, 3, schedule=SomSchedule(epochs=5), seed=1)
     full = periodize(fs, grid, hac_macro_classes(grid, k=4))
     covered = []
@@ -322,8 +329,8 @@ def test_grid_serialization_roundtrip():
     assert again.seed == 9
 
 
-def test_classification_serialization_roundtrip(small_weeks):
-    fs = build_features(small_weeks)
+def test_classification_serialization_roundtrip(small_table):
+    fs = build_features(small_table)
     grid = train_som(fs, 2, 2, schedule=SomSchedule(epochs=4), seed=2)
     full = periodize(fs, grid, hac_macro_classes(grid, k=2))
     again = from_json(MacroClassification, to_json(full))
