@@ -151,7 +151,11 @@ def parse_dataset(source) -> QuotationTable:
                     raise ParseError(
                         f"bad price cell {cell!r} in column {column}", line=lineno
                     )
-                if not math.isfinite(price) or price <= 0:
+                if not math.isfinite(price):
+                    raise ValidationError(
+                        f"line {lineno}: non-finite price {cell} in column {column}"
+                    )
+                if price <= 0:
                     raise ValidationError(
                         f"line {lineno}: non-positive price {cell} in column {column}"
                     )

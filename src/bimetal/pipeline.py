@@ -528,6 +528,8 @@ def run_simulate(config: RunConfig) -> dict:
             raise ValidationError(
                 "sim_levels and sim_stds must have one entry per segment"
             )
+        if not all(std >= 0 for std in config.sim_stds):
+            raise ValidationError(f"sim_stds {list(config.sim_stds)} must all be >= 0")
         gen = np.random.default_rng(config.sim_seed)
         parts = []
         for (a, b), level, std in zip(

@@ -8,9 +8,10 @@ column-stochastic: entry (i, j) is the probability of moving to regime i
 from regime j, so for two regimes the diagonal holds the persistence
 probabilities (p, q).
 
-Estimation is classic EM: the Hamilton filter and Kim smoother give the
-a-posteriori regime probabilities (E-step), then the transition matrix,
-conditional means, and noise scales are reweighted (M-step). Filtering
+Estimation is classic EM: the Hamilton filter and Kim smoother, each one
+log-depth prefix scan rather than a per-step loop, give the a-posteriori
+regime probabilities (E-step), then the transition matrix, conditional
+means, and noise scales are reweighted (M-step). Filtering
 starts from the stationary distribution of the current transition matrix;
 the transition update therefore maximizes the *full* expected complete-data
 log-likelihood, including the initial-state term, via a safeguarded line
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -266,8 +266,7 @@ class FilterResult:
 
 
 def _log_densities(params: MsParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n_use = y.shape[0]
-    L = np.empty((n_use, params.n_regimes))
+    L = np.empty((params.n_regimes, y.shape[0]))  # time last, as in _scan
     for i, (mean, sigma) in enumerate(zip(params.means, params.sigmas)):
         if sigma < _SIGMA_TINY:
             raise NumericalError(f"sigma underflow in regime {i + 1}")
@@ -275,7 +274,7 @@ def _log_densities(params: MsParams, X: np.ndarray, y: np.ndarray) -> np.ndarray
         # an overflowing residual gives a -inf density, which the filter
         # rejects as a vanishing likelihood
         with np.errstate(over="ignore"):
-            L[:, i] = (
+            L[i] = (
                 -0.5 * np.log(2.0 * np.pi)
                 - np.log(sigma)
                 - 0.5 * (resid / sigma) ** 2
@@ -283,76 +282,77 @@ def _log_densities(params: MsParams, X: np.ndarray, y: np.ndarray) -> np.ndarray
     return L
 
 
+def _scan(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix products M[..., k] @ ... @ M[..., 0] = exp(lg[k]) * P[..., k] of
+    an (n, n, m) nonnegative stack, time last, by a Hillis-Steele scan: each
+    of ceil(log2 m) levels divides every product by its largest entry."""
+    n, _, m = M.shape
+    P = M.copy()
+    lg = np.zeros(m)
+    d = 1
+    while d < m:
+        prod = P[:, :1, d:] * P[:1, :, :-d]
+        for k in range(1, n):
+            prod += P[:, k : k + 1, d:] * P[k : k + 1, :, :-d]
+        scale = prod.reshape(n * n, m - d).max(axis=0)
+        P[:, :, d:] = prod / scale
+        lg[d:] = lg[d:] + lg[:-d] + np.log(scale)
+        d *= 2
+    return P, lg
+
+
 def hamilton_filter(params: MsParams, series) -> FilterResult:
     """Forward recursion: filtered regime probabilities and log-likelihood.
 
-    The first ``lag`` observations condition the recursion and contribute
-    no likelihood terms. The recursion is scaled rather than run in the log
-    domain: each step's densities are divided by their largest value,
-    E[t] = exp(L[t] - c[t]) with c[t] = max L[t], once for all t in numpy.
-    Only w = pred * E[t], s = sum(w) and pred = A w / s stay in the loop,
-    on Python floats, for any number of regimes. Afterwards the filtered
-    rows are w / s and the log-likelihood is sum(c) + sum(log s).
+    The first ``lag`` observations only condition the recursion. With the
+    scaled densities E[t] = exp(L[t] - c[t]), c[t] = max L[t], the forward
+    weights W[t] = diag(E[t]) A ... diag(E[1]) A diag(E[0] * pi) 1 are the
+    prefix products of one ``_scan``; filtered rows are W[t] / sum(W[t]) and
+    the log-likelihood is sum(c) plus the log of the last step's mass. Tests
+    hold both to the per-step numpy recursion within rounding (1e-15).
     """
     series = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(series)):
         raise ValidationError("series contains non-finite values")
     params.validate()
-    lag = params.lag
-    X, y = make_design(series, lag)
+    X, y = make_design(series, params.lag)
     L = _log_densities(params, X, y)
-    # a row of -inf gives c = -inf and a NaN row of E; the loop rejects it
+    A = params.transition
+    pi = stationary_distribution(A)
+    # all -inf densities at a step give c = -inf and NaN masses from there on
     with np.errstate(invalid="ignore"):
-        c = L.max(axis=1)
-        E = np.exp(L - c[:, None]).tolist()
-    A = params.transition.tolist()
-
-    pred = stationary_distribution(params.transition).tolist()
-    predicted, weights, scales = [], [], []
-    for t, e in enumerate(E):
-        predicted.append(pred)
-        w = list(map(mul, pred, e))
-        s = sum(w)
-        if not s > 0:
-            raise NumericalError(f"vanishing likelihood at step {t}: check sigmas")
-        weights.append(w)
-        scales.append(s)
-        pred = [sum(map(mul, row, w)) / s for row in A]
-
-    scales = np.array(scales)
+        c = L.max(axis=0)
+        E = np.exp(L - c)
+    M = E[:, None, :] * A[:, :, None]
+    M[:, :, 0] = np.diag(E[:, 0] * pi)
+    P, lg = _scan(M)
+    W = P.sum(axis=1)
+    mass = W.sum(axis=0)
+    vanished = np.flatnonzero(~(mass > 0))
+    if vanished.size:
+        raise NumericalError(f"vanishing likelihood at step {vanished[0]}: check sigmas")
+    filtered = (W / mass).T
     return FilterResult(
-        filtered=np.array(weights) / scales[:, None],
-        predicted=np.array(predicted),
-        loglik=float(c.sum() + np.log(scales).sum()),
-        offset=lag,
+        filtered=filtered, predicted=np.vstack([pi, filtered[:-1] @ A.T]),
+        loglik=float(c.sum() + lg[-1] + np.log(mass[-1])), offset=params.lag,
     )
 
 
 def kim_smoother(params: MsParams, filt: FilterResult) -> np.ndarray:
     """Backward recursion: P(x_t | whole sample) from the filter output.
 
-    With g_t = filtered_t / predicted_t, the ratio r_t = smoothed_t /
-    predicted_t obeys r_t = g_t * (A^T r_{t+1}) from r_{T-1} = g_{T-1}.
-    That recursion runs on Python floats, for any number of regimes, and
-    is not renormalized per step; smoothed_t = filtered_t * (A^T r_{t+1})
-    then has its rows normalized once after the loop, which removes the
-    rounding drift of the scale. The last row is the last filtered row.
+    With g_t = filtered_t / predicted_t, r_t = smoothed_t / predicted_t
+    obeys r_t = g_t * (A^T r_{t+1}) from r_{T-1} = g_{T-1}, so A^T r_{t+1}
+    = A^T diag(g_{t+1}) ... A^T diag(g_{T-1}) 1 is a prefix product of one
+    ``_scan``. Normalizing the rows of filtered_t * (A^T r_{t+1}) drops its
+    scales; the last row is the last filtered row. Tests hold the result to
+    the per-step numpy recursion within rounding (1e-15).
     """
     filtered = filt.filtered
-    g = (filtered / filt.predicted).tolist()
-    AT = params.transition.T.tolist()
-
-    r = g[-1]
-    back = []  # A^T r_{t+1} for t = T-2 down to 0
-    for g_t in g[-2::-1]:
-        q = [sum(map(mul, col, r)) for col in AT]
-        back.append(q)
-        r = list(map(mul, g_t, q))
-
-    head = filtered[:-1] * np.reshape(back[::-1], (-1, filtered.shape[1]))
-    smoothed = filtered.copy()
-    smoothed[:-1] = head / head.sum(axis=1, keepdims=True)
-    return smoothed
+    g = (filtered / filt.predicted).T[:, :0:-1]  # g_{T-1}, ..., g_1
+    P, _ = _scan(params.transition.T[:, :, None] * g[None, :, :])
+    head = filtered[:-1] * P.sum(axis=1)[:, ::-1].T
+    return np.vstack([head / head.sum(axis=1, keepdims=True), filtered[-1:]])
 
 
 def posterior_probabilities(params: MsParams, series) -> RegimeProbabilities:

@@ -69,6 +69,16 @@ def test_parse_nonpositive_price():
         parse_csv(make_csv(rows))
 
 
+@pytest.mark.parametrize("cell, problem", [
+    ("nan", "non-finite"), ("inf", "non-finite"), ("0", "non-positive"), ("-1", "non-positive"),
+])
+def test_parse_bad_price_names_its_problem(cell, problem):
+    rows = synthetic_rows(1)
+    rows[0][2 + POA_T] = cell
+    with pytest.raises(ValidationError, match=f"line 2: {problem} price {cell} in column poa_t$"):
+        parse_csv(make_csv(rows))
+
+
 def test_parse_malformed_row_reports_line():
     text = make_csv(synthetic_rows(2))
     text = text.replace("\n", "\n", 1)

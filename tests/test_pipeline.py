@@ -463,6 +463,21 @@ def test_cli_bad_json_flag_is_usage_error(tmp_path, capsys, flag, value):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("stds, code", [("[0.03,-0.08,0.03]", 2), ("[0,0,0]", 0)])
+def test_cli_simulate_steps_std_sign(tmp_path, capsys, stds, code):
+    # a zero std gives a constant series; a negative one is a data error
+    out = tmp_path / "out"
+    assert main(["simulate", "--outdir", str(out), "--sim-kind", "steps",
+                 "--sim-T", "60", "--sim-tau", "[20,40]", "--sim-stds", stds]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert err == ["data error: sim_stds [0.03, -0.08, 0.03] must all be >= 0"]
+        assert not (out / "dataset.csv").exists()
+    else:
+        truth = json.loads((out / "dataset_truth.json").read_text())
+        assert truth["stds"] == [0, 0, 0]
+
+
 def test_cli_full_workflow(tmp_path, capsys, monkeypatch):
     out = tmp_path / "work"
     assert main(["simulate", "--outdir", str(out), "--sim-T", "140",

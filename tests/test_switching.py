@@ -198,6 +198,16 @@ def test_filter_vanishing_likelihood():
         hamilton_filter(linear_params(), series)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target, step", [(1, 0), (19, 18)])
+def test_filter_vanishing_likelihood_at_the_ends(target, step):
+    # usable steps 0..18; step 18 is the last
+    series = np.zeros(20)
+    series[target] = 1e200
+    with pytest.raises(NumericalError, match=f"vanishing likelihood at step {step}:"):
+        hamilton_filter(linear_params(), series)
+
+
 def test_filter_sigma_underflow():
     params = MsParams(
         transition=transition_from_pq(0.9, 0.8),
@@ -269,6 +279,33 @@ def test_recursions_match_numpy_reference_at_historical_scale(families):
     series, _ = simulate(params, T=2078, seed=1)
     filt = hamilton_filter(params, series)
     ref = numpy_filter(params, series)
+    assert filt.loglik == pytest.approx(ref.loglik, rel=1e-12, abs=0)
+    assert_allclose(filt.filtered, ref.filtered, rtol=0, atol=1e-15)
+    assert_allclose(filt.predicted, ref.predicted, rtol=0, atol=1e-15)
+    assert_allclose(
+        kim_smoother(params, filt), numpy_smoother(params, ref), rtol=0, atol=1e-15
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sharp", [False, True])
+@pytest.mark.parametrize("n_use", [1, 2, 3, 64, 65, 4156])
+@pytest.mark.parametrize("n_regimes", [2, 3])
+@pytest.mark.parametrize("lag", [1, 2, 3])
+def test_recursions_match_numpy_reference_at_scan_edges(lag, n_regimes, n_use, sharp):
+    # lengths just under and over a power of two, and the per_day length
+    rng = np.random.default_rng(100 * lag + n_regimes)
+    params = random_params(rng, lag=lag, n_regimes=n_regimes)
+    # sum |a_i| < 1 keeps every regime's autoregression stationary
+    params.means = tuple(
+        LinearMean(np.r_[m.coef[0], m.coef[1:] / lag]) for m in params.means
+    )
+    if sharp:  # sharply separated regimes: filtered rows near 0 and 1
+        params.sigmas = params.sigmas * 0.02
+    series, _ = simulate(params, T=n_use + lag, seed=n_use)
+    filt = hamilton_filter(params, series)
+    ref = numpy_filter(params, series)
+    assert filt.filtered.shape == (n_use, n_regimes)
     assert filt.loglik == pytest.approx(ref.loglik, rel=1e-12, abs=0)
     assert_allclose(filt.filtered, ref.filtered, rtol=0, atol=1e-15)
     assert_allclose(filt.predicted, ref.predicted, rtol=0, atol=1e-15)
