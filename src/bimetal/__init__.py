@@ -43,7 +43,6 @@ from .pipeline import (
     RunConfig,
     load_bundle,
     run_analyze,
-    run_ingest,
     run_report,
     run_simulate,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "posterior_probabilities",
     "quantization_error",
     "run_analyze",
-    "run_ingest",
     "run_report",
     "run_simulate",
     "simulate",

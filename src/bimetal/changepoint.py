@@ -188,10 +188,6 @@ class Segmentation:
     def n_change_points(self) -> int:
         return len(self.tau)
 
-    @property
-    def boundaries(self) -> tuple[int, ...]:
-        return (0,) + self.tau + (self.T,)
-
     def segment_of(self, t: int) -> int:
         return int(np.searchsorted(np.asarray(self.tau), t, side="right"))
 

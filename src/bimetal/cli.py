@@ -1,6 +1,7 @@
 """Command-line driver.
 
-Subcommands: ingest, analyze, report, simulate. Flags mirror RunConfig
+Subcommands: ingest, analyze, report, simulate; ingest is analyze with
+no stages, and writes the same files and manifest. Flags mirror RunConfig
 keys; a --config JSON file overrides the defaults and explicit flags
 override the file. When --outdir is absent the BIMETAL_OUTPUT_DIR
 environment variable is honored.
@@ -18,7 +19,7 @@ from dataclasses import fields
 
 from .data import HPL_KINDS, SPREAD_AGGREGATIONS
 from .errors import DataError, NumericalError
-from .pipeline import RunConfig, load_bundle, run_analyze, run_ingest, run_report, run_simulate
+from .pipeline import RunConfig, load_bundle, run_analyze, run_report, run_simulate
 
 OUTPUT_DIR_ENV = "BIMETAL_OUTPUT_DIR"
 
@@ -87,9 +88,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse, impute, and persist "
-                              "features and the spread series")
+                              "features and the spread series (analyze with "
+                              "no stages)")
     _add_common(p_ingest)
     _add_ingest_opts(p_ingest)
+    p_ingest.set_defaults(stages="")
 
     p_analyze = sub.add_parser("analyze", help="run SOM periodization, "
                                "switching-model fit, and change-point detection")
@@ -166,9 +169,9 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
 
         if args.command == "ingest":
-            summary = run_ingest(config)
-            print(f"{summary['n_weeks']} weeks ingested "
-                  f"({summary['n_imputed']} cells imputed) -> {config.outdir}")
+            manifest = run_analyze(config).manifest
+            print(f"{manifest['n_weeks']} weeks ingested "
+                  f"({manifest['ingest']['n_imputed']} cells imputed) -> {config.outdir}")
         elif args.command == "analyze":
             bundle = run_analyze(config)
             names = ", ".join(bundle.artifact_names)

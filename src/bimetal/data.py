@@ -40,6 +40,8 @@ VALUE_COLUMNS = tuple(
     f"{series}_{_DAY_SUFFIX[day]}" for series in SERIES for day in DAYS
 )
 HEADER = ("year", "week") + VALUE_COLUMNS
+#: Raw columns of a feature record: the quotations, then the derived hpl pair.
+RAW_COLUMNS = VALUE_COLUMNS + ("hpl_t", "hpl_f")
 
 SPREAD_AGGREGATIONS = ("mean", "tuesday", "friday", "per_day")
 
@@ -92,6 +94,14 @@ def write_csv(target, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _csv_rows(stream):
+    """``csv.reader(stream)``, with bytes that are not UTF-8 a ParseError."""
+    try:
+        yield from csv.reader(stream)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+
+
 def parse_dataset(source) -> QuotationTable:
     """Parse the delimited quotation table into a validated QuotationTable.
 
@@ -100,7 +110,7 @@ def parse_dataset(source) -> QuotationTable:
     value cells mean missing. Weeks must be unique and strictly increasing.
     """
     with _stream(source, "r") as stream:
-        reader = csv.reader(stream)
+        reader = _csv_rows(stream)
         try:
             header = next(reader)
         except StopIteration:
@@ -291,7 +301,7 @@ class FeatureSet(_WeekLabels):
 
     @property
     def raw_names(self) -> tuple[str, ...]:
-        return VALUE_COLUMNS + ("hpl_t", "hpl_f")
+        return RAW_COLUMNS
 
     @property
     def raw_matrix(self) -> np.ndarray:
@@ -325,7 +335,7 @@ def build_features(
     base = table.values
     if include_hpl:
         raw = np.hstack([base, hpl])
-        names = VALUE_COLUMNS + ("hpl_t", "hpl_f")
+        names = RAW_COLUMNS
     else:
         raw = base
         names = VALUE_COLUMNS
@@ -420,8 +430,7 @@ _FEATURE_COLUMNS = ("years", "weeks", "base", "hpl", "standardized")
 
 
 def _features_header(feature_names) -> list[str]:
-    return (["year", "week"] + list(VALUE_COLUMNS) + ["hpl_t", "hpl_f"]
-            + [f"std_{name}" for name in feature_names])
+    return ["year", "week", *RAW_COLUMNS] + [f"std_{name}" for name in feature_names]
 
 
 def write_features_csv(fs: FeatureSet, target) -> None:

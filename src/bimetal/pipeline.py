@@ -70,10 +70,6 @@ class RunConfig:
     som_rows: int = 5
     som_cols: int = 5
     som_epochs: int = 100
-    som_lr_start: float = 0.5
-    som_lr_end: float = 0.01
-    som_radius_start: float | None = None
-    som_radius_end: float = 0.5
     som_seed: int = 0
     n_classes: int = 6
 
@@ -91,8 +87,6 @@ class RunConfig:
     cpd_k_max: int | None = None
     cpd_threshold: float = 0.75
     cpd_penalty: float | None = None
-    cpd_min_seg_len_mean: int = 1
-    cpd_min_seg_len_meanvar: int = 2
 
     # synthetic data generation
     sim_kind: str = "regimes"  # "regimes" | "steps"
@@ -102,7 +96,6 @@ class RunConfig:
     sim_q: float = REFERENCE_TRANSITION[1]
     sim_coefs: tuple[tuple[float, ...], ...] = ((0.05, 0.6), (0.18, 0.3))
     sim_sigmas: tuple[float, ...] = (0.02, 0.08)
-    sim_burn_in: int = 200
     sim_tau: tuple[int, ...] = (166, 333)
     sim_levels: tuple[float, ...] = (0.1, 0.5, 0.2)
     sim_stds: tuple[float, ...] = (0.03, 0.08, 0.03)
@@ -177,53 +170,6 @@ def _input_path(config: RunConfig) -> Path:
     return path
 
 
-def _ingest(config: RunConfig, outdir: Path, manifest: dict):
-    """Parse and impute the input, write the features, the spread and the
-    imputation report, and record them in ``manifest``."""
-    table = dio.parse_dataset(str(_input_path(config)))
-    if not len(table):
-        raise DataError("no data rows")
-    table, report = dio.impute_missing(table, max_gap=config.max_gap)
-    features = dio.build_features(
-        table, include_hpl=config.include_hpl, hpl_kind=config.hpl_kind
-    )
-    spread = dio.compute_spread(table, aggregation=config.spread_aggregation)
-    manifest["n_weeks"] = len(table)
-    manifest["ingest"] = {
-        "imputation_report": "imputation_report.json",
-        "n_imputed": len(report),
-    }
-    dio.write_features(features, outdir / "features.csv", outdir / "features.json")
-    dio.write_spread_csv(spread, outdir / "spread.csv")
-    dio.write_json(dio.to_json(spread), outdir / "spread.json")
-    dio.write_json(
-        dio.imputation_report_to_dict(report), outdir / "imputation_report.json"
-    )
-    manifest["artifacts"].append(
-        _artifact("features", outdir / "features.csv", "features.json")
-    )
-    manifest["artifacts"].append(_artifact("spread", outdir / "spread.csv", "spread.json"))
-    return features, spread
-
-
-def run_ingest(config: RunConfig) -> dict:
-    """Parse, impute, and persist features + spread; returns a summary."""
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"artifacts": []}
-    _, spread = _ingest(config, outdir, manifest)
-    return {
-        "n_weeks": manifest["n_weeks"],
-        "n_imputed": manifest["ingest"]["n_imputed"],
-        "spread_length": len(spread),
-        "paths": {
-            "features": str(outdir / "features.csv"),
-            "spread": str(outdir / "spread.csv"),
-            "imputation_report": str(outdir / "imputation_report.json"),
-        },
-    }
-
-
 def _artifact(name: str, path: Path, extra: str | None = None) -> dict:
     entry = {"name": name, "path": path.name}
     if extra is not None:
@@ -232,7 +178,10 @@ def _artifact(name: str, path: Path, extra: str | None = None) -> dict:
 
 
 def run_analyze(config: RunConfig) -> AnalysisBundle:
-    """Run the enabled stages and persist every artifact plus a manifest.
+    """Ingest the input (parse, impute, and persist the features, the
+    spread and the imputation report), run the enabled stages, and persist
+    every artifact plus a manifest; with no stage enabled this is the whole
+    of ``bimetal ingest``.
 
     A stage failure still writes the manifest (status "failed", with the
     stage name) so partial artifacts remain inspectable, then re-raises.
@@ -242,7 +191,6 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     manifest: dict = {
         "config": config.to_dict(),
         "config_hash": None,  # set once the input is known to exist
-        "seeds": {"som": config.som_seed, "ms": config.ms_seed},
         "status": "ok",
         "failed_stage": None,
         "artifacts": [],
@@ -250,22 +198,39 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
     stage = "ingest"
     try:
-        manifest["config_hash"] = config.config_hash(_input_path(config).read_bytes())
-        features, spread = _ingest(config, outdir, manifest)
+        path = _input_path(config)
+        manifest["config_hash"] = config.config_hash(path.read_bytes())
+        table = dio.parse_dataset(str(path))
+        if not len(table):
+            raise DataError("no data rows")
+        table, report = dio.impute_missing(table, max_gap=config.max_gap)
+        features = dio.build_features(
+            table, include_hpl=config.include_hpl, hpl_kind=config.hpl_kind
+        )
+        spread = dio.compute_spread(table, aggregation=config.spread_aggregation)
+        manifest["n_weeks"] = len(table)
+        manifest["ingest"] = {
+            "imputation_report": "imputation_report.json",
+            "n_imputed": len(report),
+        }
+        dio.write_features(features, outdir / "features.csv", outdir / "features.json")
+        dio.write_spread_csv(spread, outdir / "spread.csv")
+        dio.write_json(dio.to_json(spread), outdir / "spread.json")
+        dio.write_json(
+            dio.imputation_report_to_dict(report), outdir / "imputation_report.json"
+        )
+        manifest["artifacts"].append(
+            _artifact("features", outdir / "features.csv", "features.json")
+        )
+        manifest["artifacts"].append(_artifact("spread", outdir / "spread.csv", "spread.json"))
         bundle.features, bundle.spread = features, spread
 
         if config.run_som:
             stage = "som"
-            schedule = sommod.SomSchedule(
-                epochs=config.som_epochs,
-                lr_start=config.som_lr_start,
-                lr_end=config.som_lr_end,
-                radius_start=config.som_radius_start,
-                radius_end=config.som_radius_end,
-            )
             grid = sommod.train_som(
                 features, rows=config.som_rows, cols=config.som_cols,
-                schedule=schedule, seed=config.som_seed,
+                schedule=sommod.SomSchedule(epochs=config.som_epochs),
+                seed=config.som_seed,
             )
             classification = sommod.periodize(
                 features, grid, sommod.hac_macro_classes(grid, k=config.n_classes)
@@ -297,15 +262,11 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
         if config.run_cpd:
             stage = "cpd"
             labels = spread.labels
-            for mode, min_len, name in (
-                (cpd.SegMode.MEAN, config.cpd_min_seg_len_mean, "segmentation_mean"),
-                (cpd.SegMode.MEAN_VAR, config.cpd_min_seg_len_meanvar,
-                 "segmentation_meanvar"),
-            ):
+            for mode in cpd.SegMode:
+                name = f"segmentation_{mode.value}"
                 seg = cpd.detect(
                     spread.values, mode, K_max=config.cpd_k_max,
                     threshold=config.cpd_threshold, penalty=config.cpd_penalty,
-                    min_seg_len=min_len,
                 )
                 dio.write_json(seg.to_dict(labels=labels), outdir / f"{name}.json")
                 manifest["artifacts"].append(_artifact(name, outdir / f"{name}.json"))
@@ -500,8 +461,7 @@ def run_simulate(config: RunConfig) -> dict:
             sigmas=np.array(config.sim_sigmas),
         )
         y, states = msmod.simulate(
-            params, T=config.sim_T, seed=config.sim_seed,
-            burn_in=config.sim_burn_in,
+            params, T=config.sim_T, seed=config.sim_seed, burn_in=200
         )
         shift = float(max(0.0, -(y.min()) + 0.01)) if y.min() < 0.01 else 0.0
         y = y + shift

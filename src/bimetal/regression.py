@@ -53,10 +53,6 @@ class LinearMean:
     def lag(self) -> int:
         return self.coef.shape[0] - 1
 
-    @property
-    def n_params(self) -> int:
-        return self.coef.shape[0]
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.coef[0] + X @ self.coef[1:]
@@ -100,10 +96,6 @@ class MlpMean:
     @property
     def lag(self) -> int:
         return self.w1.shape[1]
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
 
     @property
     def n_params(self) -> int:

@@ -94,6 +94,8 @@ def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
     if rows < 1 or cols < 1:
         raise ValidationError("grid must have at least one node")
     schedule = schedule or SomSchedule()
+    if schedule.epochs < 0:
+        raise ValidationError(f"epochs={schedule.epochs} must be >= 0")
     rng = np.random.default_rng(seed)
     idx = rng.choice(n, size=rows * cols, replace=n < rows * cols)
     grid = SomGrid(

@@ -14,6 +14,7 @@ from bimetal.data import (
     SpreadSeries,
     from_json,
     impute_missing,
+    parse_dataset,
     read_features,
     to_json,
     write_dataset,
@@ -98,6 +99,13 @@ def test_parse_bad_price_cell_reports_line_and_column():
 def test_parse_bad_header():
     with pytest.raises(ParseError, match="unexpected header"):
         parse_csv(make_csv([], header=["year", "week", "nope"]))
+
+
+def test_parse_non_utf8_bytes(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xff\xfe" + make_csv(synthetic_rows(2)).encode())
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        parse_dataset(path)
 
 
 def test_parse_week_out_of_calendar_range():

@@ -16,7 +16,6 @@ from bimetal.pipeline import (
     RunConfig,
     load_bundle,
     run_analyze,
-    run_ingest,
     run_report,
     run_simulate,
 )
@@ -79,8 +78,10 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     assert RunConfig.from_file(path) == cfg
-    with pytest.raises(ValidationError, match="unknown config keys"):
-        RunConfig.from_dict({"som_seeed": 1})
+    # a misspelt key, and a key the config no longer has
+    for key in ("som_seeed", "som_lr_start"):
+        with pytest.raises(ValidationError, match="unknown config keys"):
+            RunConfig.from_dict({key: 1})
 
 
 def test_config_hash_sensitivity():
@@ -100,7 +101,7 @@ def test_config_merged_precedence():
 def test_config_values_are_type_checked():
     # JSON-friendly: an int for a float, a list for a tuple, None for X | None
     cfg = RunConfig.from_dict({"cpd_penalty": 5, "ms_tol": 1, "sim_tau": [10, 20],
-                               "cpd_k_max": None, "som_radius_start": 2})
+                               "cpd_k_max": None})
     assert (cfg.cpd_penalty, cfg.sim_tau, cfg.cpd_k_max) == (5, (10, 20), None)
     # nested lists become nested tuples; numbers stay as given
     cfg = RunConfig.from_dict({"sim_coefs": [[1, 0.5], [0.2, 0.3]], "sim_stds": [1, 2, 3]})
@@ -134,10 +135,12 @@ def test_simulate_regimes_dataset(tmp_path):
     assert truth["kind"] == "regimes"
     assert len(truth["true_states"]) == 150
     # the dataset round-trips through ingestion with the intended spread
-    ingest = run_ingest(fast_config(input=summary["dataset"],
-                                    outdir=str(tmp_path / "ing")))
-    assert ingest["n_weeks"] == 150
-    assert ingest["n_imputed"] == 0
+    manifest = run_analyze(fast_config(
+        input=summary["dataset"], outdir=str(tmp_path / "ing"),
+        run_som=False, run_ms=False, run_cpd=False,
+    )).manifest
+    assert manifest["n_weeks"] == 150
+    assert manifest["ingest"]["n_imputed"] == 0
 
 
 def test_simulate_steps_sidecar_matches_seams(tmp_path):
@@ -424,7 +427,46 @@ def test_cli_ingest_ok(tmp_path, capsys):
     data.write_text(make_csv(synthetic_rows(10, seed=1)))
     code = main(["ingest", "--input", str(data), "--outdir", str(tmp_path / "out")])
     assert code == 0
-    assert "10 weeks ingested" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        f"10 weeks ingested (0 cells imputed) -> {tmp_path / 'out'}\n"
+    )
+
+
+def test_cli_ingest_is_analyze_with_no_stages(tmp_path):
+    """Both commands write the same files, manifest included, byte for byte."""
+    data = tmp_path / "data.csv"
+    data.write_text(make_csv(synthetic_rows(10, seed=1)))
+    out = tmp_path / "out"
+    argv = ["--input", str(data), "--outdir", str(out)]
+
+    def snapshot():
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    assert main(["ingest"] + argv) == 0
+    ingested = snapshot()
+    assert "manifest.json" in ingested
+    assert main(["analyze", "--stages", ""] + argv) == 0
+    assert snapshot() == ingested
+
+
+def test_cli_non_utf8_input_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"\xff\xfe" + make_csv(synthetic_rows(3, seed=1)).encode())
+    for command in ("ingest", "analyze"):
+        code = main([command, "--input", str(data), "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("data error:") and "not UTF-8 text" in err[0]
+        assert len(err) == 1  # no traceback
+
+
+def test_cli_negative_som_epochs_is_data_error(sim_dataset, tmp_path, capsys):
+    code = main(["analyze", "--input", str(sim_dataset), "--stages", "som",
+                 "--som-epochs", "-1", "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data error: epochs=-1 must be >= 0"]
+    assert not (tmp_path / "out" / "som_grid.json").exists()
 
 
 def test_cli_ingest_duplicate_week(tmp_path, capsys):
