@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import cut_tree, linkage
 
 from .data import FeatureSet
 from .errors import ValidationError
@@ -212,8 +211,13 @@ def hac_macro_classes(grid: SomGrid, k: int = 6) -> MacroClassification:
     """Ward agglomeration of the code vectors, cut at k clusters.
 
     The cut applies the first (n_nodes - k) merges, so moving from k to k-1
-    classes can only merge groups, never split them.
+    classes can only merge groups, never split them. scipy is loaded on the
+    first call, not when the package is imported.
     """
+    # Imported here: scipy.cluster costs about 0.4 s and 35 MB at startup,
+    # which every run without the SOM stage would pay for nothing.
+    from scipy.cluster.hierarchy import cut_tree, linkage
+
     n = grid.n_nodes
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} out of range 1..{n}")

@@ -550,6 +550,8 @@ def em_fit(
         raise ValidationError("series contains non-finite values")
     if max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
+    if not tol >= 0:  # also rejects NaN; 0 runs every restart to max_iter
+        raise ValidationError(f"tol must be >= 0, got {tol}")
     n_use = series.shape[0]
     if n_use < 10 * spec.n_params:
         warnings.warn(

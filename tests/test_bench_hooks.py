@@ -54,21 +54,23 @@ def test_traced_run_fires_every_span_and_uninstall_restores(tmp_path):
     assert len(tracer.restarts) == config.ms_restarts
 
 
-def test_em_fit_leaves_scipy_optimize_unimported():
-    """The benchmark bounds peak memory and import time; scipy.optimize alone
-    would add about 10 MB of peak memory and 150 modules to every run."""
+def test_ms_and_cpd_run_leaves_scipy_unimported(tmp_path):
+    """The benchmark bounds peak memory and import time. Only the SOM
+    stage's Ward linkage needs scipy, which costs about 0.4 s and 35 MB to
+    import, so it is imported on first use. A run without that stage, the
+    perceptron M-step included, must load no ``scipy`` module."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
-        "import numpy as np\n"
-        "import bimetal\n"
-        "from bimetal.switching import MsSpec, em_fit\n"
-        "y = 1.0 + 0.1 * np.random.default_rng(0).standard_normal(200)\n"
-        "spec = MsSpec(n_regimes=2, lag=1, families=('mlp', 'linear'), hidden_units=2)\n"
-        "em_fit(spec, y, n_restarts=2, max_iter=3)\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "from bimetal import RunConfig, run_analyze, run_simulate\n"
+        f"sim = run_simulate(RunConfig(outdir={str(tmp_path / 'sim')!r}, sim_T=150))\n"
+        "run_analyze(RunConfig(\n"
+        f"    input=sim['dataset'], outdir={str(tmp_path / 'out')!r}, run_som=False,\n"
+        "    ms_families=('mlp', 'linear'), ms_hidden=2, ms_restarts=2, ms_max_iter=3))\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, f'scipy modules were imported: {loaded[:5]}'\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)

@@ -469,6 +469,17 @@ def test_cli_negative_som_epochs_is_data_error(sim_dataset, tmp_path, capsys):
     assert not (tmp_path / "out" / "som_grid.json").exists()
 
 
+def test_cli_negative_or_nan_ms_tol_is_data_error(sim_dataset, tmp_path, capsys):
+    for tol, shown in (("-1", "-1.0"), ("nan", "nan")):
+        out = tmp_path / f"out_{tol}"
+        code = main(["analyze", "--input", str(sim_dataset), "--stages", "ms",
+                     "--ms-tol", tol, "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"data error: tol must be >= 0, got {shown}"]
+        assert not (out / "ms_model.json").exists()
+
+
 def test_cli_ingest_duplicate_week(tmp_path, capsys):
     rows = synthetic_rows(3, seed=2)
     rows[2][0], rows[2][1] = rows[1][0], rows[1][1]

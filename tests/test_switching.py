@@ -399,6 +399,9 @@ def test_em_rejects_zero_restarts_and_negative_max_iter():
         em_fit(spec, series, n_restarts=0)
     with pytest.raises(ValidationError, match="max_iter"):
         em_fit(spec, series, n_restarts=1, max_iter=-1)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValidationError, match="tol"):
+            em_fit(spec, series, n_restarts=1, tol=tol)
 
 
 def test_em_canonical_regime_order():
