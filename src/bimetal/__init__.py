@@ -50,7 +50,6 @@ from .regression import LinearMean, MlpMean, make_design
 from .som import (
     MacroClassification,
     SomGrid,
-    SomSchedule,
     bmu_indices,
     hac_macro_classes,
     periodize,
@@ -97,7 +96,6 @@ __all__ = [
     "SegMode",
     "Segmentation",
     "SomGrid",
-    "SomSchedule",
     "SpreadSeries",
     "ValidationError",
     "__version__",

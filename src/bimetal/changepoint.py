@@ -325,6 +325,9 @@ def detect(
     for every K up to K_max, adaptive (or penalized) selection of K, and the
     backtracked change-points of the chosen K. ``selection`` holds the
     contrast curve and the decision trail."""
+    for name, value in (("threshold", threshold), ("penalty", penalty)):
+        if value is not None and not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     series, table, K_max, G = _sweep(series, mode, K_max, min_seg_len, "K_max")
     selection = _select(G[1 : K_max + 1, 0], threshold, penalty)
     seg = _segmentation(series, table, G, selection.chosen_K)

@@ -229,8 +229,7 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
             stage = "som"
             grid = sommod.train_som(
                 features, rows=config.som_rows, cols=config.som_cols,
-                schedule=sommod.SomSchedule(epochs=config.som_epochs),
-                seed=config.som_seed,
+                epochs=config.som_epochs, seed=config.som_seed,
             )
             classification = sommod.periodize(
                 features, grid, sommod.hac_macro_classes(grid, k=config.n_classes)

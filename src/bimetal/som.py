@@ -17,20 +17,12 @@ from .data import FeatureSet
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class SomSchedule:
-    """Linear decay schedule for the online Kohonen updates.
-
-    Learning rate and neighborhood radius both decay linearly over the
-    total number of update steps (epochs * n_observations). A radius_start
-    of None means max(rows, cols) / 2.
-    """
-
-    epochs: int = 100
-    lr_start: float = 0.5
-    lr_end: float = 0.01
-    radius_start: float | None = None
-    radius_end: float = 0.5
+# The online schedule: the learning rate and the neighborhood radius decay
+# linearly over the epochs * n_observations update steps, the radius from
+# max(rows, cols) / 2.
+_LR_START = 0.5
+_LR_END = 0.01
+_RADIUS_END = 0.5
 
 
 @dataclass
@@ -46,7 +38,6 @@ class SomGrid:
     code_vectors: np.ndarray  # (rows*cols, dim)
     trained_epochs: int
     seed: int
-    schedule: SomSchedule
 
     @property
     def n_nodes(self) -> int:
@@ -70,15 +61,16 @@ def _as_matrix(features) -> np.ndarray:
     return X
 
 
-def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
+def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
     """Train by the online Kohonen rule; deterministic given the seed.
 
     The code vectors start as a seeded random sample of the observations
     (with ``epochs=0`` that sample is the result). Each step pulls the
     best-matching node and its (Gaussian-weighted) grid neighborhood toward
-    the presented observation, with learning rate and radius decaying per
-    the schedule. Observation order is reshuffled every epoch from the same
-    seeded generator used for initialization.
+    the presented observation. Over the ``epochs * n`` steps the learning
+    rate decays linearly from 0.5 to 0.01 and the radius from
+    max(rows, cols) / 2 to 0.5. Observation order is reshuffled every epoch
+    from the same seeded generator used for initialization.
 
     The schedule is evaluated once per epoch, as vectors of that epoch's
     learning rates and Gaussian denominators, and each step runs on
@@ -92,18 +84,16 @@ def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
         raise ValidationError("empty input: cannot initialize a SOM")
     if rows < 1 or cols < 1:
         raise ValidationError("grid must have at least one node")
-    schedule = schedule or SomSchedule()
-    if schedule.epochs < 0:
-        raise ValidationError(f"epochs={schedule.epochs} must be >= 0")
+    if epochs < 0:
+        raise ValidationError(f"epochs={epochs} must be >= 0")
     rng = np.random.default_rng(seed)
     idx = rng.choice(n, size=rows * cols, replace=n < rows * cols)
     grid = SomGrid(
         rows=rows,
         cols=cols,
         code_vectors=X[idx].copy(),
-        trained_epochs=schedule.epochs,
+        trained_epochs=epochs,
         seed=seed,
-        schedule=schedule,
     )
     code = grid.code_vectors
 
@@ -111,11 +101,8 @@ def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
     # Pairwise squared grid distances between nodes, reused every step.
     grid_d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
 
-    r_start = schedule.radius_start
-    if r_start is None:
-        r_start = max(rows, cols) / 2.0
-
-    total = max(schedule.epochs * n - 1, 1)
+    r_start = max(rows, cols) / 2.0
+    total = max(epochs * n - 1, 1)
     neg_d2 = -grid_d2
     diff = np.empty_like(code)  # code - x, then the update
     sq = np.empty_like(code)
@@ -128,14 +115,14 @@ def train_som(features, rows=5, cols=5, schedule=None, seed=0) -> SomGrid:
     subtract, multiply, divide, exp, add_reduce = (
         np.subtract, np.multiply, np.divide, np.exp, np.add.reduce
     )
-    for epoch in range(schedule.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
         # step / total and the schedule for this epoch's steps, with the
         # float expressions of a single step; one epoch at a time keeps the
         # memory at O(n), not O(epochs * n).
         frac = np.arange(epoch * n, (epoch + 1) * n) / total
-        lrs = schedule.lr_start + (schedule.lr_end - schedule.lr_start) * frac
-        radius = r_start + (schedule.radius_end - r_start) * frac
+        lrs = _LR_START + (_LR_END - _LR_START) * frac
+        radius = r_start + (_RADIUS_END - r_start) * frac
         denoms = 2.0 * radius * radius
         for x, lr, denom in zip(X[order], lrs.tolist(), denoms.tolist()):
             subtract(code, x, diff)

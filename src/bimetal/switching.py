@@ -552,7 +552,13 @@ def em_fit(
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     if not tol >= 0:  # also rejects NaN; 0 runs every restart to max_iter
         raise ValidationError(f"tol must be >= 0, got {tol}")
+    if tol == np.inf:  # every first step would count as converged
+        raise ValidationError(f"tol must be finite, got {tol}")
     n_use = series.shape[0]
+    if n_use <= spec.lag:
+        raise ValidationError(
+            f"series of length {n_use} has no usable steps at lag {spec.lag}"
+        )
     if n_use < 10 * spec.n_params:
         warnings.warn(
             f"series length {n_use} is short for {spec.n_params} parameters "

@@ -198,9 +198,11 @@ def dense_dp(series, mode, K_max, min_seg_len):
     return G[1:, 0], taus
 
 
-def seed_train_som(X, rows, cols, schedule, seed):
+def seed_train_som(X, rows, cols, epochs, seed):
     """Reference online Kohonen training: the per-step loop that the
-    per-epoch ``som.train_som`` schedule replaced; returns the code vectors."""
+    per-epoch ``som.train_som`` schedule replaced; returns the code vectors.
+    The schedule's numbers are written here, not read from ``som``, so a
+    changed constant there shows as a mismatch."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -213,18 +215,16 @@ def seed_train_som(X, rows, cols, schedule, seed):
     pos = np.column_stack([r, c]).astype(float)
     grid_d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
 
-    r_start = schedule.radius_start
-    if r_start is None:
-        r_start = max(rows, cols) / 2.0
-
-    total = max(schedule.epochs * n - 1, 1)
+    lr_start, lr_end = 0.5, 0.01
+    r_start, r_end = max(rows, cols) / 2.0, 0.5
+    total = max(epochs * n - 1, 1)
     step = 0
-    for _ in range(schedule.epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
         for i in order:
             frac = step / total
-            lr = schedule.lr_start + (schedule.lr_end - schedule.lr_start) * frac
-            radius = r_start + (schedule.radius_end - r_start) * frac
+            lr = lr_start + (lr_end - lr_start) * frac
+            radius = r_start + (r_end - r_start) * frac
             x = X[i]
             bmu = int(((code - x) ** 2).sum(axis=1).argmin())
             h = np.exp(-grid_d2[bmu] / (2.0 * radius * radius))

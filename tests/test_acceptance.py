@@ -17,7 +17,7 @@ from bimetal.data import compute_spread, impute_missing, parse_dataset
 from bimetal.errors import DegenerateModelError
 from bimetal.pipeline import RunConfig, run_analyze, run_simulate
 from bimetal.regression import LinearMean, MlpMean
-from bimetal.som import SomSchedule, hac_macro_classes, periodize, train_som
+from bimetal.som import hac_macro_classes, periodize, train_som
 from bimetal.switching import (
     MsParams,
     MsSpec,
@@ -210,7 +210,7 @@ def test_criterion_7_som_recovers_separated_blobs():
             X.append(centers[i] + rng.standard_normal((40, 14)))
             truth.extend([i] * 40)
         X, truth = np.vstack(X), np.array(truth)
-        grid = train_som(X, 5, 5, schedule=SomSchedule(epochs=100), seed=seed)
+        grid = train_som(X, 5, 5, epochs=100, seed=seed)
         mc = periodize(X, grid, hac_macro_classes(grid, k=6))
         wins += partitions_equal(mc.week_to_class, truth)
     report(

@@ -373,6 +373,14 @@ def test_detect_rejects_nonfinite():
         detect(np.array([1.0, np.inf, 2.0]), "mean")
 
 
+@pytest.mark.parametrize("option", ["threshold", "penalty"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_detect_rejects_nonfinite_threshold_or_penalty(option, value):
+    series = stitched(5, [30, 30], [0.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValidationError, match=f"{option} must be finite, got {value}"):
+        detect(series, "mean", K_max=4, **{option: value})
+
+
 def test_auto_k_max_bounds():
     assert auto_k_max(2078, 1) == 20
     assert auto_k_max(40, 2) == 4

@@ -286,6 +286,27 @@ def test_load_bundle_roundtrip(analyzed):
         assert buf.getvalue() == (outdir / files[name]).read_text(), files[name]
 
 
+def test_load_bundle_reads_a_grid_with_the_old_schedule_record(analyzed, tmp_path):
+    """A som_grid.json written when the grid still stored its decay schedule
+    loads; the extra key is ignored."""
+    config, bundle = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    path = run / "som_grid.json"
+    new_text = path.read_text()
+    record = json.loads(new_text)
+    assert "schedule" not in record
+    record["schedule"] = {"epochs": record["trained_epochs"], "lr_start": 0.5,
+                          "lr_end": 0.01, "radius_start": None, "radius_end": 0.5}
+    path.write_text(json.dumps(record))
+    grid = load_bundle(run).grid
+    assert np.array_equal(grid.code_vectors, bundle.grid.code_vectors)
+    assert (grid.rows, grid.cols, grid.trained_epochs, grid.seed) == (3, 3, 10, config.som_seed)
+    buf = io.StringIO()
+    write_json(to_json(grid), buf)
+    assert buf.getvalue() == new_text
+
+
 @pytest.mark.parametrize("hpl", [{}, {"include_hpl": False, "hpl_kind": "ratio"}])
 def test_load_bundle_reloads_features_exactly(sim_dataset, tmp_path, hpl):
     config = fast_config(input=str(sim_dataset), outdir=str(tmp_path), run_som=False,
@@ -478,6 +499,31 @@ def test_cli_negative_or_nan_ms_tol_is_data_error(sim_dataset, tmp_path, capsys)
         err = capsys.readouterr().err.splitlines()
         assert err == [f"data error: tol must be >= 0, got {shown}"]
         assert not (out / "ms_model.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--stages", "cpd", "--cpd-penalty", "nan"], "penalty must be finite, got nan"),
+    (["--stages", "cpd", "--cpd-threshold", "nan"], "threshold must be finite, got nan"),
+    (["--stages", "ms", "--ms-tol", "inf"], "tol must be finite, got inf"),
+], ids=["cpd-penalty-nan", "cpd-threshold-nan", "ms-tol-inf"])
+def test_cli_nonfinite_option_is_data_error(sim_dataset, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = main(["analyze", "--input", str(sim_dataset), "--outdir", str(out)] + argv)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert not list(out.glob("segmentation_*.json")) and not (out / "ms_model.json").exists()
+
+
+def test_cli_series_no_longer_than_the_lag_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text(make_csv(synthetic_rows(3, seed=1)))
+    out = tmp_path / "out"
+    code = main(["analyze", "--input", str(data), "--stages", "ms", "--ms-lag", "5",
+                 "--outdir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data error: series of length 3 has no usable steps at lag 5"]
+    assert not (out / "ms_model.json").exists()
 
 
 def test_cli_ingest_duplicate_week(tmp_path, capsys):

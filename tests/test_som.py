@@ -10,7 +10,6 @@ from bimetal.errors import ValidationError
 from bimetal.som import (
     MacroClassification,
     SomGrid,
-    SomSchedule,
     bmu_indices,
     hac_macro_classes,
     periodize,
@@ -27,7 +26,6 @@ def grid_from(code, rows=None, cols=None):
         rows, cols = 1, n
     return SomGrid(
         rows=rows, cols=cols, code_vectors=code, trained_epochs=0, seed=0,
-        schedule=SomSchedule(),
     )
 
 
@@ -59,15 +57,14 @@ def partitions_equal(a, b):
 def test_identical_data_fixed_point():
     v = np.array([1.5, -2.0, 0.25])
     X = np.tile(v, (40, 1))
-    grid = train_som(X, rows=3, cols=3, schedule=SomSchedule(epochs=5), seed=1)
+    grid = train_som(X, rows=3, cols=3, epochs=5, seed=1)
     assert_allclose(grid.code_vectors, np.tile(v, (9, 1)), atol=1e-6)
 
 
 def test_single_node_converges_to_mean():
     rng = np.random.default_rng(7)
     X = 2.0 + rng.standard_normal((200, 2))
-    sched = SomSchedule(epochs=150, lr_start=0.05, lr_end=0.001, radius_start=0.5)
-    grid = train_som(X, rows=1, cols=1, schedule=sched, seed=3)
+    grid = train_som(X, rows=1, cols=1, epochs=150, seed=3)
     # independent oracle: the batch mean
     assert_allclose(grid.code_vectors[0], X.mean(axis=0), atol=0.1)
 
@@ -75,28 +72,28 @@ def test_single_node_converges_to_mean():
 def test_training_deterministic():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((60, 4))
-    sched = SomSchedule(epochs=10)
-    a = train_som(X, 4, 4, schedule=sched, seed=11)
-    b = train_som(X, 4, 4, schedule=sched, seed=11)
+    a = train_som(X, 4, 4, epochs=10, seed=11)
+    b = train_som(X, 4, 4, epochs=10, seed=11)
     assert_array_equal(a.code_vectors, b.code_vectors)
-    c = train_som(X, 4, 4, schedule=sched, seed=12)
+    c = train_som(X, 4, 4, epochs=10, seed=12)
     assert not np.array_equal(a.code_vectors, c.code_vectors)
 
 
+# Each schedule is the keywords that set it; the decay itself is fixed.
 @pytest.mark.parametrize("n, dim, rows, cols, schedule", [
-    (60, 4, 5, 5, SomSchedule()),  # the default schedule, 6000 updates
-    (40, 3, 3, 4, SomSchedule(epochs=12, radius_start=1.3)),
-    (30, 3, 3, 3, SomSchedule(epochs=0)),  # the initial sample
-    (30, 3, 3, 3, SomSchedule(epochs=1)),  # one epoch: frac runs 0..1
-    (7, 2, 4, 4, SomSchedule(epochs=6)),  # fewer rows than nodes
-    (50, 2, 1, 1, SomSchedule(epochs=5)),
-    (50, None, 3, 2, SomSchedule(epochs=5)),  # 1-d features
+    (60, 4, 5, 5, dict(epochs=100)),  # the default epochs, 6000 updates
+    (40, 3, 3, 4, dict(epochs=12)),  # a non-square grid
+    (30, 3, 3, 3, dict(epochs=0)),  # the initial sample
+    (30, 3, 3, 3, dict(epochs=1)),  # one epoch: frac runs 0..1
+    (7, 2, 4, 4, dict(epochs=6)),  # fewer rows than nodes
+    (50, 2, 1, 1, dict(epochs=5)),
+    (50, None, 3, 2, dict(epochs=5)),  # 1-d features
 ])
 def test_training_is_bitwise_the_per_step_loop(n, dim, rows, cols, schedule):
     rng = np.random.default_rng(n)
     X = rng.standard_normal(n if dim is None else (n, dim))
-    grid = train_som(X, rows, cols, schedule=schedule, seed=5)
-    assert np.array_equal(grid.code_vectors, seed_train_som(X, rows, cols, schedule, 5))
+    grid = train_som(X, rows, cols, seed=5, **schedule)
+    assert np.array_equal(grid.code_vectors, seed_train_som(X, rows, cols, seed=5, **schedule))
 
 
 def test_empty_input_errors():
@@ -106,7 +103,7 @@ def test_empty_input_errors():
 
 def test_train_accepts_featureset(small_table):
     fs = build_features(small_table)
-    grid = train_som(fs, rows=2, cols=2, schedule=SomSchedule(epochs=3), seed=0)
+    grid = train_som(fs, rows=2, cols=2, epochs=3, seed=0)
     assert grid.code_vectors.shape == (4, 14)
     assert grid.trained_epochs == 3
 
@@ -183,11 +180,11 @@ def test_training_reduces_quantization_error():
     X, _ = blobs(np.array([[0, 0, 0], [8.0, 8.0, 8.0]]), 50, 1.0, seed=2)
     before, after = [], []
     for seed in range(10):
-        start = train_som(X, 3, 3, schedule=SomSchedule(epochs=0), seed=seed)
+        start = train_som(X, 3, 3, epochs=0, seed=seed)
         before.append(quantization_error(start, X))
         after.append(
             quantization_error(
-                train_som(X, 3, 3, schedule=SomSchedule(epochs=30), seed=seed), X
+                train_som(X, 3, 3, epochs=30, seed=seed), X
             )
         )
     assert np.mean(after) <= np.mean(before)
@@ -268,7 +265,7 @@ def test_cut_nesting_merges_only():
 def test_blob_partition_recovery_quick():
     centers = 12.0 * np.eye(3)
     X, truth = blobs(centers, 30, 1.0, seed=4)
-    grid = train_som(X, 3, 3, schedule=SomSchedule(epochs=40), seed=4)
+    grid = train_som(X, 3, 3, epochs=40, seed=4)
     mc = periodize(X, grid, hac_macro_classes(grid, k=3))
     assert partitions_equal(mc.week_to_class, truth)
 
@@ -279,7 +276,7 @@ def test_blob_partition_recovery_quick():
 
 def test_periodize_single_interval(small_table):
     fs = build_features(small_table)
-    grid = train_som(fs, 2, 2, schedule=SomSchedule(epochs=5), seed=0)
+    grid = train_som(fs, 2, 2, epochs=5, seed=0)
     mc = MacroClassification(
         k=1,
         node_to_class=np.ones(4, dtype=int),
@@ -303,7 +300,7 @@ def test_periodize_singleton_class_means():
 
 def test_periodize_intervals_partition(small_table):
     fs = build_features(small_table)
-    grid = train_som(fs, 3, 3, schedule=SomSchedule(epochs=5), seed=1)
+    grid = train_som(fs, 3, 3, epochs=5, seed=1)
     full = periodize(fs, grid, hac_macro_classes(grid, k=4))
     covered = []
     prev_end = -1
@@ -321,17 +318,16 @@ def test_periodize_intervals_partition(small_table):
 
 def test_grid_serialization_roundtrip():
     rng = np.random.default_rng(3)
-    grid = train_som(rng.standard_normal((30, 4)), 2, 3,
-                     schedule=SomSchedule(epochs=4), seed=9)
+    grid = train_som(rng.standard_normal((30, 4)), 2, 3, epochs=4, seed=9)
     again = from_json(SomGrid, to_json(grid))
     assert_array_equal(again.code_vectors, grid.code_vectors)
-    assert again.schedule == grid.schedule
+    assert again.trained_epochs == 4
     assert again.seed == 9
 
 
 def test_classification_serialization_roundtrip(small_table):
     fs = build_features(small_table)
-    grid = train_som(fs, 2, 2, schedule=SomSchedule(epochs=4), seed=2)
+    grid = train_som(fs, 2, 2, epochs=4, seed=2)
     full = periodize(fs, grid, hac_macro_classes(grid, k=2))
     again = from_json(MacroClassification, to_json(full))
     assert_array_equal(again.week_to_class, full.week_to_class)

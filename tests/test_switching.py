@@ -399,9 +399,16 @@ def test_em_rejects_zero_restarts_and_negative_max_iter():
         em_fit(spec, series, n_restarts=0)
     with pytest.raises(ValidationError, match="max_iter"):
         em_fit(spec, series, n_restarts=1, max_iter=-1)
-    for tol in (-1.0, float("nan")):
+    for tol in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="tol"):
             em_fit(spec, series, n_restarts=1, tol=tol)
+
+
+@pytest.mark.parametrize("n_use", [0, 3, 5])
+def test_em_series_no_longer_than_the_lag_is_validation_error(n_use):
+    series = np.linspace(1.0, 2.0, n_use)
+    with pytest.raises(ValidationError, match=f"length {n_use} has no usable steps at lag 5"):
+        em_fit(MsSpec(lag=5, families=("linear", "linear")), series, n_restarts=1)
 
 
 def test_em_canonical_regime_order():
