@@ -328,6 +328,8 @@ def detect(
     for name, value in (("threshold", threshold), ("penalty", penalty)):
         if value is not None and not np.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
+    if penalty is not None and penalty < 0:  # J_K + beta*K would always pick K_max
+        raise ValidationError(f"penalty must be >= 0, got {penalty}")
     series, table, K_max, G = _sweep(series, mode, K_max, min_seg_len, "K_max")
     selection = _select(G[1 : K_max + 1, 0], threshold, penalty)
     seg = _segmentation(series, table, G, selection.chosen_K)

@@ -71,7 +71,8 @@ def _add_analyze_opts(parser):
     parser.add_argument("--ms-lag", type=int, dest="ms_lag")
     parser.add_argument("--ms-families", dest="ms_families",
                         type=lambda text: tuple(text.split(",")),
-                        help="comma list per regime, e.g. mlp,linear")
+                        help="comma list, one mean family per regime (the count is the "
+                             "number of regimes), e.g. mlp,linear")
     parser.add_argument("--ms-hidden", type=int, dest="ms_hidden")
     parser.add_argument("--ms-tol", type=float, dest="ms_tol")
     parser.add_argument("--ms-max-iter", type=int, dest="ms_max_iter")

@@ -74,7 +74,6 @@ class RunConfig:
     n_classes: int = 6
 
     # switching model
-    ms_regimes: int = 2
     ms_lag: int = 1
     ms_families: tuple[str, ...] = ("mlp", "linear")
     ms_hidden: int = 3
@@ -245,9 +244,8 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
         if config.run_ms:
             stage = "ms"
             spec = msmod.MsSpec(
-                n_regimes=config.ms_regimes,
                 lag=config.ms_lag,
-                families=tuple(config.ms_families),
+                families=config.ms_families,
                 hidden_units=config.ms_hidden,
             )
             em = msmod.em_fit(

@@ -39,31 +39,28 @@ _MIN_WEIGHT = 1.0
 
 @dataclass(frozen=True)
 class MsSpec:
-    """Model shape: number of regimes, lag order, mean family per regime."""
+    """Model shape: lag order and one mean family per regime, so the number
+    of regimes is ``len(families)``."""
 
-    n_regimes: int = 2
     lag: int = 1
     families: tuple[str, ...] = ("mlp", "linear")
     hidden_units: int = 3
 
     def __post_init__(self):
+        object.__setattr__(self, "families", tuple(self.families))
         if self.n_regimes < 2:
             raise ValidationError("need at least two regimes")
         if self.lag < 1:
             raise ValidationError("lag must be >= 1")
         if self.hidden_units < 1:
             raise ValidationError("hidden_units must be >= 1")
-        families = self.families
-        if isinstance(families, str):
-            families = (families,) * self.n_regimes
-        if len(families) != self.n_regimes:
-            raise ValidationError(
-                f"{len(families)} mean families for {self.n_regimes} regimes"
-            )
-        for fam in families:
+        for fam in self.families:
             if fam not in MEAN_FAMILIES:
                 raise ValidationError(f"unknown mean family {fam!r}")
-        object.__setattr__(self, "families", tuple(families))
+
+    @property
+    def n_regimes(self) -> int:
+        return len(self.families)
 
     @property
     def n_params(self) -> int:
@@ -424,22 +421,27 @@ def _update_transition(A_old, xi, sm0) -> np.ndarray:
 
 @dataclass
 class EmResult:
-    """The best restart's fit; ``restart_logliks`` holds every restart's
-    final log-likelihood, None for a restart that collapsed."""
+    """The best restart's fit: ``trace`` holds its log-likelihood after
+    each E-step, ``restart_logliks`` every restart's final log-likelihood,
+    None for a restart that collapsed."""
 
-    spec: MsSpec | None
-    seed: int | None
+    spec: MsSpec
+    seed: int
     params: MsParams
     probabilities: RegimeProbabilities
     trace: tuple[float, ...]
     converged: bool
-    n_iter: int
     restart: int
     restart_logliks: tuple[float | None, ...]
 
     @property
     def loglik(self) -> float:
         return self.trace[-1]
+
+    @property
+    def n_iter(self) -> int:
+        """E-steps the best restart ran, the last scoring its final M-step."""
+        return len(self.trace)
 
 
 def _initial_params(spec: MsSpec, series, rng) -> MsParams:
@@ -473,7 +475,7 @@ def _initial_params(spec: MsSpec, series, rng) -> MsParams:
     return MsParams(transition=A, means=tuple(means), sigmas=sigmas)
 
 
-def _m_step(params, X, y, smoothed, xi, mlp_steps) -> MsParams:
+def _m_step(params, X, y, smoothed, xi) -> MsParams:
     masses = smoothed.sum(axis=0)
     if np.any(masses < _MIN_WEIGHT):
         weak = int(np.argmin(masses))
@@ -485,10 +487,7 @@ def _m_step(params, X, y, smoothed, xi, mlp_steps) -> MsParams:
     sigmas = np.empty(params.n_regimes)
     for i, mean in enumerate(params.means):
         w = smoothed[:, i]
-        if isinstance(mean, MlpMean):
-            new_mean = mean.fit_weighted(X, y, w, steps=mlp_steps)
-        else:
-            new_mean = mean.fit_weighted(X, y, w)
+        new_mean = mean.fit_weighted(X, y, w)
         resid = y - new_mean.predict(X)
         var = float(np.sum(w * resid * resid) / masses[i])
         if var < _SIGMA_TINY**2:
@@ -498,7 +497,7 @@ def _m_step(params, X, y, smoothed, xi, mlp_steps) -> MsParams:
     return MsParams(transition=A, means=tuple(means), sigmas=sigmas)
 
 
-def _em_single(spec, series, params, tol, max_iter, mlp_steps):
+def _em_single(spec, series, params, tol, max_iter):
     X, y = make_design(series, spec.lag)
     trace: list[float] = []
     converged = False
@@ -516,7 +515,7 @@ def _em_single(spec, series, params, tol, max_iter, mlp_steps):
             converged = True
             break
         xi = _pairwise_counts(params, filt, smoothed)
-        params = _m_step(params, X, y, smoothed, xi, mlp_steps)
+        params = _m_step(params, X, y, smoothed, xi)
     return params, RegimeProbabilities.from_filter(filt, smoothed), trace, converged
 
 
@@ -534,12 +533,14 @@ def em_fit(
     tol: float = 1e-6,
     max_iter: int = 200,
     n_restarts: int = 10,
-    mlp_steps: int = 200,
 ) -> EmResult:
     """Fit by EM; best of ``n_restarts`` seeded jittered initializations.
 
-    When ``init`` params are given a single run starts from them instead.
-    Regimes in the result are relabeled so regime 1 has the larger
+    The model has one regime per entry of ``spec.families``. When ``init``
+    params are given a single run starts from them instead. Each M-step
+    refits every regime's mean by its own ``fit_weighted`` (closed form for
+    a linear mean, at most 200 Levenberg-Marquardt steps for a perceptron).
+    Regimes in the result are relabeled so regime 1 has the largest
     stationary probability. A restart aborts as degenerate when a regime's
     total posterior mass drops below one observation-equivalent;
     if every restart degenerates the model is likely over-specified and a
@@ -583,7 +584,7 @@ def em_fit(
     for r, start in enumerate(starts):
         try:
             params, probs, trace, converged = _em_single(
-                spec, series, start, tol, max_iter, mlp_steps
+                spec, series, start, tol, max_iter
             )
         except _DegenerateRestart as exc:
             restart_logliks.append(None)
@@ -601,22 +602,19 @@ def em_fit(
 
     params, probs, trace, converged, restart = best
     order = canonical_regime_order(params)
-    if order != list(range(spec.n_regimes)):
-        params = params.permuted(order)
-        probs = RegimeProbabilities(
-            offset=probs.offset,
-            loglik=probs.loglik,
-            filtered=probs.filtered[:, order].copy(),
-            smoothed=probs.smoothed[:, order].copy(),
-        )
+    probs = RegimeProbabilities(
+        offset=probs.offset,
+        loglik=probs.loglik,
+        filtered=probs.filtered[:, order],
+        smoothed=probs.smoothed[:, order],
+    )
     return EmResult(
         spec=spec,
         seed=seed,
-        params=params,
+        params=params.permuted(order),
         probabilities=probs,
         trace=tuple(trace),
         converged=converged,
-        n_iter=len(trace),
         restart=restart,
         restart_logliks=tuple(restart_logliks),
     )

@@ -94,7 +94,7 @@ def test_criterion_2_em_loglik_never_decreases():
         spec = MsSpec(families=families, hidden_units=2)
         try:
             res = em_fit(spec, series, seed=seed, n_restarts=1, max_iter=12,
-                         tol=0.0, mlp_steps=40)
+                         tol=0.0)
         except DegenerateModelError:
             continue
         fits += 1

@@ -261,6 +261,8 @@ def test_select_explicit_penalty():
     # an enormous penalty forces a single segment
     K1 = detect(series, "mean", K_max=8, penalty=1e9).selection.chosen_K
     assert K1 == 1
+    # a zero penalty is valid: the smallest contrast, at K_max
+    assert detect(series, "mean", K_max=8, penalty=0.0).selection.chosen_K == 8
 
 
 def test_select_constant_series():
@@ -373,11 +375,16 @@ def test_detect_rejects_nonfinite():
         detect(np.array([1.0, np.inf, 2.0]), "mean")
 
 
-@pytest.mark.parametrize("option", ["threshold", "penalty"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_detect_rejects_nonfinite_threshold_or_penalty(option, value):
+@pytest.mark.parametrize("option, value, message", [
+    *(pytest.param(option, value, f"{option} must be finite, got {value}",
+                   id=f"{value}-{option}")
+      for value in (np.nan, np.inf, -np.inf) for option in ("threshold", "penalty")),
+    pytest.param("penalty", -1000.0, "penalty must be >= 0, got -1000.0",
+                 id="negative-penalty"),
+])
+def test_detect_rejects_nonfinite_threshold_or_penalty(option, value, message):
     series = stitched(5, [30, 30], [0.0, 2.0], [1.0, 1.0])
-    with pytest.raises(ValidationError, match=f"{option} must be finite, got {value}"):
+    with pytest.raises(ValidationError, match=message):
         detect(series, "mean", K_max=4, **{option: value})
 
 

@@ -64,7 +64,6 @@ def analyzed(tmp_path_factory, sim_dataset):
 def test_config_defaults_match_reference_setup():
     cfg = RunConfig()
     assert (cfg.som_rows * cfg.som_cols, cfg.n_classes) == (25, 6)
-    assert cfg.ms_regimes == 2
     assert cfg.ms_families == ("mlp", "linear")
     assert cfg.run_cpd and cfg.run_som and cfg.run_ms
     assert cfg.cpd_threshold == 0.75
@@ -78,8 +77,8 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     assert RunConfig.from_file(path) == cfg
-    # a misspelt key, and a key the config no longer has
-    for key in ("som_seeed", "som_lr_start"):
+    # a misspelt key, and keys the config no longer has
+    for key in ("som_seeed", "som_lr_start", "ms_regimes"):
         with pytest.raises(ValidationError, match="unknown config keys"):
             RunConfig.from_dict({key: 1})
 
@@ -307,6 +306,28 @@ def test_load_bundle_reads_a_grid_with_the_old_schedule_record(analyzed, tmp_pat
     assert buf.getvalue() == new_text
 
 
+def test_load_bundle_reads_an_ms_model_that_stores_the_regime_and_iteration_counts(
+        analyzed, tmp_path):
+    """An ms_model.json written when the spec stored n_regimes and the result
+    stored n_iter loads; both counts come back from families and trace."""
+    config, bundle = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    path = run / "ms_model.json"
+    new_text = path.read_text()
+    record = json.loads(new_text)
+    assert "n_iter" not in record and "n_regimes" not in record["spec"]
+    record["spec"] = {"n_regimes": 2, **record["spec"]}
+    record["n_iter"] = len(record["trace"])
+    path.write_text(json.dumps(record))
+    em = load_bundle(run).em
+    assert em.spec == bundle.em.spec and em.spec.n_regimes == 2
+    assert em.n_iter == bundle.em.n_iter == record["n_iter"]
+    buf = io.StringIO()
+    write_json(to_json(em), buf)
+    assert buf.getvalue() == new_text
+
+
 @pytest.mark.parametrize("hpl", [{}, {"include_hpl": False, "hpl_kind": "ratio"}])
 def test_load_bundle_reloads_features_exactly(sim_dataset, tmp_path, hpl):
     config = fast_config(input=str(sim_dataset), outdir=str(tmp_path), run_som=False,
@@ -505,13 +526,25 @@ def test_cli_negative_or_nan_ms_tol_is_data_error(sim_dataset, tmp_path, capsys)
     (["--stages", "cpd", "--cpd-penalty", "nan"], "penalty must be finite, got nan"),
     (["--stages", "cpd", "--cpd-threshold", "nan"], "threshold must be finite, got nan"),
     (["--stages", "ms", "--ms-tol", "inf"], "tol must be finite, got inf"),
-], ids=["cpd-penalty-nan", "cpd-threshold-nan", "ms-tol-inf"])
+    (["--stages", "cpd", "--cpd-penalty", "-1000"], "penalty must be >= 0, got -1000.0"),
+], ids=["cpd-penalty-nan", "cpd-threshold-nan", "ms-tol-inf", "cpd-penalty-negative"])
 def test_cli_nonfinite_option_is_data_error(sim_dataset, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code = main(["analyze", "--input", str(sim_dataset), "--outdir", str(out)] + argv)
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
     assert not list(out.glob("segmentation_*.json")) and not (out / "ms_model.json").exists()
+
+
+def test_cli_regime_count_is_the_number_of_families(sim_dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["analyze", "--input", str(sim_dataset), "--outdir", str(out),
+                 "--stages", "ms", "--ms-families", "linear,linear,linear",
+                 "--ms-restarts", "2", "--ms-max-iter", "3"])
+    assert code == 0, capsys.readouterr().err
+    model = json.loads((out / "ms_model.json").read_text())
+    assert model["spec"]["families"] == ["linear"] * 3
+    assert np.array(model["params"]["transition"]).shape == (3, 3)
 
 
 def test_cli_series_no_longer_than_the_lag_is_data_error(tmp_path, capsys):

@@ -404,6 +404,15 @@ def test_em_rejects_zero_restarts_and_negative_max_iter():
             em_fit(spec, series, n_restarts=1, tol=tol)
 
 
+@pytest.mark.parametrize("families, message", [
+    (("linear",), "need at least two regimes"),
+    ("linear", "unknown mean family 'l'"),  # a string is its letters, not one family
+], ids=["one-regime", "string"])
+def test_spec_takes_one_family_per_regime_for_two_or_more_regimes(families, message):
+    with pytest.raises(ValidationError, match=message):
+        MsSpec(families=families)
+
+
 @pytest.mark.parametrize("n_use", [0, 3, 5])
 def test_em_series_no_longer_than_the_lag_is_validation_error(n_use):
     series = np.linspace(1.0, 2.0, n_use)
@@ -444,9 +453,9 @@ def test_em_three_regimes_runs_monotone():
         sigmas=np.array([0.3, 0.3, 0.5]),
     )
     series, _ = simulate(true, T=400, seed=13)
-    res = em_fit(MsSpec(n_regimes=3, families="linear"), series, seed=0,
+    res = em_fit(MsSpec(families=("linear",) * 3), series, seed=0,
                  n_restarts=2, max_iter=40)
-    assert res.params.n_regimes == 3
+    assert res.spec.n_regimes == res.params.n_regimes == 3
     assert res.probabilities.smoothed.shape == (399, 3)
     assert (np.diff(res.trace) >= -1e-8).all()
 
@@ -456,7 +465,7 @@ def test_em_with_mlp_regime_runs_monotone():
                          sigmas=(0.3, 0.5))
     series, _ = simulate(true, T=300, seed=12)
     res = em_fit(MsSpec(families=("mlp", "linear"), hidden_units=2), series,
-                 seed=0, n_restarts=2, max_iter=25, mlp_steps=60)
+                 seed=0, n_restarts=2, max_iter=25)
     assert (np.diff(res.trace) >= -1e-8).all()
 
 
