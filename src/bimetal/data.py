@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import json
 import math
+import reprlib
 import types
 import typing
 from contextlib import contextmanager
@@ -178,14 +179,16 @@ def parse_dataset(source) -> QuotationTable:
     )
 
 
+def _table_rows(keys, values):
+    """CSV rows: the integer key columns (1-D arrays), then each float of the
+    2-D ``values`` by ``repr``, which reads back exactly ("" for NaN)."""
+    for *key, row in zip(*(k.tolist() for k in keys), values):
+        yield key + ["" if math.isnan(v) else repr(v) for v in row.tolist()]
+
+
 def write_dataset(table: QuotationTable, target) -> None:
     """Write a QuotationTable back to the ingestion format (round-trips parse)."""
-    write_csv(target, HEADER, (
-        [year, week] + ["" if math.isnan(v) else repr(v) for v in row]
-        for year, week, row in zip(
-            table.years.tolist(), table.weeks.tolist(), table.values.tolist()
-        )
-    ))
+    write_csv(target, HEADER, _table_rows((table.years, table.weeks), table.values))
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +437,9 @@ def _features_header(feature_names) -> list[str]:
 
 
 def write_features_csv(fs: FeatureSet, target) -> None:
-    raw = fs.raw_matrix
-    write_csv(
-        target,
-        _features_header(fs.feature_names),
-        (
-            [fs.years[i], fs.weeks[i]]
-            + [repr(float(v)) for v in raw[i]]
-            + [repr(float(v)) for v in fs.standardized[i]]
-            for i in range(len(fs))
-        ),
-    )
+    write_csv(target, _features_header(fs.feature_names), _table_rows(
+        (fs.years, fs.weeks), np.hstack([fs.raw_matrix, fs.standardized])
+    ))
 
 
 def write_features(fs: FeatureSet, csv_target, json_target) -> None:
@@ -484,15 +479,9 @@ def read_features(csv_source, json_source) -> FeatureSet:
 
 
 def write_spread_csv(spread: SpreadSeries, target) -> None:
-    write_csv(
-        target,
-        ["week_index", "year", "week", "spread"],
-        (
-            [spread.t_index[i], spread.years[i], spread.weeks[i],
-             repr(float(spread.values[i]))]
-            for i in range(len(spread))
-        ),
-    )
+    write_csv(target, ["week_index", "year", "week", "spread"], _table_rows(
+        (spread.t_index, spread.years, spread.weeks), spread.values[:, None]
+    ))
 
 
 def write_json(obj: dict, target) -> None:
@@ -525,23 +514,48 @@ def to_json(obj):
 
 def from_json(cls, value):
     """Rebuild a ``cls`` record from its to_json form, led by the field
-    annotations. Keys that are not init fields of a record are ignored."""
-    decode = _decoder(cls)
-    return value if decode is None else decode(value)
+    annotations; keys that are not init fields of a record are ignored.
+    Each value must fit its field's type: an int fits a float, a bool fits
+    no number, None fits only ``X | None``, a tuple takes a list (of its
+    length, unless it is ``tuple[X, ...]``) and an array takes numbers;
+    else a TypeError names the field path and the value, e.g.
+    ``probabilities: offset: '1' is not int``."""
+    return _decoder(cls)(value)
+
+
+def _check(value, fits: bool, expected: str):
+    """``value`` when it ``fits``; else a TypeError naming it."""
+    if not fits:
+        raise TypeError(f"{reprlib.repr(value)} is not {expected}")
+    return value
+
+
+def _array(value) -> np.ndarray:
+    arr = np.array(value)
+    _check(value, arr.dtype.kind in "biuf", "an array of numbers")
+    return arr
 
 
 @functools.cache
 def _decoder(tp):
-    """A function turning the JSON form of type ``tp`` back into ``tp``, or
-    None when the JSON value already is one (scalars pass through)."""
+    """A function checking the JSON form of type ``tp`` and turning it back
+    into ``tp`` (a scalar is returned as given)."""
     if tp is np.ndarray:
-        return np.array
+        return _array
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
         fields = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(tp) if f.init]
-        return lambda d: tp(**{
-            name: d[name] if dec is None else dec(d[name]) for name, dec in fields
-        })
+
+        def record(d):
+            _check(d, isinstance(d, dict), f"a {tp.__name__} record")
+            kwargs = {}
+            for name, dec in fields:
+                try:
+                    kwargs[name] = dec(d[name])
+                except TypeError as exc:
+                    raise TypeError(f"{name}: {exc}") from None
+            return tp(**kwargs)
+        return record
     if isinstance(tp, type) and issubclass(tp, Enum):
         return tp
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -549,7 +563,7 @@ def _decoder(tp):
         members = [a for a in args if a is not type(None)]
         if len(members) == 1:  # X | None
             inner = _decoder(members[0])
-            return None if inner is None else lambda v: None if v is None else inner(v)
+            return lambda v: None if v is None else inner(v)
         # records told apart by their ``kind`` tag
         by_kind = {m.kind: _decoder(m) for m in members}
 
@@ -561,12 +575,18 @@ def _decoder(tp):
     if origin is tuple:
         if len(args) == 2 and args[1] is Ellipsis:
             item = _decoder(args[0])
-            return tuple if item is None else lambda v: tuple(item(x) for x in v)
+            return lambda v: tuple(map(item, _check(v, isinstance(v, (list, tuple)), "a list")))
         items = [_decoder(a) for a in args]
-        if all(dec is None for dec in items):
-            return tuple
-        return lambda v: tuple(x if dec is None else dec(x) for dec, x in zip(items, v))
+        n = len(items)
+        return lambda v: tuple(dec(x) for dec, x in zip(items, _check(
+            v, isinstance(v, (list, tuple)) and len(v) == n, f"a list of {n} items"
+        )))
     if origin is dict:
         key, item = args[0], _decoder(args[1])  # JSON object keys are strings
-        return lambda v: {key(k): x if item is None else item(x) for k, x in v.items()}
-    return None
+        return lambda v: {
+            key(k): item(x) for k, x in _check(v, isinstance(v, dict), "an object").items()
+        }
+    kinds = (int, float) if tp is float else tp
+    return lambda v: _check(
+        v, isinstance(v, kinds) and (tp is bool or not isinstance(v, bool)), tp.__name__
+    )

@@ -26,25 +26,6 @@ from .regression import LinearMean
 
 REFERENCE_TRANSITION = (0.844298, 0.746643)
 
-# what a JSON value may be for a field of each type, beyond the type itself
-_JSON_KINDS = {float: (int, float)}
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a RunConfig field's type: None only for an
-    ``X | None`` field, no bool where an int is expected, an int for a
-    float, and a list or tuple whose every element fits for a
-    ``tuple[X, ...]``."""
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
-    return any(
-        value is None if kind is type(None)
-        else isinstance(value, _JSON_KINDS.get(kind, kind))
-        and (kind is bool or not isinstance(value, bool))
-        for kind in typing.get_args(hint) or (hint,)
-    )
-
 
 @dataclass
 class RunConfig:
@@ -104,18 +85,23 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        """Build a RunConfig from JSON-like keys, each decoded by
+        ``data.from_json`` (lists become tuples, numbers stay as given); an
+        unknown key or a mistyped value is a ValidationError naming the key."""
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         hints = typing.get_type_hints(cls)
+        decoded = {}
         for f in fields(cls):
-            if f.name in d and not _fits(d[f.name], hints[f.name]):
-                raise ValidationError(
-                    f"config key {f.name!r}: {d[f.name]!r} is not {f.type}"
-                )
-        # lists become the tuples of their field's type; numbers stay as given
-        return cls(**{key: dio.from_json(hints[key], value) for key, value in d.items()})
+            if f.name in d:
+                try:
+                    decoded[f.name] = dio.from_json(hints[f.name], d[f.name])
+                except TypeError:
+                    raise ValidationError(
+                        f"config key {f.name!r}: {d[f.name]!r} is not {f.type}"
+                    ) from None
+        return cls(**decoded)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -169,11 +155,32 @@ def _input_path(config: RunConfig) -> Path:
     return path
 
 
-def _artifact(name: str, path: Path, extra: str | None = None) -> dict:
-    entry = {"name": name, "path": path.name}
-    if extra is not None:
-        entry["json"] = extra
-    return entry
+def _record(cls):
+    """Decoder of an artifact whose JSON file holds the whole record."""
+    return lambda table_path, json_path: dio.from_json(cls, dio.read_json(json_path))
+
+
+# artifact name -> (stage that writes it, AnalysisBundle attribute that
+# holds it, decoder of its table and JSON files); a segmentation (attribute
+# None) is held in ``segmentations`` under its mode
+_ARTIFACTS = {
+    "features": ("ingest", "features", dio.read_features),
+    "spread": ("ingest", "spread", _record(dio.SpreadSeries)),
+    "som_grid": ("som", "grid", _record(sommod.SomGrid)),
+    "periodization": ("som", "classification", _record(sommod.MacroClassification)),
+    "ms_model": ("ms", "em", _record(msmod.EmResult)),
+    "segmentation_mean": ("cpd", None, _record(cpd.Segmentation)),
+    "segmentation_meanvar": ("cpd", None, _record(cpd.Segmentation)),
+}
+
+
+def _keep(bundle: AnalysisBundle, name: str, obj) -> None:
+    """Hold the record of artifact ``name`` in its bundle attribute."""
+    attr = _ARTIFACTS[name][1]
+    if attr is None:
+        bundle.segmentations[obj.mode.value] = obj
+    else:
+        setattr(bundle, attr, obj)
 
 
 def run_analyze(config: RunConfig) -> AnalysisBundle:
@@ -195,6 +202,15 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
         "artifacts": [],
     }
     bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
+
+    def keep(name, obj, table=None):
+        """List artifact ``name`` in the manifest; hold ``obj`` in the bundle."""
+        entry = {"name": name, "path": table or f"{name}.json"}
+        if table is not None:
+            entry["json"] = f"{name}.json"
+        manifest["artifacts"].append(entry)
+        _keep(bundle, name, obj)
+
     stage = "ingest"
     try:
         path = _input_path(config)
@@ -218,11 +234,8 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
         dio.write_json(
             dio.imputation_report_to_dict(report), outdir / "imputation_report.json"
         )
-        manifest["artifacts"].append(
-            _artifact("features", outdir / "features.csv", "features.json")
-        )
-        manifest["artifacts"].append(_artifact("spread", outdir / "spread.csv", "spread.json"))
-        bundle.features, bundle.spread = features, spread
+        keep("features", features, "features.csv")
+        keep("spread", spread, "spread.csv")
 
         if config.run_som:
             stage = "som"
@@ -235,11 +248,8 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
             )
             dio.write_json(dio.to_json(grid), outdir / "som_grid.json")
             dio.write_json(dio.to_json(classification), outdir / "periodization.json")
-            manifest["artifacts"].append(_artifact("som_grid", outdir / "som_grid.json"))
-            manifest["artifacts"].append(
-                _artifact("periodization", outdir / "periodization.json")
-            )
-            bundle.grid, bundle.classification = grid, classification
+            keep("som_grid", grid)
+            keep("periodization", classification)
 
         if config.run_ms:
             stage = "ms"
@@ -253,8 +263,7 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
                 max_iter=config.ms_max_iter, n_restarts=config.ms_restarts,
             )
             dio.write_json(dio.to_json(em), outdir / "ms_model.json")
-            manifest["artifacts"].append(_artifact("ms_model", outdir / "ms_model.json"))
-            bundle.em = em
+            keep("ms_model", em)
 
         if config.run_cpd:
             stage = "cpd"
@@ -266,8 +275,7 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
                     threshold=config.cpd_threshold, penalty=config.cpd_penalty,
                 )
                 dio.write_json(seg.to_dict(labels=labels), outdir / f"{name}.json")
-                manifest["artifacts"].append(_artifact(name, outdir / f"{name}.json"))
-                bundle.segmentations[mode.value] = seg
+                keep(name, seg)
     except Exception:
         manifest["status"] = "failed"
         manifest["failed_stage"] = stage
@@ -276,24 +284,6 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
 
     dio.write_json(manifest, outdir / "manifest.json")
     return bundle
-
-
-def _record(cls):
-    """Decoder of an artifact whose JSON file holds the whole record."""
-    return lambda table_path, json_path: dio.from_json(cls, dio.read_json(json_path))
-
-
-# artifact name -> (AnalysisBundle attribute, decoder of the artifact's table
-# and JSON files); segmentations (attribute None) are keyed by their mode
-_DECODERS = {
-    "features": ("features", dio.read_features),
-    "spread": ("spread", _record(dio.SpreadSeries)),
-    "som_grid": ("grid", _record(sommod.SomGrid)),
-    "periodization": ("classification", _record(sommod.MacroClassification)),
-    "ms_model": ("em", _record(msmod.EmResult)),
-    "segmentation_mean": (None, _record(cpd.Segmentation)),
-    "segmentation_meanvar": (None, _record(cpd.Segmentation)),
-}
 
 
 def load_bundle(outdir) -> AnalysisBundle:
@@ -314,14 +304,8 @@ def load_bundle(outdir) -> AnalysisBundle:
         ]
         bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
         for name, table, path in files:  # from here on, path names the file in error
-            if name not in _DECODERS:
-                continue  # an artifact this version does not read
-            attr, decode = _DECODERS[name]
-            obj = decode(table, path)
-            if attr is None:
-                bundle.segmentations[obj.mode.value] = obj
-            else:
-                setattr(bundle, attr, obj)
+            if name in _ARTIFACTS:  # else an artifact this version does not read
+                _keep(bundle, name, _ARTIFACTS[name][2](table, path))
         if bundle.features is not None and len(bundle.features) != manifest["n_weeks"]:
             csv = next(table for name, table, _ in files if name == "features")
             raise ParseError(
@@ -335,13 +319,6 @@ def load_bundle(outdir) -> AnalysisBundle:
     return bundle
 
 
-def _require(bundle: AnalysisBundle, attr, artifact: str, stage: str):
-    if getattr(bundle, attr) is None:
-        raise DataError(
-            f"missing artifact {artifact!r}: run the {stage} stage of analyze first"
-        )
-
-
 def run_report(bundle: AnalysisBundle) -> dict:
     """Emit the three report files from a completed analysis.
 
@@ -353,14 +330,13 @@ def run_report(bundle: AnalysisBundle) -> dict:
     regime 1, and indicator columns for the change-points of both modes,
     ready for external plotting.
     """
-    _require(bundle, "spread", "spread", "ingest")
-    _require(bundle, "classification", "periodization", "som")
-    _require(bundle, "em", "ms_model", "ms")
-    for name in ("mean", "meanvar"):
-        if name not in bundle.segmentations:
+    for name in ("spread", "periodization", "ms_model",
+                 "segmentation_mean", "segmentation_meanvar"):
+        stage, attr, _ = _ARTIFACTS[name]
+        mode = name.removeprefix("segmentation_")
+        if (getattr(bundle, attr) if attr else bundle.segmentations.get(mode)) is None:
             raise DataError(
-                f"missing artifact 'segmentation_{name}': run the cpd stage "
-                "of analyze first"
+                f"missing artifact {name!r}: run the {stage} stage of analyze first"
             )
 
     outdir = bundle.outdir

@@ -197,9 +197,11 @@ def _canonical_relabel(labels: np.ndarray) -> np.ndarray:
 def hac_macro_classes(grid: SomGrid, k: int = 6) -> MacroClassification:
     """Ward agglomeration of the code vectors, cut at k clusters.
 
-    The cut applies the first (n_nodes - k) merges, so moving from k to k-1
-    classes can only merge groups, never split them. scipy is loaded on the
-    first call, not when the package is imported.
+    The classes are scipy's ``cut_tree`` cut: going from k to k-1 classes
+    only merges classes. With tied heights the cut need not apply the first
+    (n_nodes - k) linkage rows (code vectors [1], [1], [0], [0], [0] at k=4
+    give [1 2 3 3 4], though row 0 merges nodes 0 and 1). scipy is loaded
+    on the first call, not when the package is imported.
     """
     # Imported here: scipy.cluster costs about 0.4 s and 35 MB at startup,
     # which every run without the SOM stage would pay for nothing.

@@ -22,6 +22,7 @@ from bimetal.data import (
     write_spread_csv,
 )
 from bimetal.errors import ImputationError, ParseError, ValidationError
+from bimetal.som import MacroClassification
 
 from conftest import (
     assert_tables_equal, make_csv, make_table, parse_csv, synthetic_rows,
@@ -370,6 +371,33 @@ def test_table_derivations_match_per_cell_loop(hpl_kind):
 
 def test_spread_length_equals_rows(small_table):
     assert len(compute_spread(small_table)) == len(small_table)
+
+
+def _classification_json(**changes):
+    """The JSON form of a small MacroClassification, with ``changes``."""
+    return {"k": 2, "node_to_class": [1, 2], "linkage_history": [[0, 1, 0.5, 2]],
+            "week_to_class": None, "class_means": None, "intervals": None,
+            "class_counts": {"1": 3, "2": 4}, **changes}
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param({"linkage_history": [[0, 1, 0.5]]},
+                 "linkage_history: [0, 1, 0.5] is not a list of 4 items", id="short-row"),
+    pytest.param({"linkage_history": [[0, 1, "0.5", 2]]},
+                 "linkage_history: '0.5' is not float", id="string-height"),
+    pytest.param({"k": "2"}, "k: '2' is not int", id="string-int"),
+    pytest.param({"k": True}, "k: True is not int", id="bool-int"),
+    pytest.param({"k": None}, "k: None is not int", id="none-int"),
+    pytest.param({"class_counts": {"1": "3"}}, "class_counts: '3' is not int",
+                 id="string-count"),
+    pytest.param({"node_to_class": ["a", "b"]},
+                 "node_to_class: ['a', 'b'] is not an array of numbers", id="string-array"),
+    pytest.param({"intervals": "0,1,1"}, "intervals: '0,1,1' is not a list", id="string-tuple"),
+])
+def test_from_json_rejects_a_mistyped_value_naming_its_field(changes, message):
+    with pytest.raises(TypeError) as err:
+        from_json(MacroClassification, _classification_json(**changes))
+    assert str(err.value) == message
 
 
 def test_spread_serialization_roundtrip(small_table):

@@ -365,6 +365,18 @@ def _truncated(text):
     return text[: len(text) // 2]
 
 
+def _offset_as_string(text):
+    d = json.loads(text)
+    d["probabilities"]["offset"] = "1"
+    return json.dumps(d)
+
+
+def _class_counts_as_strings(text):
+    d = json.loads(text)
+    d["class_counts"] = {k: str(v) for k, v in d["class_counts"].items()}
+    return json.dumps(d)
+
+
 def _last_row_cut_short(text):
     return text.rstrip("\n").rsplit(",", 1)[0] + "\n"
 
@@ -381,6 +393,8 @@ def _last_rows_dropped(text):
     ("features.json", _truncated),
     ("features.csv", _last_row_cut_short),
     ("features.csv", _last_rows_dropped),
+    ("ms_model.json", _offset_as_string),
+    ("periodization.json", _class_counts_as_strings),
 ])
 def test_report_on_malformed_artifact_is_data_error(analyzed, tmp_path, capsys,
                                                     filename, corrupt):
@@ -448,16 +462,30 @@ def test_report_after_per_day_analyze(sim_dataset, tmp_path):
     assert aligned[1].split(",")[0] == aligned[2].split(",")[0]  # same week
 
 
-def test_report_missing_artifact_names_stage(analyzed, tmp_path):
+@pytest.mark.parametrize("artifact, stage", [
+    ("spread", "ingest"),
+    ("periodization", "som"),
+    ("ms_model", "ms"),
+    ("segmentation_mean", "cpd"),
+    ("segmentation_meanvar", "cpd"),
+])
+def test_report_missing_artifact_names_stage(analyzed, tmp_path, artifact, stage):
     config, bundle = analyzed
-    partial = AnalysisBundle(
-        outdir=tmp_path, manifest={"artifacts": []},
-        features=bundle.features, spread=bundle.spread,
-        classification=bundle.classification, em=None,
-        segmentations=bundle.segmentations,
+    held = dict(
+        spread=bundle.spread, classification=bundle.classification, em=bundle.em,
+        segmentations=dict(bundle.segmentations),
     )
-    with pytest.raises(DataError, match="ms"):
+    if artifact.startswith("segmentation_"):
+        del held["segmentations"][artifact.removeprefix("segmentation_")]
+    else:
+        held[{"periodization": "classification", "ms_model": "em"}.get(artifact, artifact)] = None
+    partial = AnalysisBundle(outdir=tmp_path, manifest={"artifacts": []}, **held)
+    with pytest.raises(DataError) as err:
         run_report(partial)
+    assert str(err.value) == (
+        f"missing artifact {artifact!r}: run the {stage} stage of analyze first"
+    )
+    assert not any(tmp_path.iterdir())  # nothing written before the check
 
 
 # ---------------------------------------------------------------------------

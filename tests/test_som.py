@@ -249,17 +249,20 @@ def test_ward_heights_nondecreasing():
 
 
 def test_cut_nesting_merges_only():
-    # going from k to k-1 classes must merge two classes, never split one
+    # going from k to k-1 classes must merge two classes, never split one;
+    # on the tied integer grid the cut is not the first n-k linkage rows
+    # for k = 7..15, yet it still nests
     rng = np.random.default_rng(10)
-    grid = grid_from(rng.standard_normal((16, 4)), 4, 4)
-    prev = hac_macro_classes(grid, k=16).node_to_class
-    for k in range(15, 0, -1):
-        cur = hac_macro_classes(grid, k=k).node_to_class
-        # each current class is a union of previous classes
-        for lab in set(prev.tolist()):
-            members = cur[prev == lab]
-            assert len(set(members.tolist())) == 1
-        prev = cur
+    for code in (rng.standard_normal((16, 4)), rng.integers(0, 3, (16, 2))):
+        grid = grid_from(code, 4, 4)
+        prev = hac_macro_classes(grid, k=16).node_to_class
+        for k in range(15, 0, -1):
+            cur = hac_macro_classes(grid, k=k).node_to_class
+            # each current class is a union of previous classes
+            for lab in set(prev.tolist()):
+                members = cur[prev == lab]
+                assert len(set(members.tolist())) == 1
+            prev = cur
 
 
 def test_blob_partition_recovery_quick():
