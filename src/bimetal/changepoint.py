@@ -177,8 +177,8 @@ class Segmentation:
     segment_covs: tuple[np.ndarray, ...]
     contrast_value: float
     min_seg_len: int
-    penalty_used: float | None = None
-    selection: SelectionDiagnostics | None = None
+    penalty_used: float | None
+    selection: SelectionDiagnostics | None
 
     @property
     def n_segments(self) -> int:
@@ -210,7 +210,10 @@ def _segment_estimates(series, boundaries):
     return tuple(means), tuple(covs)
 
 
-def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int) -> Segmentation:
+def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int,
+                  selection: SelectionDiagnostics | None) -> Segmentation:
+    """The backtracked segmentation into K segments, with the selection
+    that chose K (None for a fixed K)."""
     total = float(G[K, 0])
     if not np.isfinite(total):
         raise ValidationError(f"no feasible segmentation into {K} segments")
@@ -224,6 +227,8 @@ def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int) -> Segment
         segment_covs=covs,
         contrast_value=total,
         min_seg_len=table.min_seg_len,
+        penalty_used=None if selection is None else selection.threshold,
+        selection=selection,
     )
 
 
@@ -258,7 +263,7 @@ def optimal_segmentation_for_k(series, K, mode, min_seg_len=None) -> Segmentatio
     configuration.
     """
     series, table, K, G = _sweep(series, mode, K, min_seg_len, "K")
-    return _segmentation(series, table, G, K)
+    return _segmentation(series, table, G, K, None)
 
 
 def _select(J: np.ndarray, threshold: float, penalty: float | None) -> SelectionDiagnostics:
@@ -332,7 +337,4 @@ def detect(
         raise ValidationError(f"penalty must be >= 0, got {penalty}")
     series, table, K_max, G = _sweep(series, mode, K_max, min_seg_len, "K_max")
     selection = _select(G[1 : K_max + 1, 0], threshold, penalty)
-    seg = _segmentation(series, table, G, selection.chosen_K)
-    seg.penalty_used = selection.threshold
-    seg.selection = selection
-    return seg
+    return _segmentation(series, table, G, selection.chosen_K, selection)

@@ -243,9 +243,7 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
                 features, rows=config.som_rows, cols=config.som_cols,
                 epochs=config.som_epochs, seed=config.som_seed,
             )
-            classification = sommod.periodize(
-                features, grid, sommod.hac_macro_classes(grid, k=config.n_classes)
-            )
+            classification = sommod.periodize(features, grid, k=config.n_classes)
             dio.write_json(dio.to_json(grid), outdir / "som_grid.json")
             dio.write_json(dio.to_json(classification), outdir / "periodization.json")
             keep("som_grid", grid)
@@ -289,8 +287,9 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
 def load_bundle(outdir) -> AnalysisBundle:
     """Reload a persisted analysis from its manifest.
 
-    A manifest or artifact that cannot be decoded is a DataError naming
-    the file.
+    A manifest or artifact that cannot be decoded, features.csv of another
+    length than the manifest's n_weeks, or a segmentation whose T and tau
+    do not split the spread into segments is a DataError naming the file.
     """
     outdir = Path(outdir)
     path = outdir / "manifest.json"
@@ -312,6 +311,15 @@ def load_bundle(outdir) -> AnalysisBundle:
                 f"malformed artifact {csv}: {len(bundle.features)} rows, "
                 f"but the manifest has n_weeks {manifest['n_weeks']}"
             )
+        for name, _, path in files:  # path names the segmentation in error
+            if name.startswith("segmentation_") and bundle.spread is not None:
+                seg = bundle.segmentations[name.removeprefix("segmentation_")]
+                bounds = [0, *seg.tau, seg.T]
+                if seg.T != len(bundle.spread) or bounds != sorted(set(bounds)):
+                    raise ValueError(
+                        f"T {seg.T} and tau {list(seg.tau)} do not split the "
+                        f"{len(bundle.spread)} spread observations into segments"
+                    )
     except ParseError:
         raise  # a table that does not parse; the error names its file
     except (DataError, LookupError, TypeError, ValueError, AttributeError) as exc:

@@ -166,8 +166,9 @@ def quantization_error(grid: SomGrid, features) -> float:
 
 @dataclass
 class MacroClassification:
-    """Node -> macro-class map plus, once periodize() has run, the week
-    assignments, per-class raw-variable means, and contiguous intervals.
+    """A periodization: each node's and each week's macro-class, the Ward
+    merges behind the node classes, the per-class raw-variable means and
+    week counts, and the contiguous intervals of equal class.
 
     Class ids are 1..k, assigned by order of first node appearance so the
     labeling is deterministic.
@@ -177,10 +178,10 @@ class MacroClassification:
     node_to_class: np.ndarray
     # merges (node_a, node_b, height, size) from Ward
     linkage_history: tuple[tuple[int, int, float, int], ...]
-    week_to_class: np.ndarray | None = None
-    class_means: dict[int, dict[str, float]] | None = None
-    intervals: tuple[tuple[int, int, int], ...] | None = None
-    class_counts: dict[int, int] | None = None
+    week_to_class: np.ndarray
+    class_means: dict[int, dict[str, float]]
+    intervals: tuple[tuple[int, int, int], ...]
+    class_counts: dict[int, int]
 
 
 def _canonical_relabel(labels: np.ndarray) -> np.ndarray:
@@ -194,8 +195,9 @@ def _canonical_relabel(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def hac_macro_classes(grid: SomGrid, k: int = 6) -> MacroClassification:
-    """Ward agglomeration of the code vectors, cut at k clusters.
+def hac_macro_classes(grid: SomGrid, k: int) -> tuple[np.ndarray, tuple]:
+    """Ward agglomeration of the code vectors, cut at k clusters: each
+    node's class (1..k, by first appearance) and the linkage merges.
 
     The classes are scipy's ``cut_tree`` cut: going from k to k-1 classes
     only merges classes. With tied heights the cut need not apply the first
@@ -211,32 +213,25 @@ def hac_macro_classes(grid: SomGrid, k: int = 6) -> MacroClassification:
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} out of range 1..{n}")
     if n == 1:
-        return MacroClassification(
-            k=1, node_to_class=np.array([1]), linkage_history=()
-        )
+        return np.array([1]), ()
     Z = linkage(grid.code_vectors, method="ward")
     labels = cut_tree(Z, n_clusters=k).ravel()
     history = tuple(
         (int(a), int(b), float(h), int(size)) for a, b, h, size in Z
     )
-    return MacroClassification(
-        k=k,
-        node_to_class=_canonical_relabel(labels),
-        linkage_history=history,
-    )
+    return _canonical_relabel(labels), history
 
 
-def periodize(
-    features, grid: SomGrid, classification: MacroClassification
-) -> MacroClassification:
-    """Assign each week its BMU's macro-class and summarize the classes.
+def periodize(features, grid: SomGrid, k: int = 6) -> MacroClassification:
+    """Cut the grid's nodes into k Ward macro-classes, assign each week its
+    BMU's class, and summarize the classes.
 
     Per-class means are computed on the raw (unstandardized) variables when
     a FeatureSet is given; contiguous runs of equal class are reported as
     closed intervals (start_index, end_index, class_id).
     """
-    bmus = bmu_indices(grid, features)
-    week_to_class = classification.node_to_class[bmus]
+    node_to_class, history = hac_macro_classes(grid, k)
+    week_to_class = node_to_class[bmu_indices(grid, features)]
 
     if isinstance(features, FeatureSet):
         raw = features.raw_matrix
@@ -261,12 +256,11 @@ def periodize(
             start = i
 
     return MacroClassification(
-        k=classification.k,
-        node_to_class=classification.node_to_class,
-        linkage_history=classification.linkage_history,
+        k=k,
+        node_to_class=node_to_class,
+        linkage_history=history,
         week_to_class=week_to_class,
         class_means=class_means,
         intervals=tuple(intervals),
         class_counts=class_counts,
     )
-

@@ -642,8 +642,6 @@ def cross_tabulate(probs: RegimeProbabilities, classification, spread) -> list[C
     with per_day aggregation a week contributes two observations.
     """
     week_to_class = classification.week_to_class
-    if week_to_class is None:
-        raise ValidationError("classification lacks week assignments; run periodize")
     n_weeks = week_to_class.shape[0]
     values = spread.values
     n_obs = values.shape[0]

@@ -17,7 +17,7 @@ from bimetal.data import compute_spread, impute_missing, parse_dataset
 from bimetal.errors import DegenerateModelError
 from bimetal.pipeline import RunConfig, run_analyze, run_simulate
 from bimetal.regression import LinearMean, MlpMean
-from bimetal.som import hac_macro_classes, periodize, train_som
+from bimetal.som import periodize, train_som
 from bimetal.switching import (
     MsParams,
     MsSpec,
@@ -211,7 +211,7 @@ def test_criterion_7_som_recovers_separated_blobs():
             truth.extend([i] * 40)
         X, truth = np.vstack(X), np.array(truth)
         grid = train_som(X, 5, 5, epochs=100, seed=seed)
-        mc = periodize(X, grid, hac_macro_classes(grid, k=6))
+        mc = periodize(X, grid, k=6)
         wins += partitions_equal(mc.week_to_class, truth)
     report(
         7, "SOM + Ward cut recovers 6 blobs in 14 dimensions",

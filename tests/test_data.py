@@ -376,7 +376,9 @@ def test_spread_length_equals_rows(small_table):
 def _classification_json(**changes):
     """The JSON form of a small MacroClassification, with ``changes``."""
     return {"k": 2, "node_to_class": [1, 2], "linkage_history": [[0, 1, 0.5, 2]],
-            "week_to_class": None, "class_means": None, "intervals": None,
+            "week_to_class": [1, 1, 1, 2, 2, 2, 2],
+            "class_means": {"1": {"x0": 0.5}, "2": {"x0": 1.5}},
+            "intervals": [[0, 2, 1], [3, 6, 2]],
             "class_counts": {"1": 3, "2": 4}, **changes}
 
 

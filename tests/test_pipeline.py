@@ -377,6 +377,24 @@ def _class_counts_as_strings(text):
     return json.dumps(d)
 
 
+def _class_means_null(text):
+    d = json.loads(text)
+    d["class_means"] = None
+    return json.dumps(d)
+
+
+def _tau_past_the_end(text):
+    d = json.loads(text)
+    d["tau"] = [100000]
+    return json.dumps(d)
+
+
+def _tau_negative(text):
+    d = json.loads(text)
+    d["tau"] = [-3]
+    return json.dumps(d)
+
+
 def _last_row_cut_short(text):
     return text.rstrip("\n").rsplit(",", 1)[0] + "\n"
 
@@ -395,6 +413,9 @@ def _last_rows_dropped(text):
     ("features.csv", _last_rows_dropped),
     ("ms_model.json", _offset_as_string),
     ("periodization.json", _class_counts_as_strings),
+    ("periodization.json", _class_means_null),
+    ("segmentation_mean.json", _tau_past_the_end),
+    ("segmentation_meanvar.json", _tau_negative),
 ])
 def test_report_on_malformed_artifact_is_data_error(analyzed, tmp_path, capsys,
                                                     filename, corrupt):
@@ -695,6 +716,24 @@ def test_cli_analyze_warns_on_collapsed_restarts(sim_dataset, tmp_path, capsys,
                  "--ms-families", "linear,linear", "--ms-restarts", "3",
                  "--outdir", str(tmp_path / "out")]) == 0
     assert "warning: 1 of 3 restarts collapsed" in capsys.readouterr().err.splitlines()
+
+
+def test_cli_analyze_numerical_failure_exits_3(sim_dataset, tmp_path, capsys,
+                                                monkeypatch):
+    from bimetal import switching
+
+    def collapse(*args):
+        raise switching._DegenerateRestart("regime 2 holds 0.5 observation-equivalents")
+
+    monkeypatch.setattr(switching, "_em_single", collapse)
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(sim_dataset), "--stages", "ms",
+                 "--ms-families", "linear,linear", "--ms-restarts", "3",
+                 "--outdir", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: all restarts degenerate")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failed_stage"]) == ("failed", "ms")
 
 
 def test_cli_flag_overrides_config_file(tmp_path):

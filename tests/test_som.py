@@ -197,17 +197,17 @@ def test_training_reduces_quantization_error():
 def test_hac_k_equals_node_count():
     rng = np.random.default_rng(1)
     grid = grid_from(rng.standard_normal((6, 3)), 2, 3)
-    mc = hac_macro_classes(grid, k=6)
-    assert sorted(mc.node_to_class.tolist()) == [1, 2, 3, 4, 5, 6]
+    node_to_class, _ = hac_macro_classes(grid, k=6)
+    assert sorted(node_to_class.tolist()) == [1, 2, 3, 4, 5, 6]
     # first appearance order: node i gets class i+1
-    assert_array_equal(mc.node_to_class, np.arange(1, 7))
+    assert_array_equal(node_to_class, np.arange(1, 7))
 
 
 def test_hac_k_one():
     rng = np.random.default_rng(2)
     grid = grid_from(rng.standard_normal((6, 3)), 2, 3)
-    mc = hac_macro_classes(grid, k=1)
-    assert_array_equal(mc.node_to_class, np.ones(6, dtype=int))
+    node_to_class, _ = hac_macro_classes(grid, k=1)
+    assert_array_equal(node_to_class, np.ones(6, dtype=int))
 
 
 def test_hac_k_out_of_range():
@@ -236,15 +236,15 @@ def test_hac_two_pairs_matches_bruteforce():
         if sse < best_sse:
             best, best_sse = assign, sse
     grid = grid_from(X, 2, 2)
-    mc = hac_macro_classes(grid, k=2)
-    assert partitions_equal(mc.node_to_class, best)
+    node_to_class, _ = hac_macro_classes(grid, k=2)
+    assert partitions_equal(node_to_class, best)
 
 
 def test_ward_heights_nondecreasing():
     rng = np.random.default_rng(9)
     grid = grid_from(rng.standard_normal((25, 5)), 5, 5)
-    mc = hac_macro_classes(grid, k=6)
-    heights = [m[2] for m in mc.linkage_history]
+    _, history = hac_macro_classes(grid, k=6)
+    heights = [m[2] for m in history]
     assert all(b >= a - 1e-12 for a, b in zip(heights, heights[1:]))
 
 
@@ -255,9 +255,9 @@ def test_cut_nesting_merges_only():
     rng = np.random.default_rng(10)
     for code in (rng.standard_normal((16, 4)), rng.integers(0, 3, (16, 2))):
         grid = grid_from(code, 4, 4)
-        prev = hac_macro_classes(grid, k=16).node_to_class
+        prev, _ = hac_macro_classes(grid, k=16)
         for k in range(15, 0, -1):
-            cur = hac_macro_classes(grid, k=k).node_to_class
+            cur, _ = hac_macro_classes(grid, k=k)
             # each current class is a union of previous classes
             for lab in set(prev.tolist()):
                 members = cur[prev == lab]
@@ -269,7 +269,7 @@ def test_blob_partition_recovery_quick():
     centers = 12.0 * np.eye(3)
     X, truth = blobs(centers, 30, 1.0, seed=4)
     grid = train_som(X, 3, 3, epochs=40, seed=4)
-    mc = periodize(X, grid, hac_macro_classes(grid, k=3))
+    mc = periodize(X, grid, k=3)
     assert partitions_equal(mc.week_to_class, truth)
 
 
@@ -280,12 +280,18 @@ def test_blob_partition_recovery_quick():
 def test_periodize_single_interval(small_table):
     fs = build_features(small_table)
     grid = train_som(fs, 2, 2, epochs=5, seed=0)
-    mc = MacroClassification(
-        k=1,
-        node_to_class=np.ones(4, dtype=int),
-        linkage_history=(),
-    )
-    full = periodize(fs, grid, mc)
+    full = periodize(fs, grid, k=1)
+    assert full.intervals == ((0, len(fs) - 1, 1),)
+    assert full.class_counts == {1: len(fs)}
+
+
+def test_periodize_one_node_grid(small_table):
+    # a 1x1 grid has nothing to merge: one class and one interval
+    fs = build_features(small_table)
+    grid = train_som(fs, 1, 1, epochs=5, seed=0)
+    full = periodize(fs, grid, k=1)
+    assert_array_equal(full.node_to_class, [1])
+    assert full.linkage_history == ()
     assert full.intervals == ((0, len(fs) - 1, 1),)
     assert full.class_counts == {1: len(fs)}
 
@@ -293,8 +299,7 @@ def test_periodize_single_interval(small_table):
 def test_periodize_singleton_class_means():
     X = np.array([[0.0, 0.0], [10.0, 10.0], [0.2, 0.1]])
     grid = grid_from(np.array([[0.0, 0.0], [10.0, 10.0]]))
-    mc = hac_macro_classes(grid, k=2)
-    full = periodize(X, grid, mc)
+    full = periodize(X, grid, k=2)
     singleton = [c for c, n in full.class_counts.items() if n == 1][0]
     assert_allclose(
         [full.class_means[singleton][f"x{i}"] for i in range(2)], X[1]
@@ -304,7 +309,7 @@ def test_periodize_singleton_class_means():
 def test_periodize_intervals_partition(small_table):
     fs = build_features(small_table)
     grid = train_som(fs, 3, 3, epochs=5, seed=1)
-    full = periodize(fs, grid, hac_macro_classes(grid, k=4))
+    full = periodize(fs, grid, k=4)
     covered = []
     prev_end = -1
     for start, end, cls in full.intervals:
@@ -331,7 +336,7 @@ def test_grid_serialization_roundtrip():
 def test_classification_serialization_roundtrip(small_table):
     fs = build_features(small_table)
     grid = train_som(fs, 2, 2, epochs=4, seed=2)
-    full = periodize(fs, grid, hac_macro_classes(grid, k=2))
+    full = periodize(fs, grid, k=2)
     again = from_json(MacroClassification, to_json(full))
     assert_array_equal(again.week_to_class, full.week_to_class)
     assert again.class_means == full.class_means
