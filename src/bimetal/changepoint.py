@@ -165,9 +165,9 @@ class Segmentation:
     and T are excluded), so the number of segments is len(tau) + 1 and the
     reported change-point count is len(tau). ``segment_covs`` carries one
     1x1 covariance matrix per segment (biased variance estimate).
-    ``penalty_used`` records the adaptive threshold (or the explicit beta
-    of a manual penalty) that selected the number of segments; it is None
-    for fixed-K segmentations.
+    ``selection`` records how the number of segments was chosen, its
+    ``threshold`` the adaptive threshold (or the explicit beta of a manual
+    penalty); it is None for fixed-K segmentations.
     """
 
     mode: SegMode
@@ -177,7 +177,6 @@ class Segmentation:
     segment_covs: tuple[np.ndarray, ...]
     contrast_value: float
     min_seg_len: int
-    penalty_used: float | None
     selection: SelectionDiagnostics | None
 
     @property
@@ -227,7 +226,6 @@ def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int,
         segment_covs=covs,
         contrast_value=total,
         min_seg_len=table.min_seg_len,
-        penalty_used=None if selection is None else selection.threshold,
         selection=selection,
     )
 

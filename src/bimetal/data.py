@@ -9,8 +9,8 @@ cells, and derives the two model inputs from it: the per-week feature
 vectors used by the SOM periodization and the weekly spread series used
 by the switching and change-point models. It also holds the one JSON
 codec of the package: ``to_json`` and ``from_json`` write and read back
-every persisted record (the features record keeps its matrices in
-features.csv, see ``write_features``).
+every persisted record (the features record is stored as the imputed
+QuotationTable in features.csv plus its two flags, see ``write_features``).
 """
 
 from __future__ import annotations
@@ -427,55 +427,16 @@ def compute_spread(
 # Serialization
 # ---------------------------------------------------------------------------
 
-#: FeatureSet fields stored as the cells of features.csv; features.json
-#: holds the other fields.
-_FEATURE_COLUMNS = ("years", "weeks", "base", "hpl", "standardized")
-
-
-def _features_header(feature_names) -> list[str]:
-    return ["year", "week", *RAW_COLUMNS] + [f"std_{name}" for name in feature_names]
-
-
 def write_features_csv(fs: FeatureSet, target) -> None:
-    write_csv(target, _features_header(fs.feature_names), _table_rows(
-        (fs.years, fs.weeks), np.hstack([fs.raw_matrix, fs.standardized])
-    ))
+    write_dataset(QuotationTable(years=fs.years, weeks=fs.weeks, values=fs.base), target)
 
 
 def write_features(fs: FeatureSet, csv_target, json_target) -> None:
-    """Store each FeatureSet field once: the matrices as features.csv cells,
-    the names, standardization and flags as JSON (see ``read_features``)."""
+    """Store what a FeatureSet cannot derive: the imputed quotations as
+    features.csv, in the ingestion format, and the two flags as JSON. The
+    FeatureSet is ``build_features(parse_dataset(csv), **flags)``."""
     write_features_csv(fs, csv_target)
-    write_json(
-        {f.name: to_json(getattr(fs, f.name)) for f in dataclasses.fields(fs)
-         if f.name not in _FEATURE_COLUMNS},
-        json_target,
-    )
-
-
-def read_features(csv_source, json_source) -> FeatureSet:
-    """Rebuild the FeatureSet that ``write_features`` stored.
-
-    Cells written by ``repr(float)`` read back exactly. A table that does
-    not parse, or whose header does not match the JSON's feature names, is
-    a ParseError naming ``csv_source``.
-    """
-    meta = read_json(json_source)
-    with _stream(csv_source, "r") as stream:
-        header = stream.readline().rstrip("\n").split(",")
-        try:
-            table = np.loadtxt(stream, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ParseError(f"malformed artifact {csv_source}: {exc}") from exc
-    if header != _features_header(meta["feature_names"]) or table.shape[1] != len(header):
-        raise ParseError(
-            f"malformed artifact {csv_source}: columns do not match feature_names"
-        )
-    b = 2 + len(VALUE_COLUMNS)  # first hpl column
-    return from_json(FeatureSet, dict(
-        meta, years=table[:, 0].astype(int), weeks=table[:, 1].astype(int),
-        base=table[:, 2:b], hpl=table[:, b : b + 2], standardized=table[:, b + 2 :],
-    ))
+    write_json({"include_hpl": fs.include_hpl, "hpl_kind": fs.hpl_kind}, json_target)
 
 
 def write_spread_csv(spread: SpreadSeries, target) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import typing
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -160,11 +161,26 @@ def _record(cls):
     return lambda table_path, json_path: dio.from_json(cls, dio.read_json(json_path))
 
 
+def _features(table_path, json_path) -> dio.FeatureSet:
+    """Rebuild the FeatureSet ``analyze`` held: ``build_features`` of the
+    imputed table in features.csv, with the flags in features.json. A table
+    that does not parse or build is a ParseError naming it."""
+    meta = dio.read_json(json_path)
+    flags = {"include_hpl": dio.from_json(bool, meta["include_hpl"]),
+             "hpl_kind": dio.from_json(str, meta["hpl_kind"])}
+    if flags["hpl_kind"] not in dio.HPL_KINDS:
+        raise ValueError(f"hpl_kind {flags['hpl_kind']!r} is not one of {dio.HPL_KINDS}")
+    try:
+        return dio.build_features(dio.parse_dataset(table_path), **flags)
+    except DataError as exc:
+        raise ParseError(f"malformed artifact {table_path}: {exc}") from exc
+
+
 # artifact name -> (stage that writes it, AnalysisBundle attribute that
 # holds it, decoder of its table and JSON files); a segmentation (attribute
 # None) is held in ``segmentations`` under its mode
 _ARTIFACTS = {
-    "features": ("ingest", "features", dio.read_features),
+    "features": ("ingest", "features", _features),
     "spread": ("ingest", "spread", _record(dio.SpreadSeries)),
     "som_grid": ("som", "grid", _record(sommod.SomGrid)),
     "periodization": ("som", "classification", _record(sommod.MacroClassification)),
@@ -287,9 +303,13 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
 def load_bundle(outdir) -> AnalysisBundle:
     """Reload a persisted analysis from its manifest.
 
-    A manifest or artifact that cannot be decoded, features.csv of another
-    length than the manifest's n_weeks, or a segmentation whose T and tau
-    do not split the spread into segments is a DataError naming the file.
+    The FeatureSet is rebuilt by ``build_features`` from the imputed table
+    in features.csv. A manifest or artifact that cannot be decoded is a
+    DataError naming the file, and so is one that does not fit the run:
+    features.csv of another length than the manifest's n_weeks, a
+    periodization whose week classes, class counts and class means
+    disagree, or a segmentation whose T and tau do not split the spread
+    into segments.
     """
     outdir = Path(outdir)
     path = outdir / "manifest.json"
@@ -305,13 +325,23 @@ def load_bundle(outdir) -> AnalysisBundle:
         for name, table, path in files:  # from here on, path names the file in error
             if name in _ARTIFACTS:  # else an artifact this version does not read
                 _keep(bundle, name, _ARTIFACTS[name][2](table, path))
-        if bundle.features is not None and len(bundle.features) != manifest["n_weeks"]:
-            csv = next(table for name, table, _ in files if name == "features")
-            raise ParseError(
-                f"malformed artifact {csv}: {len(bundle.features)} rows, "
-                f"but the manifest has n_weeks {manifest['n_weeks']}"
-            )
-        for name, _, path in files:  # path names the segmentation in error
+        n_weeks = manifest.get("n_weeks")
+        for name, table, path in files:  # path names the file in error
+            if name == "features" and len(bundle.features) != n_weeks:
+                raise ParseError(
+                    f"malformed artifact {table}: {len(bundle.features)} rows, "
+                    f"but the manifest has n_weeks {n_weeks}"
+                )
+            if name == "periodization":
+                c = bundle.classification
+                weeks = c.week_to_class.tolist()
+                if (len(weeks) != n_weeks or not set(weeks) <= set(range(1, c.k + 1))
+                        or dict(Counter(weeks)) != c.class_counts
+                        or c.class_means.keys() != c.class_counts.keys()):
+                    raise ValueError(
+                        f"week_to_class, class_counts and class_means do not put "
+                        f"the {n_weeks} weeks in classes 1..{c.k}"
+                    )
             if name.startswith("segmentation_") and bundle.spread is not None:
                 seg = bundle.segmentations[name.removeprefix("segmentation_")]
                 bounds = [0, *seg.tau, seg.T]

@@ -54,24 +54,48 @@ def test_traced_run_fires_every_span_and_uninstall_restores(tmp_path):
     assert len(tracer.restarts) == config.ms_restarts
 
 
-def test_ms_and_cpd_run_leaves_scipy_unimported(tmp_path):
-    """The benchmark bounds peak memory and import time. Only the SOM
-    stage's Ward linkage needs scipy, which costs about 0.4 s and 35 MB to
-    import, so it is imported on first use. A run without that stage, the
-    perceptron M-step included, must load no ``scipy`` module."""
+def _assert_leaves_scipy_unimported(code):
+    """Run ``code`` in a fresh interpreter and check that it loaded no
+    ``scipy`` module."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
-        "from bimetal import RunConfig, run_analyze, run_simulate\n"
-        f"sim = run_simulate(RunConfig(outdir={str(tmp_path / 'sim')!r}, sim_T=150))\n"
-        "run_analyze(RunConfig(\n"
-        f"    input=sim['dataset'], outdir={str(tmp_path / 'out')!r}, run_som=False,\n"
-        "    ms_families=('mlp', 'linear'), ms_hidden=2, ms_restarts=2, ms_max_iter=3))\n"
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        + code
+        + "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, f'scipy modules were imported: {loaded[:5]}'\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_ms_and_cpd_run_leaves_scipy_unimported(tmp_path):
+    """The benchmark bounds peak memory and import time. Only the SOM
+    stage's Ward linkage needs scipy, which costs about 0.4 s and 35 MB to
+    import, so it is imported on first use. A run without that stage, the
+    perceptron M-step included, must load no ``scipy`` module."""
+    _assert_leaves_scipy_unimported(
+        "from bimetal import RunConfig, run_analyze, run_simulate\n"
+        f"sim = run_simulate(RunConfig(outdir={str(tmp_path / 'sim')!r}, sim_T=150))\n"
+        "run_analyze(RunConfig(\n"
+        f"    input=sim['dataset'], outdir={str(tmp_path / 'out')!r}, run_som=False,\n"
+        "    ms_families=('mlp', 'linear'), ms_hidden=2, ms_restarts=2, ms_max_iter=3))\n"
+    )
+
+
+def test_report_leaves_scipy_unimported(tmp_path):
+    """``report`` rebuilds the features and reads the SOM stage's artifacts,
+    but runs no Ward linkage, so it loads no ``scipy`` module either."""
+    sim = RunConfig(outdir=str(tmp_path / "sim"), sim_T=150)
+    config = RunConfig(
+        input=pipeline.run_simulate(sim)["dataset"], outdir=str(tmp_path / "run"),
+        som_rows=3, som_cols=3, som_epochs=3, n_classes=3,
+        ms_families=("linear", "linear"), ms_restarts=2, ms_max_iter=3, cpd_k_max=4,
+    )
+    assert "periodization" in pipeline.run_analyze(config).artifact_names
+    _assert_leaves_scipy_unimported(
+        "from bimetal.cli import main\n"
+        f"assert main(['report', '--outdir', {config.outdir!r}]) == 0\n"
+    )

@@ -298,7 +298,6 @@ def test_selection_record_penalty_branch():
         second_differences=None, threshold=50.0, chosen_K=chosen,
     )
     assert seg.n_segments == chosen == 2
-    assert seg.penalty_used == seg.selection.threshold
 
 
 @pytest.mark.parametrize("series, K_max", [
@@ -313,7 +312,6 @@ def test_selection_record_flat_curve_branch(series, K_max):
         normalized=(1.0,) * K_max, second_differences={}, threshold=0.3, chosen_K=1,
     )
     assert seg.n_segments == 1
-    assert seg.penalty_used == seg.selection.threshold
 
 
 @pytest.mark.parametrize("mode", ["mean", "meanvar"])
@@ -337,7 +335,6 @@ def test_selection_record_adaptive_branch(mode):
     above = [K for K, v in sel.second_differences.items() if v > 0.5]
     assert sel.chosen_K == max(above) == 3
     assert seg.n_segments == 3
-    assert seg.penalty_used == sel.threshold
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +346,8 @@ def test_detect_mean_shift_localization():
     seg = detect(series, "mean")
     assert seg.n_change_points == 1
     assert abs(seg.tau[0] - 200) <= 2
-    assert seg.penalty_used == 0.75
     assert seg.selection is not None
+    assert seg.selection.threshold == 0.75
 
 
 def test_detect_variance_shift():

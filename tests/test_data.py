@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bimetal.data import (
+    HEADER,
     HPL_KINDS,
     VALUE_COLUMNS,
     ImputedCell,
@@ -15,7 +17,6 @@ from bimetal.data import (
     from_json,
     impute_missing,
     parse_dataset,
-    read_features,
     to_json,
     write_dataset,
     write_features,
@@ -282,16 +283,22 @@ def test_features_require_complete_data():
 
 
 def test_features_serialization_roundtrip(small_table, tmp_path):
-    fs = build_features(small_table)
+    """features.csv is the table in the ingestion format and features.json
+    the two flags; building features from them gives the FeatureSet back."""
+    fs = build_features(small_table, hpl_kind="ratio")
     write_features(fs, tmp_path / "features.csv", tmp_path / "features.json")
-    fs2 = read_features(tmp_path / "features.csv", tmp_path / "features.json")
-    assert_allclose(fs2.standardized, fs.standardized)
+    flags = json.loads((tmp_path / "features.json").read_text())
+    assert flags == {"include_hpl": True, "hpl_kind": "ratio"}
+    fs2 = build_features(parse_dataset(tmp_path / "features.csv"), **flags)
+    assert_array_equal(fs2.standardized, fs.standardized)
     assert fs2.feature_names == fs.feature_names
 
     lines = (tmp_path / "features.csv").read_text().splitlines()
     assert len(lines) == 31
-    assert lines[0].split(",")[:3] == ["year", "week", "poa_t"]
-    assert "std_hpl_f" in lines[0]
+    assert lines[0].split(",") == list(HEADER)
+    text = io.StringIO()
+    write_dataset(small_table, text)
+    assert (tmp_path / "features.csv").read_text() == text.getvalue()
 
 
 # ---------------------------------------------------------------------------

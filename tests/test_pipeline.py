@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bimetal.cli import main
-from bimetal.data import to_json, write_features, write_json
+from bimetal.data import HEADER, to_json, write_csv, write_features, write_json
 from bimetal.errors import DataError, ValidationError
 from bimetal.pipeline import (
     AnalysisBundle,
@@ -328,6 +328,24 @@ def test_load_bundle_reads_an_ms_model_that_stores_the_regime_and_iteration_coun
     assert buf.getvalue() == new_text
 
 
+def test_load_bundle_reads_a_segmentation_that_stores_penalty_used(analyzed, tmp_path):
+    """A segmentation_*.json written when the record kept the selection
+    threshold a second time, as penalty_used, loads; the extra key is ignored."""
+    config, _ = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    path = run / "segmentation_mean.json"
+    new_text = path.read_text()
+    record = json.loads(new_text)
+    assert "penalty_used" not in record
+    record["penalty_used"] = record["selection"]["threshold"]
+    path.write_text(json.dumps(record))
+    loaded = load_bundle(run)
+    buf = io.StringIO()
+    write_json(loaded.segmentations["mean"].to_dict(labels=loaded.spread.labels), buf)
+    assert buf.getvalue() == new_text
+
+
 @pytest.mark.parametrize("hpl", [{}, {"include_hpl": False, "hpl_kind": "ratio"}])
 def test_load_bundle_reloads_features_exactly(sim_dataset, tmp_path, hpl):
     config = fast_config(input=str(sim_dataset), outdir=str(tmp_path), run_som=False,
@@ -383,6 +401,24 @@ def _class_means_null(text):
     return json.dumps(d)
 
 
+def _class_count_dropped(text):
+    d = json.loads(text)
+    del d["class_counts"][next(iter(d["class_counts"]))]
+    return json.dumps(d)
+
+
+def _class_means_empty(text):
+    d = json.loads(text)
+    d["class_means"] = {}
+    return json.dumps(d)
+
+
+def _weeks_outside_the_classes(text):
+    d = json.loads(text)
+    d["week_to_class"] = [99] * len(d["week_to_class"])
+    return json.dumps(d)
+
+
 def _tau_past_the_end(text):
     d = json.loads(text)
     d["tau"] = [100000]
@@ -414,6 +450,9 @@ def _last_rows_dropped(text):
     ("ms_model.json", _offset_as_string),
     ("periodization.json", _class_counts_as_strings),
     ("periodization.json", _class_means_null),
+    ("periodization.json", _class_count_dropped),
+    ("periodization.json", _class_means_empty),
+    ("periodization.json", _weeks_outside_the_classes),
     ("segmentation_mean.json", _tau_past_the_end),
     ("segmentation_meanvar.json", _tau_negative),
 ])
@@ -428,6 +467,39 @@ def test_report_on_malformed_artifact_is_data_error(analyzed, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("data error: malformed artifact")
     assert {p.name for p in run.iterdir() if p.name in err} == {filename}
+
+
+def test_report_on_features_written_before_the_table_format_is_data_error(
+        analyzed, tmp_path, capsys):
+    """An outdir written when features.csv held the hpl and std_* columns,
+    and features.json the names and the standardization, makes report exit
+    2 with an error naming features.csv."""
+    config, bundle = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    fs = bundle.features
+    write_csv(
+        run / "features.csv",
+        ["year", "week", *fs.raw_names, *(f"std_{name}" for name in fs.feature_names)],
+        ([y, w, *map(repr, row)] for y, w, row in zip(
+            fs.years.tolist(), fs.weeks.tolist(),
+            np.hstack([fs.raw_matrix, fs.standardized]).tolist())),
+    )
+    write_json({"feature_names": list(fs.feature_names), "means": fs.means.tolist(),
+                "stds": fs.stds.tolist(), "include_hpl": fs.include_hpl,
+                "hpl_kind": fs.hpl_kind}, run / "features.json")
+    assert main(["report", "--outdir", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: malformed artifact {run / 'features.csv'}: ")
+    assert "features.json" not in err
+
+
+def test_features_csv_of_an_input_without_gaps_is_the_input(analyzed, sim_dataset):
+    """features.csv is the imputed table in the ingestion format, so a
+    simulated input, which has no gaps, comes back byte for byte."""
+    config, bundle = analyzed
+    assert bundle.manifest["ingest"]["n_imputed"] == 0
+    assert (Path(config.outdir) / "features.csv").read_bytes() == sim_dataset.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -749,22 +821,21 @@ def test_cli_flag_overrides_config_file(tmp_path):
 
 
 def test_features_csv_cells_are_the_json_floats(tmp_path):
-    """Every features.csv cell is the repr of one float of the FeatureSet."""
+    """features.csv is the imputed table in the ingestion format: every
+    value cell is the repr of one float of the FeatureSet's base, the
+    imputed cells included."""
     data = tmp_path / "data.csv"
-    data.write_text(make_csv(synthetic_rows(12, seed=4)))
+    data.write_text(make_csv(synthetic_rows(12, seed=4, missing={(3, 0), (4, 5)})))
     out = tmp_path / "out"
     fs = run_analyze(RunConfig(input=str(data), outdir=str(out), run_som=False,
                                run_ms=False, run_cpd=False)).features
     header, *rows = (out / "features.csv").read_text().splitlines()
-    assert header.split(",")[2:] == (
-        list(fs.raw_names) + [f"std_{name}" for name in fs.feature_names]
-    )
+    assert header.split(",") == list(HEADER)
     assert len(rows) == len(fs)
     for i, line in enumerate(rows):
         cells = line.split(",")
         assert [int(c) for c in cells[:2]] == [fs.years[i], fs.weeks[i]]
-        want = fs.base[i].tolist() + fs.hpl[i].tolist() + fs.standardized[i].tolist()
-        assert [float(c) for c in cells[2:]] == want
+        assert cells[2:] == [repr(v) for v in fs.base[i].tolist()]
 
 
 @pytest.mark.parametrize("key, value", [
