@@ -3,8 +3,8 @@
 Three complementary views of the same weekly data:
 
 * a SOM periodization of the full 14-dimensional quotation record,
-* a two-regime Markov-switching autoregression of the spread between the
-  highest and lowest gold-silver price, fitted by EM,
+* a Markov-switching autoregression, with two or more regimes, of the
+  spread between the highest and lowest gold-silver price, fitted by EM,
 * penalized-contrast change-point detection on that spread, in mean or in
   mean and variance,
 

@@ -8,9 +8,10 @@ a (weeks x 12) array with NaN for a missing quotation, fills the missing
 cells, and derives the two model inputs from it: the per-week feature
 vectors used by the SOM periodization and the weekly spread series used
 by the switching and change-point models. It also holds the one JSON
-codec of the package: ``to_json`` and ``from_json`` write and read back
-every persisted record (the features record is stored as the imputed
-QuotationTable in features.csv plus its two flags, see ``write_features``).
+codec of the package: ``to_json`` writes every JSON record and
+``from_json`` reads the model records back. The features and the spread are
+not read back from JSON: the run's flags rebuild both from the imputed
+QuotationTable that ``write_features_csv`` stores.
 """
 
 from __future__ import annotations
@@ -428,15 +429,8 @@ def compute_spread(
 # ---------------------------------------------------------------------------
 
 def write_features_csv(fs: FeatureSet, target) -> None:
+    """Write the imputed quotations of ``fs`` in the ingestion format."""
     write_dataset(QuotationTable(years=fs.years, weeks=fs.weeks, values=fs.base), target)
-
-
-def write_features(fs: FeatureSet, csv_target, json_target) -> None:
-    """Store what a FeatureSet cannot derive: the imputed quotations as
-    features.csv, in the ingestion format, and the two flags as JSON. The
-    FeatureSet is ``build_features(parse_dataset(csv), **flags)``."""
-    write_features_csv(fs, csv_target)
-    write_json({"include_hpl": fs.include_hpl, "hpl_kind": fs.hpl_kind}, json_target)
 
 
 def write_spread_csv(spread: SpreadSeries, target) -> None:

@@ -22,7 +22,7 @@ from . import changepoint as cpd
 from . import data as dio
 from . import som as sommod
 from . import switching as msmod
-from .errors import DataError, ParseError, ValidationError
+from .errors import DataError, ValidationError
 from .regression import LinearMean
 
 REFERENCE_TRANSITION = (0.844298, 0.746643)
@@ -156,37 +156,28 @@ def _input_path(config: RunConfig) -> Path:
     return path
 
 
-def _record(cls):
-    """Decoder of an artifact whose JSON file holds the whole record."""
-    return lambda table_path, json_path: dio.from_json(cls, dio.read_json(json_path))
-
-
-def _features(table_path, json_path) -> dio.FeatureSet:
-    """Rebuild the FeatureSet ``analyze`` held: ``build_features`` of the
-    imputed table in features.csv, with the flags in features.json. A table
-    that does not parse or build is a ParseError naming it."""
-    meta = dio.read_json(json_path)
-    flags = {"include_hpl": dio.from_json(bool, meta["include_hpl"]),
-             "hpl_kind": dio.from_json(str, meta["hpl_kind"])}
-    if flags["hpl_kind"] not in dio.HPL_KINDS:
-        raise ValueError(f"hpl_kind {flags['hpl_kind']!r} is not one of {dio.HPL_KINDS}")
-    try:
-        return dio.build_features(dio.parse_dataset(table_path), **flags)
-    except DataError as exc:
-        raise ParseError(f"malformed artifact {table_path}: {exc}") from exc
+def _ingested(table, config: RunConfig) -> tuple[dio.FeatureSet, dio.SpreadSeries]:
+    """The two ingest records of an imputed table under ``config``'s flags:
+    the SOM's features and the spread."""
+    features = dio.build_features(
+        table, include_hpl=config.include_hpl, hpl_kind=config.hpl_kind
+    )
+    return features, dio.compute_spread(table, aggregation=config.spread_aggregation)
 
 
 # artifact name -> (stage that writes it, AnalysisBundle attribute that
-# holds it, decoder of its table and JSON files); a segmentation (attribute
-# None) is held in ``segmentations`` under its mode
+# holds it, record type of its JSON file); the ingest records have no type,
+# as ``load_bundle`` rebuilds them from features.csv and the manifest's
+# config, and a segmentation (attribute None) is held in ``segmentations``
+# under its mode
 _ARTIFACTS = {
-    "features": ("ingest", "features", _features),
-    "spread": ("ingest", "spread", _record(dio.SpreadSeries)),
-    "som_grid": ("som", "grid", _record(sommod.SomGrid)),
-    "periodization": ("som", "classification", _record(sommod.MacroClassification)),
-    "ms_model": ("ms", "em", _record(msmod.EmResult)),
-    "segmentation_mean": ("cpd", None, _record(cpd.Segmentation)),
-    "segmentation_meanvar": ("cpd", None, _record(cpd.Segmentation)),
+    "features": ("ingest", "features", None),
+    "spread": ("ingest", "spread", None),
+    "som_grid": ("som", "grid", sommod.SomGrid),
+    "periodization": ("som", "classification", sommod.MacroClassification),
+    "ms_model": ("ms", "em", msmod.EmResult),
+    "segmentation_mean": ("cpd", None, cpd.Segmentation),
+    "segmentation_meanvar": ("cpd", None, cpd.Segmentation),
 }
 
 
@@ -219,12 +210,11 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     }
     bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
 
-    def keep(name, obj, table=None):
-        """List artifact ``name`` in the manifest; hold ``obj`` in the bundle."""
-        entry = {"name": name, "path": table or f"{name}.json"}
-        if table is not None:
-            entry["json"] = f"{name}.json"
-        manifest["artifacts"].append(entry)
+    def keep(name, obj, *files):
+        """List artifact ``name`` and its files (default ``name``.json) in
+        the manifest; hold ``obj`` in the bundle."""
+        files = dict(zip(("path", "json"), files or (f"{name}.json",)))
+        manifest["artifacts"].append({"name": name, **files})
         _keep(bundle, name, obj)
 
     stage = "ingest"
@@ -232,26 +222,21 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
         path = _input_path(config)
         manifest["config_hash"] = config.config_hash(path.read_bytes())
         table = dio.parse_dataset(str(path))
-        if not len(table):
-            raise DataError("no data rows")
         table, report = dio.impute_missing(table, max_gap=config.max_gap)
-        features = dio.build_features(
-            table, include_hpl=config.include_hpl, hpl_kind=config.hpl_kind
-        )
-        spread = dio.compute_spread(table, aggregation=config.spread_aggregation)
+        features, spread = _ingested(table, config)
         manifest["n_weeks"] = len(table)
         manifest["ingest"] = {
             "imputation_report": "imputation_report.json",
             "n_imputed": len(report),
         }
-        dio.write_features(features, outdir / "features.csv", outdir / "features.json")
+        dio.write_features_csv(features, outdir / "features.csv")
         dio.write_spread_csv(spread, outdir / "spread.csv")
         dio.write_json(dio.to_json(spread), outdir / "spread.json")
         dio.write_json(
             dio.imputation_report_to_dict(report), outdir / "imputation_report.json"
         )
         keep("features", features, "features.csv")
-        keep("spread", spread, "spread.csv")
+        keep("spread", spread, "spread.csv", "spread.json")
 
         if config.run_som:
             stage = "som"
@@ -303,10 +288,13 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
 def load_bundle(outdir) -> AnalysisBundle:
     """Reload a persisted analysis from its manifest.
 
-    The FeatureSet is rebuilt by ``build_features`` from the imputed table
-    in features.csv. A manifest or artifact that cannot be decoded is a
-    DataError naming the file, and so is one that does not fit the run:
-    features.csv of another length than the manifest's n_weeks, a
+    Each record is read from one file. The features and the spread are
+    rebuilt, as ``analyze`` built them, from the imputed table in
+    features.csv and the flags of the manifest's config; spread.csv and
+    spread.json are exports that are not read back. Every other record is
+    decoded from its JSON file. A manifest or artifact that cannot be
+    decoded is a DataError naming the file, and so is one that does not fit
+    the run: features.csv of another length than the manifest's n_weeks, a
     periodization whose week classes, class counts and class means
     disagree, or a segmentation whose T and tau do not split the spread
     into segments.
@@ -315,23 +303,23 @@ def load_bundle(outdir) -> AnalysisBundle:
     path = outdir / "manifest.json"
     if not path.exists():
         raise DataError(f"no manifest in {outdir}: run analyze first")
-    try:
+    try:  # from here on, path names the file being read
         manifest = dio.read_json(path)
-        files = [
-            (entry["name"], outdir / entry["path"], outdir / entry.get("json", entry["path"]))
-            for entry in manifest["artifacts"]
-        ]
-        bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
-        for name, table, path in files:  # from here on, path names the file in error
-            if name in _ARTIFACTS:  # else an artifact this version does not read
-                _keep(bundle, name, _ARTIFACTS[name][2](table, path))
+        config = RunConfig.from_dict(manifest["config"])
         n_weeks = manifest.get("n_weeks")
-        for name, table, path in files:  # path names the file in error
-            if name == "features" and len(bundle.features) != n_weeks:
-                raise ParseError(
-                    f"malformed artifact {table}: {len(bundle.features)} rows, "
-                    f"but the manifest has n_weeks {n_weeks}"
-                )
+        bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
+        for entry in manifest["artifacts"]:
+            name, path = entry["name"], outdir / entry["path"]
+            if name == "features":
+                table = dio.parse_dataset(path)
+                if len(table) != n_weeks:
+                    raise DataError(
+                        f"{len(table)} rows, but the manifest has n_weeks {n_weeks}"
+                    )
+                bundle.features, bundle.spread = _ingested(table, config)
+            elif name in _ARTIFACTS and _ARTIFACTS[name][2] is not None:
+                # (the spread came with the features; an unknown artifact is skipped)
+                _keep(bundle, name, dio.from_json(_ARTIFACTS[name][2], dio.read_json(path)))
             if name == "periodization":
                 c = bundle.classification
                 weeks = c.week_to_class.tolist()
@@ -350,9 +338,9 @@ def load_bundle(outdir) -> AnalysisBundle:
                         f"T {seg.T} and tau {list(seg.tau)} do not split the "
                         f"{len(bundle.spread)} spread observations into segments"
                     )
-    except ParseError:
-        raise  # a table that does not parse; the error names its file
-    except (DataError, LookupError, TypeError, ValueError, AttributeError) as exc:
+    except DataError as exc:  # a table that does not parse or build, or a config
+        raise DataError(f"malformed artifact {path}: {exc}") from exc
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"malformed artifact {path}: {exc!r}") from exc
     return bundle
 

@@ -66,29 +66,29 @@ def enumerate_posteriors(params, series):
 
 
 def numpy_filter(params, series):
-    """Reference Hamilton filter: one log-domain numpy step per t.
+    """Reference Hamilton filter: one normalized numpy step per t.
 
-    The per-step numpy recursion that the scaled Python-float
-    ``hamilton_filter`` replaced; same inputs, same FilterResult.
+    The per-step recursion that ``hamilton_filter``'s prefix scan replaced;
+    same inputs, same FilterResult. Each step scales the densities by its
+    largest log-density before weighting the prediction, so it rounds at
+    the ulp of the probabilities, not at that of the log-densities.
     """
     L = _log_density_matrix(params, series)
     A = params.transition
     n_use, n = L.shape
     filtered = np.empty((n_use, n))
     predicted = np.empty((n_use, n))
-    with np.errstate(divide="ignore"):
-        pred = stationary_distribution(A)
-        loglik = 0.0
-        for t in range(n_use):
-            predicted[t] = pred
-            joint = np.log(pred) + L[t]
-            m = joint.max()
-            w = np.exp(joint - m)
-            s = w.sum()
-            loglik += m + np.log(s)
-            f = w / s
-            filtered[t] = f
-            pred = A @ f
+    pred = stationary_distribution(A)
+    loglik = 0.0
+    for t in range(n_use):
+        predicted[t] = pred
+        m = L[t].max()
+        w = pred * np.exp(L[t] - m)
+        s = w.sum()
+        loglik += m + np.log(s)
+        f = w / s
+        filtered[t] = f
+        pred = A @ f
     return FilterResult(
         filtered=filtered, predicted=predicted, loglik=float(loglik),
         offset=params.lag,

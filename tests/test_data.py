@@ -1,5 +1,4 @@
 import io
-import json
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from bimetal.data import (
     parse_dataset,
     to_json,
     write_dataset,
-    write_features,
+    write_features_csv,
     write_spread_csv,
 )
 from bimetal.errors import ImputationError, ParseError, ValidationError
@@ -283,13 +282,11 @@ def test_features_require_complete_data():
 
 
 def test_features_serialization_roundtrip(small_table, tmp_path):
-    """features.csv is the table in the ingestion format and features.json
-    the two flags; building features from them gives the FeatureSet back."""
+    """features.csv is the table in the ingestion format; building features
+    from it with the run's flags gives the FeatureSet back."""
     fs = build_features(small_table, hpl_kind="ratio")
-    write_features(fs, tmp_path / "features.csv", tmp_path / "features.json")
-    flags = json.loads((tmp_path / "features.json").read_text())
-    assert flags == {"include_hpl": True, "hpl_kind": "ratio"}
-    fs2 = build_features(parse_dataset(tmp_path / "features.csv"), **flags)
+    write_features_csv(fs, tmp_path / "features.csv")
+    fs2 = build_features(parse_dataset(tmp_path / "features.csv"), hpl_kind="ratio")
     assert_array_equal(fs2.standardized, fs.standardized)
     assert fs2.feature_names == fs.feature_names
 

@@ -9,7 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bimetal.cli import main
-from bimetal.data import HEADER, to_json, write_csv, write_features, write_json
+from bimetal.data import (
+    HEADER, SPREAD_AGGREGATIONS, to_json, write_csv, write_features_csv, write_json,
+)
 from bimetal.errors import DataError, ValidationError
 from bimetal.pipeline import (
     AnalysisBundle,
@@ -262,10 +264,9 @@ def test_load_bundle_roundtrip(analyzed):
 
     # each loaded record, re-encoded as analyze encodes it, gives its files' text
     outdir = Path(config.outdir)
-    csv_text, json_text = io.StringIO(), io.StringIO()
-    write_features(loaded.features, csv_text, json_text)
+    csv_text = io.StringIO()
+    write_features_csv(loaded.features, csv_text)
     assert csv_text.getvalue() == (outdir / "features.csv").read_text()
-    assert json_text.getvalue() == (outdir / "features.json").read_text()
     labels = loaded.spread.labels
     records = {
         "spread": to_json(loaded.spread),
@@ -358,8 +359,70 @@ def test_load_bundle_reloads_features_exactly(sim_dataset, tmp_path, hpl):
             assert np.array_equal(got, want) and got.dtype == want.dtype, f.name
         else:
             assert got == want and type(got) is type(want), f.name
-    # features.json holds the names, the standardization and the flags only
-    assert (tmp_path / "features.json").stat().st_size < 2000
+    # the flags come from the manifest's config, so no features.json is written
+    assert not (tmp_path / "features.json").exists()
+
+
+@pytest.mark.parametrize("aggregation", SPREAD_AGGREGATIONS)
+def test_load_bundle_rebuilds_the_spread_exactly(tmp_path, aggregation):
+    """The spread comes back from features.csv and the manifest's config as
+    the SpreadSeries analyze held, on an input with imputed cells; spread.json
+    is its export, text for text."""
+    data = tmp_path / "data.csv"
+    data.write_text(make_csv(synthetic_rows(12, seed=4, missing={(3, 0), (4, 5)})))
+    config = RunConfig(input=str(data), outdir=str(tmp_path / "out"), run_som=False,
+                       run_ms=False, run_cpd=False, spread_aggregation=aggregation)
+    bundle = run_analyze(config)
+    assert bundle.manifest["ingest"]["n_imputed"] == 2
+    saved, loaded = bundle.spread, load_bundle(config.outdir).spread
+    for f in dataclasses.fields(saved):
+        want, got = getattr(saved, f.name), getattr(loaded, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want) and got.dtype == want.dtype, f.name
+        else:
+            assert got == want and type(got) is type(want), f.name
+    buf = io.StringIO()
+    write_json(to_json(loaded), buf)
+    assert buf.getvalue() == (Path(config.outdir) / "spread.json").read_text()
+
+
+REPORT_FILES = ("class_table.csv", "class_means.csv", "aligned_series.csv")
+
+
+def _report_files(run):
+    """Run ``bimetal report`` on ``run``; the bytes of each file it writes."""
+    assert main(["report", "--outdir", str(run)]) == 0
+    return {name: (run / name).read_bytes() for name in REPORT_FILES}
+
+
+def test_report_on_an_outdir_with_features_json_writes_the_same_files(analyzed, tmp_path):
+    """An outdir written when the features artifact also kept its flags in
+    features.json, listed as the manifest entry's "json", loads with that
+    file ignored."""
+    config, _ = analyzed
+    new, old = tmp_path / "new", tmp_path / "old"
+    shutil.copytree(config.outdir, new)
+    shutil.copytree(config.outdir, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    assert manifest["artifacts"][0] == {"name": "features", "path": "features.csv"}
+    manifest["artifacts"][0]["json"] = "features.json"
+    write_json(manifest, old / "manifest.json")
+    write_json({"include_hpl": config.include_hpl, "hpl_kind": config.hpl_kind},
+               old / "features.json")
+    assert _report_files(old) == _report_files(new)
+
+
+def test_report_does_not_read_spread_json(analyzed, tmp_path):
+    """spread.json is an export: the spread is rebuilt from features.csv, so
+    a spread.json whose years lost an entry changes no report file."""
+    config, _ = analyzed
+    intact, cut = tmp_path / "intact", tmp_path / "cut"
+    shutil.copytree(config.outdir, intact)
+    shutil.copytree(config.outdir, cut)
+    record = json.loads((cut / "spread.json").read_text())
+    del record["years"][-1]
+    write_json(record, cut / "spread.json")
+    assert _report_files(cut) == _report_files(intact)
 
 
 def test_load_bundle_missing_manifest(tmp_path):
@@ -373,9 +436,15 @@ def _unknown_mean_kind(text):
     return json.dumps(d)
 
 
-def _without_values(text):
+def _include_hpl_as_string(text):
     d = json.loads(text)
-    del d["values"]
+    d["config"]["include_hpl"] = "yes"
+    return json.dumps(d)
+
+
+def _without_config(text):
+    d = json.loads(text)
+    del d["config"]
     return json.dumps(d)
 
 
@@ -441,10 +510,10 @@ def _last_rows_dropped(text):
 
 @pytest.mark.parametrize("filename, corrupt", [
     ("ms_model.json", _unknown_mean_kind),
-    ("spread.json", _without_values),
     ("som_grid.json", _truncated),
     ("manifest.json", _truncated),
-    ("features.json", _truncated),
+    ("manifest.json", _include_hpl_as_string),
+    ("manifest.json", _without_config),
     ("features.csv", _last_row_cut_short),
     ("features.csv", _last_rows_dropped),
     ("ms_model.json", _offset_as_string),

@@ -264,6 +264,18 @@ def test_probability_rows_normalized():
                 assert ((mat >= 0) & (mat <= 1)).all()
 
 
+def _assert_recursions_match_numpy_reference(params, series):
+    filt = hamilton_filter(params, series)
+    ref = numpy_filter(params, series)
+    assert filt.loglik == pytest.approx(ref.loglik, rel=1e-12, abs=0)
+    assert_allclose(filt.filtered, ref.filtered, rtol=0, atol=1e-15)
+    assert_allclose(filt.predicted, ref.predicted, rtol=0, atol=1e-15)
+    assert_allclose(
+        kim_smoother(params, filt), numpy_smoother(params, ref), rtol=0, atol=1e-15
+    )
+    return filt
+
+
 @pytest.mark.parametrize(
     "families",
     [("linear", "linear"), ("mlp", "linear"), ("linear", "linear", "linear")],
@@ -277,41 +289,47 @@ def test_recursions_match_numpy_reference_at_historical_scale(families):
         for fam, mean in zip(families, params.means)
     )
     series, _ = simulate(params, T=2078, seed=1)
-    filt = hamilton_filter(params, series)
-    ref = numpy_filter(params, series)
-    assert filt.loglik == pytest.approx(ref.loglik, rel=1e-12, abs=0)
-    assert_allclose(filt.filtered, ref.filtered, rtol=0, atol=1e-15)
-    assert_allclose(filt.predicted, ref.predicted, rtol=0, atol=1e-15)
-    assert_allclose(
-        kim_smoother(params, filt), numpy_smoother(params, ref), rtol=0, atol=1e-15
-    )
+    _assert_recursions_match_numpy_reference(params, series)
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("sharp", [False, True])
-@pytest.mark.parametrize("n_use", [1, 2, 3, 64, 65, 4156])
-@pytest.mark.parametrize("n_regimes", [2, 3])
-@pytest.mark.parametrize("lag", [1, 2, 3])
-def test_recursions_match_numpy_reference_at_scan_edges(lag, n_regimes, n_use, sharp):
-    # lengths just under and over a power of two, and the per_day length
+def _stationary_params(lag, n_regimes):
     rng = np.random.default_rng(100 * lag + n_regimes)
     params = random_params(rng, lag=lag, n_regimes=n_regimes)
     # sum |a_i| < 1 keeps every regime's autoregression stationary
     params.means = tuple(
         LinearMean(np.r_[m.coef[0], m.coef[1:] / lag]) for m in params.means
     )
+    return params
+
+
+SCAN_EDGES = [1, 2, 3, 64, 65, 4156]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sharp", [False, True])
+@pytest.mark.parametrize("n_use", SCAN_EDGES)
+@pytest.mark.parametrize("n_regimes", [2, 3])
+@pytest.mark.parametrize("lag", [1, 2, 3])
+def test_recursions_match_numpy_reference_at_scan_edges(lag, n_regimes, n_use, sharp):
+    # lengths just under and over a power of two, and the per_day length
+    params = _stationary_params(lag, n_regimes)
     if sharp:  # sharply separated regimes: filtered rows near 0 and 1
         params.sigmas = params.sigmas * 0.02
     series, _ = simulate(params, T=n_use + lag, seed=n_use)
-    filt = hamilton_filter(params, series)
-    ref = numpy_filter(params, series)
+    filt = _assert_recursions_match_numpy_reference(params, series)
     assert filt.filtered.shape == (n_use, n_regimes)
-    assert filt.loglik == pytest.approx(ref.loglik, rel=1e-12, abs=0)
-    assert_allclose(filt.filtered, ref.filtered, rtol=0, atol=1e-15)
-    assert_allclose(filt.predicted, ref.predicted, rtol=0, atol=1e-15)
-    assert_allclose(
-        kim_smoother(params, filt), numpy_smoother(params, ref), rtol=0, atol=1e-15
-    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_use", SCAN_EDGES)
+@pytest.mark.parametrize("n_regimes", [2, 3])
+@pytest.mark.parametrize("lag", [1, 2, 3])
+def test_recursions_match_numpy_reference_when_no_regime_fits(lag, n_regimes, n_use):
+    # sigmas cut after simulating: the log-densities are large and negative
+    params = _stationary_params(lag, n_regimes)
+    series, _ = simulate(params, T=n_use + lag, seed=n_use)
+    params.sigmas = params.sigmas * 0.02
+    _assert_recursions_match_numpy_reference(params, series)
 
 
 def test_label_switching_symmetry():
