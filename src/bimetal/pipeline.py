@@ -27,6 +27,9 @@ from .regression import LinearMean
 
 REFERENCE_TRANSITION = (0.844298, 0.746643)
 
+# The config keys whose values must be one of a fixed set.
+_CHOICES = {"hpl_kind": dio.HPL_KINDS, "spread_aggregation": dio.SPREAD_AGGREGATIONS}
+
 
 @dataclass
 class RunConfig:
@@ -88,7 +91,8 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         """Build a RunConfig from JSON-like keys, each decoded by
         ``data.from_json`` (lists become tuples, numbers stay as given); an
-        unknown key or a mistyped value is a ValidationError naming the key."""
+        unknown key, a mistyped value or an ingest flag that is not one of
+        its choices is a ValidationError naming the key."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -102,6 +106,11 @@ class RunConfig:
                     raise ValidationError(
                         f"config key {f.name!r}: {d[f.name]!r} is not {f.type}"
                     ) from None
+                choices = _CHOICES.get(f.name)
+                if choices is not None and decoded[f.name] not in choices:
+                    raise ValidationError(
+                        f"config key {f.name!r}: {d[f.name]!r} is not one of {choices}"
+                    )
         return cls(**decoded)
 
     @classmethod

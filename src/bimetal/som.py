@@ -195,31 +195,131 @@ def _canonical_relabel(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ward_linkage(X: np.ndarray) -> np.ndarray:
+    """The Ward linkage matrix of the rows of X, bit for bit scipy's
+    ``linkage(X, "ward")``: row r merges clusters Z[r, 0] < Z[r, 1] at
+    height Z[r, 2] into cluster n + r of Z[r, 3] points.
+
+    The merges come from the nearest-neighbour chain (Murtagh 1983;
+    Müllner 2011, arXiv:1109.2378) on the Euclidean distances, with the
+    Lance–Williams update for Ward. Every float operation is scipy's, in
+    its order, so the heights agree to the last bit.
+    """
+    n = X.shape[0]
+    # Each distance a sequential sum over the columns, as pdist adds them
+    # (np.sum's pairwise summation would change the last bits).
+    D = np.zeros((n, n))
+    for col in X.T:
+        diff = col[:, None] - col[None, :]
+        D += diff * diff
+    np.sqrt(D, D)
+    if not np.isfinite(D).all():
+        raise ValidationError("Ward linkage needs finite code vectors")
+
+    size = np.ones(n, dtype=int)  # 0 once a cluster is merged away
+    Z = np.empty((n - 1, 4))
+    chain: list[int] = []
+    for step in range(n - 1):
+        if not chain:
+            chain.append(int(np.flatnonzero(size)[0]))
+        # Grow the chain to a pair of mutual nearest neighbours. A nearer
+        # cluster must be strictly nearer than the previous chain element,
+        # and among equals the lowest index wins.
+        while True:
+            x = chain[-1]
+            d = np.where(size > 0, D[x], np.inf)
+            d[x] = np.inf
+            y = int(d.argmin())
+            if len(chain) > 1 and not d[y] < D[x, chain[-2]]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        dxy = D[x, y]
+        Z[step] = x, y, dxy, nx + ny
+        size[x] = 0
+        size[y] = nx + ny  # the merged cluster takes the larger index
+        others = np.flatnonzero(size)
+        others = others[others != y]
+        ni = size[others]
+        t = 1.0 / (nx + ny + ni)
+        dxi, dyi = D[x, others], D[y, others]
+        D[y, others] = D[others, y] = np.sqrt(
+            (ni + nx) * t * dxi * dxi + (ni + ny) * t * dyi * dyi - ni * t * dxy * dxy
+        )
+
+    # Sort by height, keeping the discovery order of ties, then name each
+    # merged cluster n + r by its row and recount the sizes.
+    Z = Z[np.argsort(Z[:, 2], kind="mergesort")]
+    parent = list(range(2 * n - 1))
+    count = [1] * (2 * n - 1)
+    for r in range(n - 1):
+        roots = []
+        for c in (int(Z[r, 0]), int(Z[r, 1])):
+            while parent[c] != c:
+                c = parent[c]
+            roots.append(c)
+        a, b = sorted(roots)
+        parent[a] = parent[b] = n + r
+        count[n + r] = count[a] + count[b]
+        Z[r] = a, b, Z[r, 2], count[n + r]
+    return Z
+
+
+def _cut(Z: np.ndarray, k: int) -> np.ndarray:
+    """Each point's cluster when the linkage Z is cut at k clusters, as
+    scipy's ``cut_tree(Z, n_clusters=k)`` labels them.
+
+    ``cut_tree`` applies the merges by height, not by row. It walks the
+    tree breadth first from the root, right child first, and ``insort_left``s
+    each merge by height, so among tied heights the merge it reached later
+    comes first. A merge gives all its points the lowest label among them
+    and closes the gap in the labels above.
+    """
+    n = Z.shape[0] + 1
+    walk = [2 * n - 2]
+    for c in walk:  # the list grows while it is walked
+        if c >= n:
+            walk += [int(Z[c - n, 1]), int(Z[c - n, 0])]
+    rows = np.array([c - n for c in reversed(walk) if c >= n], dtype=int)
+    rows = rows[np.argsort(Z[rows, 2], kind="stable")]
+
+    members = np.eye(2 * n - 1, n, dtype=bool)  # the points of each cluster
+    for r in range(n - 1):
+        members[n + r] = members[int(Z[r, 0])] | members[int(Z[r, 1])]
+    labels = np.arange(n)
+    for r in rows[: n - k]:
+        points = members[n + r]
+        merged = labels[points]
+        labels[points] = merged.min()
+        labels[labels > merged.max()] -= 1
+    return labels
+
+
 def hac_macro_classes(grid: SomGrid, k: int) -> tuple[np.ndarray, tuple]:
     """Ward agglomeration of the code vectors, cut at k clusters: each
     node's class (1..k, by first appearance) and the linkage merges.
 
-    The classes are scipy's ``cut_tree`` cut: going from k to k-1 classes
-    only merges classes. With tied heights the cut need not apply the first
-    (n_nodes - k) linkage rows (code vectors [1], [1], [0], [0], [0] at k=4
-    give [1 2 3 3 4], though row 0 merges nodes 0 and 1). scipy is loaded
-    on the first call, not when the package is imported.
+    The merges and their heights are bit for bit scipy's
+    ``linkage(code_vectors, "ward")``, and the classes are its
+    ``cut_tree`` cut: going from k to k-1 classes only merges classes.
+    With tied heights the cut need not apply the first (n_nodes - k)
+    linkage rows (code vectors [1], [1], [0], [0], [0] at k=4 give
+    [1 2 3 3 4], though row 0 merges nodes 0 and 1). Both are computed
+    with numpy alone.
     """
-    # Imported here: scipy.cluster costs about 0.4 s and 35 MB at startup,
-    # which every run without the SOM stage would pay for nothing.
-    from scipy.cluster.hierarchy import cut_tree, linkage
-
     n = grid.n_nodes
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} out of range 1..{n}")
     if n == 1:
         return np.array([1]), ()
-    Z = linkage(grid.code_vectors, method="ward")
-    labels = cut_tree(Z, n_clusters=k).ravel()
+    Z = _ward_linkage(grid.code_vectors)
     history = tuple(
         (int(a), int(b), float(h), int(size)) for a, b, h, size in Z
     )
-    return _canonical_relabel(labels), history
+    return _canonical_relabel(_cut(Z, k)), history
 
 
 def periodize(features, grid: SomGrid, k: int = 6) -> MacroClassification:

@@ -10,10 +10,17 @@ implementations under test.
 import itertools
 
 import numpy as np
-from scipy.special import logsumexp
 
 from bimetal.regression import make_design
 from bimetal.switching import FilterResult, stationary_distribution
+
+
+def logsumexp(a):
+    """log(sum(exp(a))), shifted by the largest entry; -inf if every entry is."""
+    m = np.max(a)
+    if m == -np.inf:
+        return m
+    return m + np.log(np.sum(np.exp(a - m)))
 
 
 def _log_density_matrix(params, series):

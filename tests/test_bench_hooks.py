@@ -71,23 +71,28 @@ def _assert_leaves_scipy_unimported(code):
     assert run.returncode == 0, run.stderr
 
 
-def test_ms_and_cpd_run_leaves_scipy_unimported(tmp_path):
-    """The benchmark bounds peak memory and import time. Only the SOM
-    stage's Ward linkage needs scipy, which costs about 0.4 s and 35 MB to
-    import, so it is imported on first use. A run without that stage, the
-    perceptron M-step included, must load no ``scipy`` module."""
+def test_run_of_every_stage_leaves_scipy_unimported(tmp_path):
+    """The benchmark bounds peak memory and import time, and importing
+    scipy costs about 0.4 s and 30 MB. The package needs numpy only: an
+    analyze with every stage (the SOM stage's Ward linkage and the
+    perceptron M-step included), load_bundle and report must load no
+    ``scipy`` module."""
     _assert_leaves_scipy_unimported(
-        "from bimetal import RunConfig, run_analyze, run_simulate\n"
+        "from bimetal import RunConfig, load_bundle, run_analyze, run_report, run_simulate\n"
         f"sim = run_simulate(RunConfig(outdir={str(tmp_path / 'sim')!r}, sim_T=150))\n"
-        "run_analyze(RunConfig(\n"
-        f"    input=sim['dataset'], outdir={str(tmp_path / 'out')!r}, run_som=False,\n"
-        "    ms_families=('mlp', 'linear'), ms_hidden=2, ms_restarts=2, ms_max_iter=3))\n"
+        "bundle = run_analyze(RunConfig(\n"
+        f"    input=sim['dataset'], outdir={str(tmp_path / 'out')!r},\n"
+        "    som_rows=3, som_cols=3, som_epochs=3, n_classes=3,\n"
+        "    ms_families=('mlp', 'linear'), ms_hidden=2, ms_restarts=2, ms_max_iter=3,\n"
+        "    cpd_k_max=4))\n"
+        "assert {'periodization', 'ms_model', 'segmentation_meanvar'} <= set(bundle.artifact_names)\n"
+        "run_report(load_bundle(bundle.outdir))\n"
     )
 
 
 def test_report_leaves_scipy_unimported(tmp_path):
-    """``report`` rebuilds the features and reads the SOM stage's artifacts,
-    but runs no Ward linkage, so it loads no ``scipy`` module either."""
+    """``bimetal report`` on an outdir of every stage, run as the CLI
+    runs it, loads no ``scipy`` module either."""
     sim = RunConfig(outdir=str(tmp_path / "sim"), sim_T=150)
     config = RunConfig(
         input=pipeline.run_simulate(sim)["dataset"], outdir=str(tmp_path / "run"),

@@ -116,7 +116,9 @@ def test_config_values_are_type_checked():
                 # tuple elements of the wrong type
                 {"sim_coefs": [1, 2]}, {"sim_coefs": [[0.1, "a"]]},
                 {"sim_levels": ["a", 1, 2]}, {"sim_tau": [1.5, 3]},
-                {"sim_tau": [True, 3]}, {"ms_families": ["mlp", None]}):
+                {"sim_tau": [True, 3]}, {"ms_families": ["mlp", None]},
+                # ingest flags outside their choices
+                {"spread_aggregation": "weekly"}, {"hpl_kind": "log"}):
         (key,) = bad
         with pytest.raises(ValidationError, match=f"config key '{key}'"):
             RunConfig.from_dict(bad)
@@ -442,6 +444,18 @@ def _include_hpl_as_string(text):
     return json.dumps(d)
 
 
+def _spread_aggregation_weekly(text):
+    d = json.loads(text)
+    d["config"]["spread_aggregation"] = "weekly"
+    return json.dumps(d)
+
+
+def _hpl_kind_unknown(text):
+    d = json.loads(text)
+    d["config"]["hpl_kind"] = "log"
+    return json.dumps(d)
+
+
 def _without_config(text):
     d = json.loads(text)
     del d["config"]
@@ -513,6 +527,8 @@ def _last_rows_dropped(text):
     ("som_grid.json", _truncated),
     ("manifest.json", _truncated),
     ("manifest.json", _include_hpl_as_string),
+    ("manifest.json", _spread_aggregation_weekly),
+    ("manifest.json", _hpl_kind_unknown),
     ("manifest.json", _without_config),
     ("features.csv", _last_row_cut_short),
     ("features.csv", _last_rows_dropped),
@@ -930,7 +946,9 @@ def test_cli_bad_ingest_value_in_config_is_data_error(tmp_path, capsys, key, val
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("data error:") and repr(value) in err[0]
+    assert f"config key {key!r}" in err[0]
     assert len(err) == 1  # no traceback
+    assert not (tmp_path / "out").exists()  # caught before any stage ran
 
 
 @pytest.mark.parametrize("text", ['{"som_rows": 5,}', "[5]", "\udcff"])

@@ -10,6 +10,7 @@ from bimetal.errors import ValidationError
 from bimetal.som import (
     MacroClassification,
     SomGrid,
+    _canonical_relabel,
     bmu_indices,
     hac_macro_classes,
     periodize,
@@ -263,6 +264,37 @@ def test_cut_nesting_merges_only():
                 members = cur[prev == lab]
                 assert len(set(members.tolist())) == 1
             prev = cur
+
+
+def _oracle_grids():
+    """Gaussian grids, grids with duplicated rows and integer grids with
+    exact ties, of 2 to 25 nodes."""
+    rng = np.random.default_rng(11)
+    for _ in range(15):
+        n, dim = int(rng.integers(2, 26)), int(rng.integers(1, 9))
+        yield rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4)
+    for _ in range(15):
+        n, dim = int(rng.integers(2, 26)), int(rng.integers(1, 5))
+        rows = rng.standard_normal((max(1, n // 3), dim))
+        yield rows[rng.integers(0, len(rows), n)]
+    for _ in range(15):
+        n, dim = int(rng.integers(2, 26)), int(rng.integers(1, 4))
+        yield rng.integers(0, 3, (n, dim)).astype(float)
+
+
+def test_ward_and_cut_match_scipy():
+    # scipy is a test-only oracle: the linkage history bit for bit, and the
+    # classes of cut_tree at every k
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    for code in _oracle_grids():
+        n = code.shape[0]
+        grid = grid_from(code)
+        Z = hierarchy.linkage(code, method="ward")
+        for k in range(1, n + 1):
+            node_to_class, history = hac_macro_classes(grid, k)
+            assert_array_equal(np.array(history), Z)
+            cut = hierarchy.cut_tree(Z, n_clusters=k).ravel()
+            assert_array_equal(node_to_class, _canonical_relabel(cut))
 
 
 def test_blob_partition_recovery_quick():
