@@ -76,7 +76,8 @@ def _add_analyze_opts(parser):
     parser.add_argument("--ms-hidden", type=int, dest="ms_hidden")
     parser.add_argument("--ms-tol", type=float, dest="ms_tol")
     parser.add_argument("--ms-max-iter", type=int, dest="ms_max_iter")
-    parser.add_argument("--ms-restarts", type=int, dest="ms_restarts")
+    parser.add_argument("--ms-restarts", type=int, dest="ms_restarts",
+                        help="restarts of the linear stage")
     parser.add_argument("--ms-seed", type=int, dest="ms_seed")
     parser.add_argument("--cpd-k-max", type=int, dest="cpd_k_max")
     parser.add_argument("--cpd-threshold", type=float, dest="cpd_threshold")
@@ -151,7 +152,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _warn_em(em) -> None:
-    """Flag, on stderr, an EM fit that stopped unconverged or lost restarts."""
+    """Flag, on stderr, an EM fit that stopped unconverged or lost restarts:
+    the count is over ``restart_logliks``, every EM run of both stages."""
     if em is None:
         return
     if not em.converged:

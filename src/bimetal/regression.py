@@ -22,6 +22,9 @@ _LM_REL_TOL = 1e-10
 # after an accepted step and rises tenfold after a rejected one; past 1e16
 # the fit stops where it is.
 _LM_DAMPING_START, _LM_DAMPING_MIN, _LM_DAMPING_MAX = 1e-3, 1e-12, 1e16
+# MlpMean.from_line: the hidden units' scale on the standardized projection
+# and the spread of their offsets (see its docstring).
+_LINE_SCALE, _LINE_SPREAD = 0.4, 1.5
 
 
 def make_design(series: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,15 +86,30 @@ class MlpMean:
         self.b2 = float(self.b2)
 
     @classmethod
-    def random(cls, lag: int, hidden: int, rng, scale: float = 0.5,
-               output_level: float = 0.0) -> "MlpMean":
-        """Small random weights; output bias set near the target level."""
-        return cls(
-            w1=scale * rng.standard_normal((hidden, lag)),
-            b1=scale * rng.standard_normal(hidden),
-            w2=scale * rng.standard_normal(hidden),
-            b2=output_level + 0.1 * scale * rng.standard_normal(),
+    def from_line(cls, coef, X, hidden: int) -> "MlpMean":
+        """A perceptron that reproduces the line coef[0] + X @ coef[1:] on X.
+
+        Unit k is tanh(c (z + o_k)) of the line's standardized projection
+        z = (X @ coef[1:] - mean) / std, at the scale c = _LINE_SCALE, with
+        the offsets o_k spread evenly over [-_LINE_SPREAD, _LINE_SPREAD]
+        (0 for a single unit). The output weights and bias are the least
+        squares fit of the line's values on X. A line with no slope, or a
+        projection with no spread, gives z = 0: every unit is constant and
+        the output bias carries the line. Deterministic: draws nothing.
+        """
+        coef = np.asarray(coef, dtype=float)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        u = X @ coef[1:]
+        std = float(u.std())
+        std = std if std > 0.0 else 1.0
+        offsets = _LINE_SPREAD * np.linspace(-1.0, 1.0, hidden) if hidden > 1 else np.zeros(1)
+        w1 = np.tile(_LINE_SCALE * coef[1:] / std, (hidden, 1))
+        b1 = _LINE_SCALE * (offsets - float(u.mean()) / std)
+        H = np.tanh(X @ w1.T + b1)
+        out, *_ = np.linalg.lstsq(
+            np.column_stack([H, np.ones(X.shape[0])]), coef[0] + u, rcond=None
         )
+        return cls(w1=w1, b1=b1, w2=out[:-1], b2=out[-1])
 
     @property
     def lag(self) -> int:

@@ -21,6 +21,7 @@ non-decreasing at every iteration, which the tests assert unconditionally.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -422,8 +423,10 @@ def _update_transition(A_old, xi, sm0) -> np.ndarray:
 @dataclass
 class EmResult:
     """The best restart's fit: ``trace`` holds its log-likelihood after
-    each E-step, ``restart_logliks`` every restart's final log-likelihood,
-    None for a restart that collapsed."""
+    each E-step. ``restart_logliks`` holds one final log-likelihood per EM
+    run, None for a run that collapsed: the jittered restarts first and,
+    for a spec with a perceptron regime, then its one run per assignment
+    (see ``em_fit``). ``restart`` indexes that list."""
 
     spec: MsSpec
     seed: int
@@ -445,26 +448,18 @@ class EmResult:
 
 
 def _initial_params(spec: MsSpec, series, rng) -> MsParams:
-    """Jittered initialization around a global AR fit."""
+    """Jittered initialization around a global AR fit, every regime linear."""
     X, y = make_design(series, spec.lag)
     base = LinearMean(np.zeros(spec.lag + 1)).fit_weighted(X, y, np.ones(y.shape[0]))
     resid_std = float(np.std(y - base.predict(X), ddof=0))
     scale = max(resid_std, 1e-3 * max(float(np.std(y)), 1.0), 1e-12)
 
     means = []
-    for fam in spec.families:
-        if fam == "linear":
-            jitter = rng.standard_normal(spec.lag + 1) * (
-                0.5 * np.abs(base.coef) + 0.5 * scale
-            )
-            means.append(LinearMean(base.coef + jitter))
-        else:
-            means.append(
-                MlpMean.random(
-                    spec.lag, spec.hidden_units, rng,
-                    scale=0.5, output_level=float(y.mean()),
-                )
-            )
+    for _ in range(spec.n_regimes):
+        jitter = rng.standard_normal(spec.lag + 1) * (
+            0.5 * np.abs(base.coef) + 0.5 * scale
+        )
+        means.append(LinearMean(base.coef + jitter))
     sigmas = scale * rng.uniform(0.5, 1.5, size=spec.n_regimes)
     diag = rng.uniform(0.7, 0.95, size=spec.n_regimes)
     A = np.empty((spec.n_regimes, spec.n_regimes))
@@ -473,6 +468,30 @@ def _initial_params(spec: MsSpec, series, rng) -> MsParams:
         A[:, j] = off
         A[j, j] = diag[j]
     return MsParams(transition=A, means=tuple(means), sigmas=sigmas)
+
+
+def _perceptron_starts(spec: MsSpec, linear: MsParams, X) -> list[MsParams]:
+    """One start per assignment of the fitted linear regimes to the spec's
+    slots: the linear fit relabeled, with each perceptron slot's line
+    rebuilt as a perceptron on the design X (``MlpMean.from_line``).
+
+    Slots of one family are interchangeable, so only the assignments that
+    keep the regimes of each family in increasing order are tried: two for
+    ``mlp,linear``, one for ``mlp,mlp``.
+    """
+    n, families = spec.n_regimes, spec.families
+    starts = []
+    for order in itertools.permutations(range(n)):
+        if any(order[i] > order[j] for i, j in itertools.combinations(range(n), 2)
+               if families[i] == families[j]):
+            continue
+        relabeled = linear.permuted(order)
+        means = tuple(
+            MlpMean.from_line(mean.coef, X, spec.hidden_units) if fam == "mlp" else mean
+            for fam, mean in zip(families, relabeled.means)
+        )
+        starts.append(MsParams(relabeled.transition, means, relabeled.sigmas))
+    return starts
 
 
 def _m_step(params, X, y, smoothed, xi) -> MsParams:
@@ -540,10 +559,17 @@ def em_fit(
     params are given a single run starts from them instead. Each M-step
     refits every regime's mean by its own ``fit_weighted`` (closed form for
     a linear mean, at most 200 Levenberg-Marquardt steps for a perceptron).
+
+    A spec with a perceptron regime is fitted in two stages. The jittered
+    restarts fit the nested spec, every regime linear; then one run of the
+    spec starts from the best linear fit for each assignment of its regimes
+    to the spec's slots, each perceptron reproducing its slot's line
+    (``MlpMean.from_line``). The result is the best of those runs.
+
     Regimes in the result are relabeled so regime 1 has the largest
-    stationary probability. A restart aborts as degenerate when a regime's
-    total posterior mass drops below one observation-equivalent;
-    if every restart degenerates the model is likely over-specified and a
+    stationary probability. A run aborts as degenerate when a regime's
+    total posterior mass drops below one observation-equivalent; if every
+    run of a stage degenerates the model is likely over-specified and a
     DegenerateModelError suggests fewer regimes.
     """
     series = np.asarray(series, dtype=float)
@@ -567,40 +593,23 @@ def em_fit(
             stacklevel=2,
         )
 
+    logliks: list[float | None] = []
     if init is not None:
-        starts = [init]
+        restart, fit = _best_run(spec, series, [init], tol, max_iter, logliks)
     elif n_restarts < 1:
         raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
     else:
-        children = np.random.SeedSequence(seed).spawn(n_restarts)
-        starts = [
-            _initial_params(spec, series, np.random.default_rng(child))
-            for child in children
-        ]
-
-    best = None
-    restart_logliks: list[float | None] = []
-    failures: list[str] = []
-    for r, start in enumerate(starts):
-        try:
-            params, probs, trace, converged = _em_single(
-                spec, series, start, tol, max_iter
-            )
-        except _DegenerateRestart as exc:
-            restart_logliks.append(None)
-            failures.append(str(exc))
-            continue
-        restart_logliks.append(trace[-1])
-        if best is None or trace[-1] > best[2][-1]:
-            best = (params, probs, trace, converged, r)
-
-    if best is None:
-        raise DegenerateModelError(
-            "all restarts degenerate (" + "; ".join(failures[:3]) +
-            "); try fewer regimes"
+        linear = MsSpec(spec.lag, ("linear",) * spec.n_regimes)
+        starts = (
+            _initial_params(linear, series, np.random.default_rng(child))
+            for child in np.random.SeedSequence(seed).spawn(n_restarts)
         )
+        restart, fit = _best_run(linear, series, starts, tol, max_iter, logliks)
+        if "mlp" in spec.families:
+            starts = _perceptron_starts(spec, fit[0], make_design(series, spec.lag)[0])
+            restart, fit = _best_run(spec, series, starts, tol, max_iter, logliks)
 
-    params, probs, trace, converged, restart = best
+    params, probs, trace, converged = fit
     order = canonical_regime_order(params)
     probs = RegimeProbabilities(
         offset=probs.offset,
@@ -616,8 +625,32 @@ def em_fit(
         trace=tuple(trace),
         converged=converged,
         restart=restart,
-        restart_logliks=tuple(restart_logliks),
+        restart_logliks=tuple(logliks),
     )
+
+
+def _best_run(spec, series, starts, tol, max_iter, logliks):
+    """Run EM from each start, appending each run's final log-likelihood
+    (None if it collapsed) to ``logliks``. Returns the list index and the
+    ``_em_single`` output of the best run, the earliest on a tie, or raises
+    DegenerateModelError when every run collapsed."""
+    best, failures = None, []
+    for start in starts:
+        try:
+            fit = _em_single(spec, series, start, tol, max_iter)
+        except _DegenerateRestart as exc:
+            logliks.append(None)
+            failures.append(str(exc))
+            continue
+        logliks.append(fit[2][-1])
+        if best is None or fit[2][-1] > best[1][2][-1]:
+            best = (len(logliks) - 1, fit)
+    if best is None:
+        raise DegenerateModelError(
+            "all restarts degenerate (" + "; ".join(failures[:3]) +
+            "); try fewer regimes"
+        )
+    return best
 
 
 # ---------------------------------------------------------------------------

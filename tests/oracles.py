@@ -11,8 +11,16 @@ import itertools
 
 import numpy as np
 
-from bimetal.regression import make_design
-from bimetal.switching import FilterResult, stationary_distribution
+from bimetal.regression import LinearMean, MlpMean, make_design
+from bimetal.switching import (
+    EmResult,
+    FilterResult,
+    MsParams,
+    RegimeProbabilities,
+    _em_single,
+    canonical_regime_order,
+    stationary_distribution,
+)
 
 
 def logsumexp(a):
@@ -290,6 +298,59 @@ def seed_mlp_fit(mlp, X, y, w, steps=200):
         if stalled:
             break
     return current
+
+
+def random_mlp(lag, hidden, rng, scale=0.5, output_level=0.0):
+    """A perceptron of small random weights, the output bias near
+    ``output_level``: the fixture of the tests that need a generic network.
+    Draws w1, b1, w2, then b2 from ``rng``, in that order."""
+    return MlpMean(
+        w1=scale * rng.standard_normal((hidden, lag)),
+        b1=scale * rng.standard_normal(hidden),
+        w2=scale * rng.standard_normal(hidden),
+        b2=output_level + 0.1 * scale * rng.standard_normal(),
+    )
+
+
+def seed_em_fit(spec, series, seed, tol, max_iter, n_restarts):
+    """Reference EM of an all-linear spec: the best of ``n_restarts`` runs,
+    each from a jittered global AR fit drawn from its own SeedSequence
+    child, with the regimes put in canonical order. The jitter is written
+    here, not read from ``switching``, so a changed draw there shows as a
+    mismatch; the EM iterations are ``switching._em_single``'s."""
+    series = np.asarray(series, dtype=float)
+    n = spec.n_regimes
+    X, y = make_design(series, spec.lag)
+    base = LinearMean(np.zeros(spec.lag + 1)).fit_weighted(X, y, np.ones(y.shape[0]))
+    resid_std = float(np.std(y - base.predict(X), ddof=0))
+    scale = max(resid_std, 1e-3 * max(float(np.std(y)), 1.0), 1e-12)
+    best, logliks = None, []
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_restarts)):
+        rng = np.random.default_rng(child)
+        means = tuple(
+            LinearMean(base.coef + rng.standard_normal(spec.lag + 1)
+                       * (0.5 * np.abs(base.coef) + 0.5 * scale))
+            for _ in range(n)
+        )
+        sigmas = scale * rng.uniform(0.5, 1.5, size=n)
+        diag = rng.uniform(0.7, 0.95, size=n)
+        A = np.tile((1.0 - diag) / (n - 1), (n, 1))
+        A[np.arange(n), np.arange(n)] = diag
+        params, probs, trace, converged = _em_single(
+            spec, series, MsParams(A, means, sigmas), tol, max_iter)
+        logliks.append(trace[-1])
+        if best is None or trace[-1] > best[2][-1]:
+            best = (params, probs, trace, converged, r)
+    params, probs, trace, converged, restart = best
+    order = canonical_regime_order(params)
+    return EmResult(
+        spec=spec, seed=seed, params=params.permuted(order),
+        probabilities=RegimeProbabilities(
+            offset=probs.offset, loglik=probs.loglik,
+            filtered=probs.filtered[:, order], smoothed=probs.smoothed[:, order]),
+        trace=tuple(trace), converged=converged, restart=restart,
+        restart_logliks=tuple(logliks),
+    )
 
 
 def seed_week_derivations(values, hpl_kind):

@@ -16,7 +16,7 @@ from bimetal.changepoint import detect, optimal_segmentation_for_k
 from bimetal.data import compute_spread, impute_missing, parse_dataset
 from bimetal.errors import DegenerateModelError
 from bimetal.pipeline import RunConfig, run_analyze, run_simulate
-from bimetal.regression import LinearMean, MlpMean
+from bimetal.regression import LinearMean
 from bimetal.som import periodize, train_som
 from bimetal.switching import (
     MsParams,
@@ -28,7 +28,7 @@ from bimetal.switching import (
     transition_from_pq,
 )
 
-from oracles import enumerate_best_segmentation, enumerate_loglik
+from oracles import enumerate_best_segmentation, enumerate_loglik, random_mlp
 from test_regression import central_difference_gradient
 from test_som import partitions_equal
 
@@ -60,7 +60,7 @@ def test_criterion_1_filter_matches_path_enumeration():
         rng = np.random.default_rng(case)
         lag = int(rng.integers(1, 3))
         if case % 5 == 0:
-            means = (MlpMean.random(lag, 2, rng), LinearMean(rng.uniform(-1, 1, lag + 1)))
+            means = (random_mlp(lag, 2, rng), LinearMean(rng.uniform(-1, 1, lag + 1)))
             p, q = rng.uniform(0.05, 0.95, size=2)
             params = MsParams(
                 transition=transition_from_pq(p, q),
@@ -250,7 +250,7 @@ def test_criterion_9_mlp_gradients_match_finite_differences():
         lag = int(rng.integers(1, 4))
         hidden = int(rng.integers(1, 5))
         n = int(rng.integers(5, 20))
-        mlp = MlpMean.random(lag, hidden, rng)
+        mlp = random_mlp(lag, hidden, rng)
         X = rng.standard_normal((n, lag))
         y = rng.standard_normal(n)
         w = rng.uniform(0.05, 2.0, size=n)

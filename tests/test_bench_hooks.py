@@ -41,7 +41,8 @@ def test_traced_run_fires_every_span_and_uninstall_restores(tmp_path):
     with tracer:
         for owner, attr, raw in originals:
             assert owner.__dict__[attr] is not raw, f"{attr} not wrapped"
-        pipeline.run_report(pipeline.load_bundle(pipeline.run_analyze(config).outdir))
+        bundle = pipeline.run_analyze(config)
+        pipeline.run_report(pipeline.load_bundle(bundle.outdir))
 
     for owner, attr, raw in originals:
         assert owner.__dict__[attr] is raw, f"{attr} not restored"
@@ -51,7 +52,10 @@ def test_traced_run_fires_every_span_and_uninstall_restores(tmp_path):
     fired = {span["name"] for span in tracer.spans}
     assert expected - fired == set()
     assert tracer.counts["regression.MlpMean.loss"] > 0
-    assert len(tracer.restarts) == config.ms_restarts
+    # the default mlp,linear spec: the linear-stage restarts, then one
+    # perceptron run per assignment of the two fitted regimes
+    assert config.ms_families == ("mlp", "linear")
+    assert len(tracer.restarts) == config.ms_restarts + 2 == len(bundle.em.restart_logliks)
 
 
 def _assert_leaves_scipy_unimported(code):

@@ -23,6 +23,7 @@ from bimetal.pipeline import (
 )
 
 from conftest import make_csv, synthetic_rows
+from oracles import seed_em_fit
 
 
 def fast_config(**overrides) -> RunConfig:
@@ -329,6 +330,20 @@ def test_load_bundle_reads_an_ms_model_that_stores_the_regime_and_iteration_coun
     buf = io.StringIO()
     write_json(to_json(em), buf)
     assert buf.getvalue() == new_text
+
+
+def test_linear_ms_model_is_the_jittered_restart_loop_byte_for_byte(analyzed):
+    """An all-linear spec has no perceptron stage: its ms_model.json is the
+    best of the seeded jittered restarts (``oracles.seed_em_fit``), byte
+    for byte."""
+    config, bundle = analyzed
+    spec = bundle.em.spec
+    assert set(spec.families) == {"linear"}
+    want = seed_em_fit(spec, bundle.spread.values, seed=config.ms_seed, tol=config.ms_tol,
+                       max_iter=config.ms_max_iter, n_restarts=config.ms_restarts)
+    buf = io.StringIO()
+    write_json(to_json(want), buf)
+    assert (Path(config.outdir) / "ms_model.json").read_text() == buf.getvalue()
 
 
 def test_load_bundle_reads_a_segmentation_that_stores_penalty_used(analyzed, tmp_path):

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from bimetal.data import from_json, to_json
 from bimetal.regression import LinearMean, MlpMean, make_design
-from oracles import seed_mlp_fit
+from bimetal.switching import MsParams, simulate, transition_from_pq
+from oracles import random_mlp, seed_mlp_fit
 
 
 def test_make_design_layout():
@@ -61,7 +62,7 @@ def central_difference_gradient(mlp, X, y, w, h=1e-6):
 def test_mlp_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     lag, hidden, n = rng.integers(1, 4), rng.integers(1, 5), 12
-    mlp = MlpMean.random(int(lag), int(hidden), rng)
+    mlp = random_mlp(int(lag), int(hidden), rng)
     X = rng.standard_normal((n, int(lag)))
     y = rng.standard_normal(n)
     w = rng.uniform(0.1, 2.0, size=n)
@@ -73,7 +74,7 @@ def test_mlp_gradient_matches_finite_differences(seed):
 
 def test_mlp_jacobian_matches_predict_and_finite_differences():
     rng = np.random.default_rng(6)
-    mlp = MlpMean.random(2, 3, rng)
+    mlp = random_mlp(2, 3, rng)
     X = rng.standard_normal((7, 2))
     pred, J = mlp.jacobian(X)
     assert_allclose(pred, mlp.predict(X), rtol=1e-12)
@@ -92,7 +93,7 @@ def lm_case(seed, case):
     X = rng.standard_normal((200, 2))
     y = np.sin(X[:, 0]) + 0.5 * X[:, 1]
     w = rng.uniform(0.5, 1.5, size=200)
-    mlp = MlpMean.random(2, 2 if case == "two_hidden" else 3, rng)
+    mlp = random_mlp(2, 2 if case == "two_hidden" else 3, rng)
     steps = 100
     if case == "dead_unit":  # zero columns in the Jacobian
         mlp.w2[0] = 0.0
@@ -161,7 +162,7 @@ def test_mlp_fit_reaches_a_stationary_point():
     X = rng.uniform(-2, 2, size=(200, 1))
     y = np.tanh(1.5 * X[:, 0]) * 2.0 + 0.3 + 0.1 * rng.standard_normal(200)
     w = rng.uniform(0.2, 1.0, size=200)
-    mlp = MlpMean.random(1, 3, rng, output_level=float(y.mean()))
+    mlp = random_mlp(1, 3, rng, output_level=float(y.mean()))
     fitted = mlp.fit_weighted(X, y, w, steps=200)
     assert np.max(np.abs(fitted.gradient(X, y, w))) < 1e-4
 
@@ -171,7 +172,7 @@ def test_mlp_fits_nonlinear_signal():
     X = rng.uniform(-2, 2, size=(200, 1))
     y = np.tanh(1.5 * X[:, 0]) * 2.0 + 0.3
     w = np.ones(200)
-    mlp = MlpMean.random(1, 3, rng, output_level=float(y.mean()))
+    mlp = random_mlp(1, 3, rng, output_level=float(y.mean()))
     fitted = mlp.fit_weighted(X, y, w, steps=400)
     mse = np.mean((fitted.predict(X) - y) ** 2)
     assert mse < 0.05
@@ -181,7 +182,42 @@ def test_mean_serialization_roundtrip():
     rng = np.random.default_rng(5)
     lin = LinearMean(np.array([0.1, 0.9]))
     assert_allclose(from_json(LinearMean, to_json(lin)).coef, lin.coef)
-    mlp = MlpMean.random(2, 3, rng)
+    mlp = random_mlp(2, 3, rng)
     again = from_json(MlpMean, to_json(mlp))
     X = rng.standard_normal((5, 2))
     assert_allclose(again.predict(X), mlp.predict(X))
+
+
+def spread_like_design(lag):
+    """Lagged design of a positive two-regime AR series at the simulation's
+    default coefficients and scales."""
+    pad = [0.0] * (lag - 1)
+    params = MsParams(
+        transition=transition_from_pq(0.844298, 0.746643),
+        means=(LinearMean([0.05, 0.6, *pad]), LinearMean([0.18, 0.3, *pad])),
+        sigmas=[0.02, 0.08],
+    )
+    series, _ = simulate(params, T=500, seed=0)
+    return make_design(series, lag)[0]
+
+
+@pytest.mark.parametrize("coef", [(0.05, 0.6), (0.05, 0.5, 0.1)], ids=["lag1", "lag2"])
+def test_mlp_from_line_reproduces_the_line(coef):
+    X = spread_like_design(len(coef) - 1)
+    line = LinearMean(coef).predict(X)
+    mlp = MlpMean.from_line(coef, X, hidden=3)
+    assert mlp.w1.shape == (3, len(coef) - 1)
+    assert np.linalg.norm(mlp.predict(X) - line) <= 0.02 * np.linalg.norm(line)
+    again = MlpMean.from_line(coef, X, hidden=3)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert_array_equal(getattr(again, name), getattr(mlp, name))
+
+
+def test_mlp_from_line_without_slope_or_spread_is_the_constant():
+    X = spread_like_design(1)
+    for coef, design in (((0.3, 0.0), X), ((0.3, 0.5), np.full_like(X, 0.2))):
+        for hidden in (1, 3):
+            mlp = MlpMean.from_line(coef, design, hidden)
+            assert np.all(np.isfinite(mlp.flat_params()))
+            assert_allclose(mlp.predict(design), LinearMean(coef).predict(design),
+                            rtol=1e-12)

@@ -9,12 +9,13 @@ from bimetal.errors import (
     NumericalError,
     ValidationError,
 )
-from bimetal.regression import LinearMean, MlpMean
+from bimetal.regression import LinearMean
 from bimetal.switching import (
     EmResult,
     MsParams,
     MsSpec,
     RegimeProbabilities,
+    _perceptron_starts,
     cross_tabulate,
     em_fit,
     hamilton_filter,
@@ -25,7 +26,13 @@ from bimetal.switching import (
     transition_from_pq,
 )
 
-from oracles import enumerate_loglik, enumerate_posteriors, numpy_filter, numpy_smoother
+from oracles import (
+    enumerate_loglik,
+    enumerate_posteriors,
+    numpy_filter,
+    numpy_smoother,
+    random_mlp,
+)
 
 REF_P, REF_Q = 0.844298, 0.746643
 
@@ -46,7 +53,7 @@ def random_params(rng, lag=1, mlp=False, n_regimes=2):
     means = []
     for _ in range(n_regimes):
         if mlp:
-            means.append(MlpMean.random(lag, 2, rng))
+            means.append(random_mlp(lag, 2, rng))
         else:
             means.append(LinearMean(rng.uniform(-1, 1, size=lag + 1)))
     return MsParams(
@@ -285,7 +292,7 @@ def test_recursions_match_numpy_reference_at_historical_scale(families):
     rng = np.random.default_rng(7)
     params = random_params(rng, lag=1, n_regimes=len(families))
     params.means = tuple(
-        MlpMean.random(1, 3, rng) if fam == "mlp" else mean
+        random_mlp(1, 3, rng) if fam == "mlp" else mean
         for fam, mean in zip(families, params.means)
     )
     series, _ = simulate(params, T=2078, seed=1)
@@ -485,6 +492,43 @@ def test_em_with_mlp_regime_runs_monotone():
     res = em_fit(MsSpec(families=("mlp", "linear"), hidden_units=2), series,
                  seed=0, n_restarts=2, max_iter=25)
     assert (np.diff(res.trace) >= -1e-8).all()
+    # the two linear-stage restarts are the linear,linear fit's, then one
+    # perceptron run per assignment of its regimes; the best is one of those
+    linear = em_fit(MsSpec(families=("linear", "linear")), series,
+                    seed=0, n_restarts=2, max_iter=25)
+    assert res.restart_logliks[:2] == linear.restart_logliks
+    assert len(res.restart_logliks) == 4 and res.restart >= 2
+    assert res.loglik == res.restart_logliks[res.restart]
+    assert sorted(m.kind for m in res.params.means) == ["linear", "mlp"]
+
+
+@pytest.mark.parametrize("families, orders", [
+    (("mlp", "linear"), [(0, 1), (1, 0)]),
+    (("mlp", "mlp"), [(0, 1)]),
+    (("linear", "mlp", "linear"), [(0, 1, 2), (0, 2, 1), (1, 0, 2)]),
+])
+def test_perceptron_starts_try_each_assignment_of_the_linear_regimes(families, orders):
+    n = len(families)
+    linear = MsParams(
+        transition=np.full((n, n), 0.1) + (1.0 - 0.1 * n) * np.eye(n),
+        means=tuple(LinearMean([0.05 * (i + 1), 0.6 - 0.2 * i]) for i in range(n)),
+        sigmas=0.02 * np.arange(1, n + 1),
+    )
+    series, _ = simulate(linear, T=300, seed=2)
+    X = series[:-1, None]
+    starts = _perceptron_starts(MsSpec(families=families, hidden_units=3), linear, X)
+    assert len(starts) == len(orders)
+    for start, order in zip(starts, orders):
+        relabeled = linear.permuted(order)
+        assert_array_equal(start.transition, relabeled.transition)
+        assert_array_equal(start.sigmas, relabeled.sigmas)
+        for fam, mean, line in zip(families, start.means, relabeled.means):
+            assert mean.kind == fam
+            if fam == "linear":
+                assert mean is line
+            else:  # the perceptron reproduces its slot's line
+                fit, want = mean.predict(X), line.predict(X)
+                assert np.linalg.norm(fit - want) <= 0.02 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------
