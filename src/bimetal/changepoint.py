@@ -5,7 +5,8 @@ per-segment contrasts: the within-segment sum of squared deviations when
 only the mean is allowed to shift, or length * log(variance-MLE) when both
 mean and variance may shift. One dynamic-programming sweep over cost rows
 computed from prefix sums gives the exact optimal segmentation for every
-K up to K_max in O(K_max * T) memory; the number of segments is then
+K up to K_max in O(K_max * T) memory; an explicit K_max whose table
+would pass MAX_TABLE_CELLS is refused. The number of segments is then
 chosen adaptively from the shape of the optimal-cost curve (the last big
 drop, measured by normalized second differences).
 
@@ -25,6 +26,11 @@ from .data import to_json
 from .errors import ValidationError
 
 _VAR_FLOOR_ABS = 1e-300
+
+#: The most cells an explicit K may ask of the DP table G, (K + 1) x (T + 1)
+#: floats: 32 MiB, and the sweep's buffer of candidate sums nearly as much.
+#: The automatic K_max (at most 20) is never held to it.
+MAX_TABLE_CELLS = 2**22
 
 
 class SegMode(Enum):
@@ -120,14 +126,19 @@ def _suffix_tables(table: SegCostTable, K_max: int) -> np.ndarray:
 
     One sweep from the right: each cost row is computed once and fills
     column i for every k, reading only the columns j >= i+min_seg_len
-    already done.
+    already done. The candidate sums of every row go into one
+    (K_max - 1) x (T + 1) buffer allocated before the sweep, so the sweep
+    holds G, that buffer and O(T) more.
     """
     T, m = table.T, table.min_seg_len
     G = np.full((K_max + 1, T + 1), np.inf)
+    sums = np.empty((K_max - 1, T + 1))
     for i in range(T - m, -1, -1):
         row = table.row(i)
         G[1, i] = row[-1]
-        G[2:, i] = (row + G[1:K_max, i + m :]).min(axis=1)
+        out = sums[:, : row.shape[0]]
+        np.add(row, G[1:K_max, i + m :], out=out)
+        np.minimum.reduce(out, axis=1, out=G[2:, i])
     return G
 
 
@@ -235,11 +246,17 @@ def auto_k_max(T: int, min_seg_len: int) -> int:
 
 
 def _sweep(series, mode, K: int | None, min_seg_len, name: str):
-    """The one DP entry: check the series, build its cost table, resolve
-    K=None to the automatic bound, check that K segments fit, and sweep.
+    """The one DP entry: check the series and that an explicit K's table
+    fits under MAX_TABLE_CELLS, build its cost table, resolve K=None to the
+    automatic bound, check that K segments fit, and sweep.
 
     Returns the checked series, the table, K and the suffix tables G."""
     series = _check_series(series)
+    if K is not None and (K + 1) * (series.shape[0] + 1) > MAX_TABLE_CELLS:
+        raise ValidationError(
+            f"{name}={K} needs a {K + 1} x {series.shape[0] + 1} change-point "
+            f"table, more than the {MAX_TABLE_CELLS} (2**22) cells allowed"
+        )
     table = SegCostTable.build(series, mode, min_seg_len)
     if K is None:
         # the automatic bound, lowered to the largest feasible K

@@ -24,6 +24,7 @@ import math
 import reprlib
 import types
 import typing
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -123,8 +124,9 @@ def parse_dataset(source) -> QuotationTable:
                 f"unexpected header {header!r}; expected {list(HEADER)!r}", line=1
             )
 
-        keys: list[tuple[int, int]] = []
-        rows: list[list[float]] = []
+        # One flat array per column group: no Python object per cell is kept.
+        years, weeks, values = array("q"), array("q"), array("d")
+        last = None
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -142,20 +144,21 @@ def parse_dataset(source) -> QuotationTable:
                     f"line {lineno}: week_of_year {week} outside 1..53"
                 )
             key = (year, week)
-            if keys and key <= keys[-1]:
-                if key == keys[-1]:
+            if last is not None and key <= last:
+                if key == last:
                     raise ValidationError(f"line {lineno}: duplicate week {year}/{week}")
                 raise ValidationError(
                     f"line {lineno}: weeks out of order ({year}/{week} after "
-                    f"{keys[-1][0]}/{keys[-1][1]})"
+                    f"{last[0]}/{last[1]})"
                 )
-            keys.append(key)
+            last = key
+            years.append(year)
+            weeks.append(week)
 
-            prices = []
             for column, cell in zip(VALUE_COLUMNS, row[2:]):
                 cell = cell.strip()
                 if cell == "":
-                    prices.append(math.nan)
+                    values.append(math.nan)
                     continue
                 try:
                     price = float(cell)
@@ -171,12 +174,11 @@ def parse_dataset(source) -> QuotationTable:
                     raise ValidationError(
                         f"line {lineno}: non-positive price {cell} in column {column}"
                     )
-                prices.append(price)
-            rows.append(prices)
+                values.append(price)
     return QuotationTable(
-        years=np.array([y for y, _ in keys], dtype=int),
-        weeks=np.array([w for _, w in keys], dtype=int),
-        values=np.array(rows, dtype=float).reshape(-1, len(VALUE_COLUMNS)),
+        years=np.array(years, dtype=int),
+        weeks=np.array(weeks, dtype=int),
+        values=np.array(values, dtype=float).reshape(-1, len(VALUE_COLUMNS)),
     )
 
 

@@ -5,6 +5,11 @@ the standardized feature vectors. Its code vectors are then reduced to a
 handful of macro-classes by Ward agglomeration, and each week inherits the
 macro-class of its best-matching node, yielding a periodization of the
 dataset into contiguous (mostly) intervals.
+
+Memory: the best-matching-node search walks the observations in blocks of
+rows, so its temporaries take about ``_BMU_BLOCK_BYTES`` whatever the
+number of weeks. Training, the Ward linkage and its cut each hold tables of
+nodes x nodes entries, so a grid is limited to ``MAX_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -23,6 +28,16 @@ from .errors import ValidationError
 _LR_START = 0.5
 _LR_END = 0.01
 _RADIUS_END = 0.5
+
+#: The most nodes a grid may have (32x32). Training's grid distances, the
+#: Ward linkage's distances and its cut's membership table each hold
+#: nodes x nodes entries: 8 MiB per float table at this size.
+MAX_NODES = 1024
+
+# The rows of one block of the best-matching-node search are sized so that
+# its (rows, nodes, dim) differences and their squares take about this many
+# bytes together.
+_BMU_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -84,6 +99,12 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
         raise ValidationError("empty input: cannot initialize a SOM")
     if rows < 1 or cols < 1:
         raise ValidationError("grid must have at least one node")
+    if rows * cols > MAX_NODES:
+        raise ValidationError(
+            f"grid rows={rows} x cols={cols} has {rows * cols} nodes, more than "
+            f"the {MAX_NODES} (32x32) allowed: its node-by-node tables grow as "
+            f"the square of the node count"
+        )
     if epochs < 0:
         raise ValidationError(f"epochs={epochs} must be >= 0")
     rng = np.random.default_rng(seed)
@@ -98,12 +119,12 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
     code = grid.code_vectors
 
     pos = grid.positions()
-    # Pairwise squared grid distances between nodes, reused every step.
-    grid_d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+    # Minus the squared grid distance between each pair of nodes, reused
+    # every step: the one nodes x nodes table of training.
+    neg_d2 = -((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
 
     r_start = max(rows, cols) / 2.0
     total = max(epochs * n - 1, 1)
-    neg_d2 = -grid_d2
     diff = np.empty_like(code)  # code - x, then the update
     sq = np.empty_like(code)
     dist = np.empty(code.shape[0])
@@ -137,27 +158,43 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
     return grid
 
 
-def _sq_dists(grid: SomGrid, features) -> np.ndarray:
-    """(n, n_nodes) squared distances from each observation to each node;
-    data of another dimension than the grid's is a ValidationError."""
+def _block_rows(code: np.ndarray) -> int:
+    """Rows per block of the best-matching-node search for these code
+    vectors: at least one, however large the grid."""
+    return max(1, _BMU_BLOCK_BYTES // (2 * code.itemsize * max(code.size, 1)))
+
+
+def _per_row(grid: SomGrid, features, reduce, dtype) -> np.ndarray:
+    """``reduce(d2, axis=1)`` of the (n, n_nodes) squared distances d2 from
+    each observation to each node, computed in blocks of rows so that no
+    (n, n_nodes, dim) array is built; data of another dimension than the
+    grid's is a ValidationError.
+
+    Each row's distances are the same float operations whatever the block,
+    so the result is bit for bit that of the whole table at once."""
     X = _as_matrix(features)
     if X.shape[1] != grid.dim:
         raise ValidationError(
             f"dimension mismatch: data dim {X.shape[1]}, grid dim {grid.dim}"
         )
     code = grid.code_vectors
-    return ((X[:, None, :] - code[None, :, :]) ** 2).sum(axis=2)
+    step = _block_rows(code)
+    out = np.empty(X.shape[0], dtype)
+    for a in range(0, X.shape[0], step):
+        d2 = ((X[a : a + step, None, :] - code[None, :, :]) ** 2).sum(axis=2)
+        reduce(d2, axis=1, out=out[a : a + step])
+    return out
 
 
 def bmu_indices(grid: SomGrid, features) -> np.ndarray:
     """Best-matching node of each row: the node with minimal squared
     distance, ties to the lowest index."""
-    return _sq_dists(grid, features).argmin(axis=1)
+    return _per_row(grid, features, np.argmin, np.intp)
 
 
 def quantization_error(grid: SomGrid, features) -> float:
     """Mean squared distance of each observation to its best-matching node."""
-    return float(_sq_dists(grid, features).min(axis=1).mean())
+    return float(_per_row(grid, features, np.min, float).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,16 @@ def seed_train_som(X, rows, cols, epochs, seed):
     return code
 
 
+def one_shot_sq_dists(code, X):
+    """(n, n_nodes) squared distances from each row of X to each code vector
+    in one (n, n_nodes, dim) array: the best-matching-node search before it
+    walked the rows in blocks."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    return ((X[:, None, :] - code[None, :, :]) ** 2).sum(axis=2)
+
+
 def _seed_mlp_jacobian(mlp, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     H = np.tanh(X @ mlp.w1.T + mlp.b1)

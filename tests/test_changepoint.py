@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bimetal import changepoint
 from bimetal.changepoint import (
+    MAX_TABLE_CELLS,
     SegCostTable,
     SegMode,
     Segmentation,
@@ -153,6 +155,33 @@ def test_detect_memory_is_linear_in_T():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_explicit_k_past_the_table_ceiling_is_refused_before_the_sweep():
+    """At T=4156 a K_max of 1008 is feasible, but its table would hold
+    1009 x 4157 > 2**22 floats: refused before any of it is allocated."""
+    series = np.random.default_rng(4).standard_normal(4156)
+    assert 1008 * 4157 <= MAX_TABLE_CELLS < 1009 * 4157
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"K_max=1008 needs a 1009 x 4157"):
+            detect(series, "mean", K_max=1008)
+        with pytest.raises(ValidationError, match=r"K=1008 needs a 1009 x 4157"):
+            optimal_segmentation_for_k(series, 1008, "meanvar")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_table_ceiling_holds_an_explicit_k_only(monkeypatch):
+    series = stitched(2, [150, 150], [0.0, 3.0], [1.0, 1.0])
+    auto = auto_k_max(300, 1)
+    monkeypatch.setattr(changepoint, "MAX_TABLE_CELLS", (auto + 1) * 301 - 1)
+    assert detect(series, "mean").selection.K_max == auto
+    with pytest.raises(ValidationError, match=f"K_max={auto} "):
+        detect(series, "mean", K_max=auto)
+    assert detect(series, "mean", K_max=auto - 1).selection.K_max == auto - 1
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,26 @@ def test_parse_week_out_of_calendar_range():
     rows[0][1] = 54
     with pytest.raises(ValidationError, match="53"):
         parse_csv(make_csv(rows))
+
+
+def test_parse_memory_is_a_small_multiple_of_the_values(tmp_path):
+    """A list of 12 Python floats per week took about 7x the table's bytes."""
+    path = tmp_path / "data.csv"
+    path.write_text(make_csv(synthetic_rows(2078, seed=5, missing={(4, 3)})))
+    tracemalloc.start()
+    try:
+        table = parse_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.values.shape == (2078, 12) and np.isnan(table.values[4, 3])
+    assert peak < 4 * table.values.nbytes, f"{peak} vs {table.values.nbytes} bytes"
+
+
+def test_parse_header_only_is_an_empty_table():
+    table = parse_csv(make_csv([]))
+    assert table.values.shape == (0, 12) and table.values.dtype == float
+    assert table.years.shape == table.weeks.shape == (0,)
 
 
 def test_roundtrip_preserves_cells():

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -755,6 +756,36 @@ def test_cli_nonfinite_option_is_data_error(sim_dataset, tmp_path, capsys, argv,
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
     assert not list(out.glob("segmentation_*.json")) and not (out / "ms_model.json").exists()
+
+
+@pytest.mark.parametrize("argv, stage, message, table", [
+    (["--som-rows", "40", "--som-cols", "40"], "som",
+     "grid rows=40 x cols=40 has 1600 nodes, more than the 1024 (32x32) allowed",
+     "som_grid.json"),
+    (["--stages", "cpd", "--cpd-k-max", "30000"], "cpd",
+     "K_max=30000 needs a 30001 x 151 change-point table, "
+     "more than the 4194304 (2**22) cells allowed",
+     "segmentation_mean.json"),
+], ids=["som-grid", "cpd-k-max"])
+def test_cli_setting_past_its_memory_ceiling_is_data_error(sim_dataset, tmp_path, capsys,
+                                                          argv, stage, message, table):
+    """Each ceiling fails its stage before the table it guards is built: a
+    1600-node grid's distance table alone would take 19.5 MiB, and a
+    30001 x 151 change-point table 34.6 MiB."""
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["analyze", "--input", str(sim_dataset), "--outdir", str(out)] + argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("data error: ") and message in err[0] and len(err) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failed_stage"]) == ("failed", stage)
+    assert not (out / table).exists()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_cli_regime_count_is_the_number_of_families(sim_dataset, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from bimetal.data import build_features, from_json, to_json
 from bimetal.errors import ValidationError
 from bimetal.som import (
+    MAX_NODES,
     MacroClassification,
     SomGrid,
+    _block_rows,
     _canonical_relabel,
     bmu_indices,
     hac_macro_classes,
@@ -17,7 +20,7 @@ from bimetal.som import (
     quantization_error,
     train_som,
 )
-from oracles import seed_train_som
+from oracles import one_shot_sq_dists, seed_train_som
 
 
 def grid_from(code, rows=None, cols=None):
@@ -102,6 +105,24 @@ def test_empty_input_errors():
         train_som(np.empty((0, 3)), 2, 2)
 
 
+@pytest.mark.parametrize("rows, cols", [(40, 40), (1, MAX_NODES + 1), (33, 32)])
+def test_grid_above_the_node_ceiling_is_refused_before_training(rows, cols):
+    X = np.zeros((10, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"rows={rows} x cols={cols}"):
+            train_som(X, rows, cols, epochs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # no nodes x nodes table was built
+
+
+def test_grid_at_the_node_ceiling_trains():
+    grid = train_som(np.arange(6.0), 32, 32, epochs=0, seed=0)
+    assert grid.n_nodes == MAX_NODES
+
+
 def test_train_accepts_featureset(small_table):
     fs = build_features(small_table)
     grid = train_som(fs, rows=2, cols=2, epochs=3, seed=0)
@@ -161,6 +182,30 @@ def test_dimension_mismatch_is_validation_error(measure):
         measure(grid, X[:, :1])
     with pytest.raises(ValidationError, match="data dim 4, grid dim 3"):
         measure(grid, np.hstack([X, X[:, :1]]))
+
+
+@pytest.mark.parametrize("rows, cols, dim", [(5, 5, 14), (3, 4, 2), (2, 2, None)])
+def test_blocked_search_is_the_one_shot_table_bitwise(rows, cols, dim):
+    rng = np.random.default_rng(rows * cols)
+    grid = grid_from(rng.standard_normal((rows * cols, dim or 1)), rows, cols)
+    b = _block_rows(grid.code_vectors)
+    # one row short of a block, one block, one row over, three blocks and five rows
+    for n in (b - 1, b, b + 1, 3 * b + 5):
+        X = rng.standard_normal(n if dim is None else (n, dim))
+        d2 = one_shot_sq_dists(grid.code_vectors, X)
+        bmu = bmu_indices(grid, X)
+        assert bmu.dtype == d2.argmin(axis=1).dtype
+        assert_array_equal(bmu, d2.argmin(axis=1))
+        assert quantization_error(grid, X) == float(d2.min(axis=1).mean())
+
+
+def test_search_of_empty_input():
+    grid = grid_from(np.ones((4, 3)), 2, 2)
+    empty = np.empty((0, 3))
+    bmu = bmu_indices(grid, empty)
+    assert bmu.shape == (0,) and bmu.dtype == np.intp
+    with pytest.warns(RuntimeWarning):  # the mean of no distances
+        assert np.isnan(quantization_error(grid, empty))
 
 
 def test_quantization_error_zero_on_codebook_data():
@@ -350,6 +395,26 @@ def test_periodize_intervals_partition(small_table):
         covered.extend(range(start, end + 1))
         prev_end = end
     assert covered == list(range(len(fs)))
+
+
+def _periodize_peak(n):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 14))
+    grid = train_som(X, 5, 5, epochs=0, seed=0)
+    tracemalloc.start()
+    try:
+        periodize(X, grid, k=6)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_periodize_memory_does_not_grow_with_the_blocks():
+    """A (weeks, nodes, dim) table at 4000 rows alone would take 10.7 MiB;
+    the blocked search keeps about 1 MiB of temporaries at any row count."""
+    small, large = _periodize_peak(500), _periodize_peak(4000)
+    assert large < 2 * 2**20, f"peak {large / 2**20:.2f} MiB"
+    assert large < 1.5 * small, f"{large / 2**20:.2f} vs {small / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
