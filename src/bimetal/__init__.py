@@ -65,7 +65,6 @@ from .switching import (
     em_fit,
     hamilton_filter,
     kim_smoother,
-    posterior_probabilities,
     simulate,
     stationary_distribution,
     transition_from_pq,
@@ -114,7 +113,6 @@ __all__ = [
     "optimal_segmentation_for_k",
     "parse_dataset",
     "periodize",
-    "posterior_probabilities",
     "quantization_error",
     "run_analyze",
     "run_report",

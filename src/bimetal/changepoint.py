@@ -198,9 +198,6 @@ class Segmentation:
     def n_change_points(self) -> int:
         return len(self.tau)
 
-    def segment_of(self, t: int) -> int:
-        return int(np.searchsorted(np.asarray(self.tau), t, side="right"))
-
     def to_dict(self, labels=None) -> dict:
         """The JSON form, with the derived segment count after ``T`` and,
         given per-observation labels, the labels of the change-points."""

@@ -2,9 +2,10 @@
 
 Every stage persists its outputs as human-readable artifacts (CSV for
 tables, JSON for model objects) under one output directory, together with
-a manifest recording the configuration, its hash, and the artifact
-inventory. Identical configuration and input bytes reproduce identical
-artifacts byte for byte; nothing time-dependent is written.
+a manifest recording the input path, the analysis configuration, its hash
+with the input bytes, and the artifact inventory. One analysis of the same
+input bytes writes the same bytes into any output directory; nothing
+time-dependent is written.
 """
 
 from __future__ import annotations
@@ -130,12 +131,12 @@ class RunConfig:
         d.update({k: v for k, v in overrides.items() if v is not None})
         return RunConfig.from_dict(d)
 
-    def config_hash(self, input_bytes: bytes | None = None) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True).encode()
-        h = hashlib.sha256(canonical)
-        if input_bytes is not None:
-            h.update(hashlib.sha256(input_bytes).digest())
-        return h.hexdigest()
+
+def _analysis_keys(config: RunConfig) -> dict:
+    """The manifest's config: the keys of ``config`` that ``analyze`` reads,
+    all but ``input``, ``outdir`` and ``run_simulate``'s ``sim_*`` keys."""
+    return {k: v for k, v in config.to_dict().items()
+            if k not in ("input", "outdir") and not k.startswith("sim_")}
 
 
 @dataclass
@@ -211,7 +212,8 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
-        "config": config.to_dict(),
+        "input": config.input,  # provenance, outside the hash
+        "config": _analysis_keys(config),
         "config_hash": None,  # set once the input is known to exist
         "status": "ok",
         "failed_stage": None,
@@ -229,7 +231,9 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     stage = "ingest"
     try:
         path = _input_path(config)
-        manifest["config_hash"] = config.config_hash(path.read_bytes())
+        h = hashlib.sha256(json.dumps(manifest["config"], sort_keys=True).encode())
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+        manifest["config_hash"] = h.hexdigest()
         table = dio.parse_dataset(str(path))
         table, report = dio.impute_missing(table, max_gap=config.max_gap)
         features, spread = _ingested(table, config)

@@ -162,11 +162,6 @@ class MlpMean:
         J[:, i + h : i + 2 * h] = H
         J[:, -1] = 1.0
 
-    def gradient(self, X, y, w) -> np.ndarray:
-        """Gradient of loss(), flattened like flat_params()."""
-        pred, J = self.jacobian(X)
-        return J.T @ (w * (pred - y))
-
     def flat_params(self) -> np.ndarray:
         return np.concatenate([self.w1.ravel(), self.b1, self.w2, [self.b2]])
 

@@ -244,11 +244,12 @@ def _ward_linkage(X: np.ndarray) -> np.ndarray:
     """
     n = X.shape[0]
     # Each distance a sequential sum over the columns, as pdist adds them
-    # (np.sum's pairwise summation would change the last bits).
-    D = np.zeros((n, n))
+    # (np.sum's pairwise summation would change the last bits); each
+    # column's squared differences go through one reused buffer.
+    D, buf = np.zeros((n, n)), np.empty((n, n))
     for col in X.T:
-        diff = col[:, None] - col[None, :]
-        D += diff * diff
+        np.subtract(col[:, None], col[None, :], out=buf)
+        D += np.multiply(buf, buf, out=buf)
     np.sqrt(D, D)
     if not np.isfinite(D).all():
         raise ValidationError("Ward linkage needs finite code vectors")

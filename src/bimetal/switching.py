@@ -353,12 +353,6 @@ def kim_smoother(params: MsParams, filt: FilterResult) -> np.ndarray:
     return np.vstack([head / head.sum(axis=1, keepdims=True), filtered[-1:]])
 
 
-def posterior_probabilities(params: MsParams, series) -> RegimeProbabilities:
-    """Filtered and smoothed regime probabilities in one call."""
-    filt = hamilton_filter(params, series)
-    return RegimeProbabilities.from_filter(filt, kim_smoother(params, filt))
-
-
 def _pairwise_counts(params, filt, smoothed) -> np.ndarray:
     """xi[i, j] = expected number of j -> i transitions over usable steps."""
     A = params.transition

@@ -19,6 +19,8 @@ from bimetal.switching import (
     RegimeProbabilities,
     _em_single,
     canonical_regime_order,
+    hamilton_filter,
+    kim_smoother,
     stationary_distribution,
 )
 
@@ -64,6 +66,12 @@ def enumerate_loglik(params, series):
     """Log-likelihood as a direct sum over all n_regimes^T state paths."""
     _, logw = _path_log_weights(params, series)
     return float(logsumexp(logw))
+
+
+def posterior_probabilities(params, series):
+    """Filtered and smoothed regime probabilities of ``series`` in one call."""
+    filt = hamilton_filter(params, series)
+    return RegimeProbabilities.from_filter(filt, kim_smoother(params, filt))
 
 
 def enumerate_posteriors(params, series):
@@ -256,6 +264,13 @@ def one_shot_sq_dists(code, X):
     if X.ndim == 1:
         X = X[:, None]
     return ((X[:, None, :] - code[None, :, :]) ** 2).sum(axis=2)
+
+
+def mlp_gradient(mlp, X, y, w):
+    """Gradient of ``mlp.loss`` from ``mlp.jacobian``, flattened like
+    ``flat_params()``."""
+    pred, J = mlp.jacobian(X)
+    return J.T @ (w * (pred - y))
 
 
 def _seed_mlp_jacobian(mlp, X):

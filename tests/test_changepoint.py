@@ -207,17 +207,13 @@ def test_infeasible_k_errors():
         optimal_segmentation_for_k(np.arange(5.0), 3, "meanvar")
 
 
-def test_segment_estimates_and_lookup():
+def test_segment_estimates():
     series = np.array([0.0, 0.0, 10.0, 10.0, 10.0, 10.0])
     seg = optimal_segmentation_for_k(series, 2, "meanvar")
     assert seg.tau == (2,)
     assert seg.n_segments == 2
     assert_allclose(seg.segment_means, [0.0, 10.0])
     assert seg.segment_covs[0].shape == (1, 1)
-    assert seg.segment_of(0) == 0
-    assert seg.segment_of(1) == 0
-    assert seg.segment_of(2) == 1
-    assert seg.segment_of(5) == 1
 
 
 def test_contrast_nonincreasing_in_k():

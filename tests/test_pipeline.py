@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import shutil
@@ -87,12 +88,38 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
             RunConfig.from_dict({key: 1})
 
 
-def test_config_hash_sensitivity():
-    a = RunConfig()
-    b = RunConfig(som_seed=1)
-    assert a.config_hash() != b.config_hash()
-    assert a.config_hash() == RunConfig().config_hash()
-    assert a.config_hash(b"data1") != a.config_hash(b"data2")
+def test_config_hash_sensitivity(sim_dataset, tmp_path):
+    """The manifest's config_hash names the analysis: it moves with an
+    analysis key and with the input bytes, not with the outdir, the input
+    path or a simulation key."""
+    sim_changes = dict(  # a changed value of every sim_* key
+        sim_kind="steps", sim_T=999, sim_seed=99, sim_p=0.5, sim_q=0.5,
+        sim_coefs=((0.0, 0.1), (0.2, 0.3)), sim_sigmas=(0.1, 0.2), sim_tau=(10, 20),
+        sim_levels=(1.0, 2.0, 3.0), sim_stds=(0.1, 0.1, 0.1),
+    )
+    assert set(sim_changes) == {f.name for f in dataclasses.fields(RunConfig)
+                                if f.name.startswith("sim_")}
+    shorter = tmp_path / "shorter.csv"
+    shorter.write_text("".join(sim_dataset.read_text().splitlines(True)[:-1]))
+    moved = tmp_path / "moved.csv"
+    moved.write_bytes(sim_dataset.read_bytes())
+
+    def manifest(name, **overrides):
+        config = fast_config(input=str(sim_dataset), outdir=str(tmp_path / name),
+                             run_som=False, run_ms=False, run_cpd=False)
+        return run_analyze(config.merged(overrides)).manifest
+
+    base = manifest("base")
+    assert base["input"] == str(sim_dataset)
+    h = hashlib.sha256(json.dumps(base["config"], sort_keys=True).encode())
+    h.update(hashlib.sha256(sim_dataset.read_bytes()).digest())
+    assert base["config_hash"] == h.hexdigest()
+    assert manifest("seed", som_seed=1)["config_hash"] != base["config_hash"]
+    assert manifest("bytes", input=str(shorter))["config_hash"] != base["config_hash"]
+    assert manifest("other_outdir")["config_hash"] == base["config_hash"]
+    assert manifest("path", input=str(moved))["config_hash"] == base["config_hash"]
+    for key, value in sim_changes.items():
+        assert manifest(key, **{key: value})["config_hash"] == base["config_hash"], key
 
 
 def test_config_merged_precedence():
@@ -203,16 +230,8 @@ def test_analyze_rerun_byte_identical(sim_dataset, tmp_path):
     run_analyze(conf_b)
     files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
     files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
-    assert files_a == files_b
+    assert files_a == files_b and "manifest.json" in files_a
     for name in files_a:
-        if name == "manifest.json":
-            # differs only in the configured outdir path
-            ma = json.loads((tmp_path / "a" / name).read_text())
-            mb = json.loads((tmp_path / "b" / name).read_text())
-            ma["config"].pop("outdir")
-            mb["config"].pop("outdir")
-            assert ma["artifacts"] == mb["artifacts"]
-            continue
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
 
@@ -427,6 +446,21 @@ def test_report_on_an_outdir_with_features_json_writes_the_same_files(analyzed, 
     write_json(manifest, old / "manifest.json")
     write_json({"include_hpl": config.include_hpl, "hpl_kind": config.hpl_kind},
                old / "features.json")
+    assert _report_files(old) == _report_files(new)
+
+
+def test_report_on_an_outdir_whose_config_has_input_outdir_and_sim_keys(analyzed, tmp_path):
+    """A manifest written when its config also held input, outdir and the
+    sim_* keys loads, and report writes the same files."""
+    config, _ = analyzed
+    new, old = tmp_path / "new", tmp_path / "old"
+    shutil.copytree(config.outdir, new)
+    shutil.copytree(config.outdir, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    assert not {"input", "outdir", "sim_T"} & set(manifest["config"])
+    manifest["config"].update(input=config.input, outdir=config.outdir, sim_T=config.sim_T)
+    write_json(manifest, old / "manifest.json")
+    assert load_bundle(old).manifest["config"]["sim_T"] == config.sim_T
     assert _report_files(old) == _report_files(new)
 
 

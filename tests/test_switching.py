@@ -20,7 +20,6 @@ from bimetal.switching import (
     em_fit,
     hamilton_filter,
     kim_smoother,
-    posterior_probabilities,
     simulate,
     stationary_distribution,
     transition_from_pq,
@@ -31,6 +30,7 @@ from oracles import (
     enumerate_posteriors,
     numpy_filter,
     numpy_smoother,
+    posterior_probabilities,
     random_mlp,
 )
 
