@@ -38,7 +38,8 @@ class NumericalError(BimetalError):
 
 
 class DegenerateModelError(NumericalError):
-    """Every EM restart collapsed a regime below the minimum posterior mass."""
+    """Every EM restart collapsed a regime: below the minimum posterior mass,
+    or with a sigma below a tiny fraction of the series' standard deviation."""
 
 
 class MonotonicityError(NumericalError):

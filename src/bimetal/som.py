@@ -6,10 +6,18 @@ handful of macro-classes by Ward agglomeration, and each week inherits the
 macro-class of its best-matching node, yielding a periodization of the
 dataset into contiguous (mostly) intervals.
 
+Training's cost is numpy's per-call overhead, not arithmetic: each of the
+epochs * n online updates works on a nodes x dim table. So each update makes
+five ufunc calls on arrays of that one shape, all contiguous, with no
+broadcast and no scalar math; what broadcasting would do is done once per
+block of steps.
+
 Memory: the best-matching-node search walks the observations in blocks of
 rows, so its temporaries take about ``_BMU_BLOCK_BYTES`` whatever the
-number of weeks. Training, the Ward linkage and its cut each hold tables of
-nodes x nodes entries, so a grid is limited to ``MAX_NODES`` nodes.
+number of weeks, and training walks its steps in blocks of about
+``_TRAIN_BLOCK_BYTES``. Training, the Ward linkage and its cut each hold
+tables of nodes x nodes entries, so a grid is limited to ``MAX_NODES``
+nodes.
 """
 
 from __future__ import annotations
@@ -29,15 +37,21 @@ _LR_START = 0.5
 _LR_END = 0.01
 _RADIUS_END = 0.5
 
-#: The most nodes a grid may have (32x32). Training's grid distances, the
-#: Ward linkage's distances and its cut's membership table each hold
-#: nodes x nodes entries: 8 MiB per float table at this size.
+#: The most nodes a grid may have (32x32). Training's grid-distance index
+#: table, the Ward linkage's distances and its cut's membership table each
+#: hold nodes x nodes entries: 8 MiB per 8-byte table at this size.
 MAX_NODES = 1024
 
 # The rows of one block of the best-matching-node search are sized so that
 # its (rows, nodes, dim) differences and their squares take about this many
 # bytes together.
 _BMU_BLOCK_BYTES = 2**20
+
+# The steps of one block of training are sized so that their observations,
+# each repeated over the nodes, take about this many bytes: their
+# neighbourhood weights take no more, and the two add little to a run's
+# peak memory.
+_TRAIN_BLOCK_BYTES = _BMU_BLOCK_BYTES // 8
 
 
 @dataclass
@@ -62,10 +76,6 @@ class SomGrid:
     def dim(self) -> int:
         return self.code_vectors.shape[1]
 
-    def positions(self) -> np.ndarray:
-        r, c = np.divmod(np.arange(self.n_nodes), self.cols)
-        return np.column_stack([r, c]).astype(float)
-
 
 def _as_matrix(features) -> np.ndarray:
     if isinstance(features, FeatureSet):
@@ -88,9 +98,16 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
     from the same seeded generator used for initialization.
 
     The schedule is evaluated once per epoch, as vectors of that epoch's
-    learning rates and Gaussian denominators, and each step runs on
-    preallocated buffers. The arithmetic is the per-step rule's, operation
-    for operation, so the code vectors are bit for bit those of a loop that
+    learning rates and Gaussian denominators, and the steps run in blocks.
+    A block's observations are repeated over the nodes, and its weights
+    lr * exp(-d2 / denom) are computed for the distinct grid distances d2
+    only and repeated over the dimensions. A step takes the rows of its
+    best-matching node's weights from the nodes x nodes table of distinct
+    distance indices, so all five of its ufunc calls work on same-shape
+    arrays. Each element still goes through the per-step rule's IEEE
+    operations, in its order: the same divide, exp and multiply of the
+    weights, and the same pairwise sum of the squared differences, so BMU
+    ties break alike. The code vectors are bit for bit those of a loop that
     evaluates the schedule at every step (``tests/oracles.seed_train_som``).
     """
     X = _as_matrix(features)
@@ -118,24 +135,33 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
     )
     code = grid.code_vectors
 
-    pos = grid.positions()
-    # Minus the squared grid distance between each pair of nodes, reused
-    # every step: the one nodes x nodes table of training.
-    neg_d2 = -((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+    nodes, dim = code.shape
+    # The squared grid distance of nodes (r, c) and (r', c') is dr^2 + dc^2,
+    # with dr = |r - r'| and dc = |c - c'|: few distinct values (15 on a 5x5
+    # grid). uniq holds them, negated, and inv, the one nodes x nodes table
+    # of training, the index in uniq of each pair of nodes' value.
+    dr, dc = np.ogrid[:rows, :cols]
+    uniq, at = np.unique(-(dr * dr + dc * dc).astype(float), return_inverse=True)
+    at = at.reshape(rows, cols)  # the inverse's shape varies across numpy 2.x
+    R, C = abs(dr - dr.T), abs(dc - dc.T)
+    inv = at[R[:, None, :, None], C[None, :, None, :]].reshape(nodes, nodes)
 
     r_start = max(rows, cols) / 2.0
     total = max(epochs * n - 1, 1)
+    block = min(n, max(1, _TRAIN_BLOCK_BYTES // max(code.nbytes, 1)))
+    # A block's observations, each repeated over the nodes, and its
+    # lr * exp(-d2 / denom) for each distinct d2, each repeated over the
+    # dimensions, so that every call of the step below works on arrays of
+    # the code vectors' shape.
+    XX = np.empty((block, nodes, dim))
+    H = np.empty((block, uniq.size, dim))
     diff = np.empty_like(code)  # code - x, then the update
     sq = np.empty_like(code)
-    dist = np.empty(code.shape[0])
-    h = np.empty(code.shape[0])
-    h_col = h[:, None]
+    dist = np.empty(nodes)
     # Bound once and given their output positionally: the step below runs
     # epochs * n times, and its arrays are small enough that the cost of
     # each ufunc call is mostly the call itself.
-    subtract, multiply, divide, exp, add_reduce = (
-        np.subtract, np.multiply, np.divide, np.exp, np.add.reduce
-    )
+    subtract, multiply, add_reduce = np.subtract, np.multiply, np.add.reduce
     for epoch in range(epochs):
         order = rng.permutation(n)
         # step / total and the schedule for this epoch's steps, with the
@@ -145,16 +171,20 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
         lrs = _LR_START + (_LR_END - _LR_START) * frac
         radius = r_start + (_RADIUS_END - r_start) * frac
         denoms = 2.0 * radius * radius
-        for x, lr, denom in zip(X[order], lrs.tolist(), denoms.tolist()):
-            subtract(code, x, diff)
-            multiply(diff, diff, sq)
-            add_reduce(sq, 1, None, dist)  # squared distance to each node
-            divide(neg_d2[dist.argmin()], denom, h)
-            exp(h, h)
-            multiply(h, lr, h)
-            # code -= (lr*h)(code - x): the same bits as code += (lr*h)(x - code)
-            multiply(h_col, diff, diff)
-            subtract(code, diff, code)
+        for a in range(0, n, block):
+            steps = slice(a, a + block)
+            m = min(block, n - a)
+            XX[:m] = X[order[steps], None, :]
+            # exp on a contiguous array: numpy's exp may give other bits
+            # on another memory layout
+            H[:m] = (np.exp(uniq / denoms[steps, None]) * lrs[steps, None])[:, :, None]
+            for xx, h in zip(XX[:m], H[:m]):
+                subtract(code, xx, diff)
+                multiply(diff, diff, sq)
+                add_reduce(sq, 1, None, dist)  # squared distance to each node
+                # code -= (lr*h)(code - x): the same bits as code += (lr*h)(x - code)
+                multiply(h.take(inv[dist.argmin()], 0), diff, diff)
+                subtract(code, diff, code)
     return grid
 
 

@@ -33,6 +33,11 @@ from .regression import LinearMean, MlpMean, make_design
 MEAN_FAMILIES = ("linear", "mlp")
 
 _SIGMA_TINY = 1e-150
+# A restart ends as collapsed once a regime's sigma falls below this fraction
+# of the standard deviation of the series it fits: by then the regime fits a
+# few observations exactly and the M-step has lost the precision that keeps
+# EM monotone.
+_SIGMA_REL_FLOOR = 1e-9
 # A restart aborts as degenerate once a regime's total posterior mass falls
 # below this many observation-equivalents.
 _MIN_WEIGHT = 1.0
@@ -488,7 +493,7 @@ def _perceptron_starts(spec: MsSpec, linear: MsParams, X) -> list[MsParams]:
     return starts
 
 
-def _m_step(params, X, y, smoothed, xi) -> MsParams:
+def _m_step(params, X, y, smoothed, xi, sigma_floor) -> MsParams:
     masses = smoothed.sum(axis=0)
     if np.any(masses < _MIN_WEIGHT):
         weak = int(np.argmin(masses))
@@ -503,8 +508,11 @@ def _m_step(params, X, y, smoothed, xi) -> MsParams:
         new_mean = mean.fit_weighted(X, y, w)
         resid = y - new_mean.predict(X)
         var = float(np.sum(w * resid * resid) / masses[i])
-        if var < _SIGMA_TINY**2:
-            raise _DegenerateRestart(f"sigma underflow in regime {i + 1}")
+        if var < sigma_floor**2:
+            raise _DegenerateRestart(
+                f"regime {i + 1} sigma {np.sqrt(var):.3g} is below "
+                f"{_SIGMA_REL_FLOOR:g} times the series' standard deviation"
+            )
         means.append(new_mean)
         sigmas[i] = np.sqrt(var)
     return MsParams(transition=A, means=tuple(means), sigmas=sigmas)
@@ -512,6 +520,7 @@ def _m_step(params, X, y, smoothed, xi) -> MsParams:
 
 def _em_single(spec, series, params, tol, max_iter):
     X, y = make_design(series, spec.lag)
+    sigma_floor = max(_SIGMA_REL_FLOOR * float(np.std(y)), _SIGMA_TINY)
     trace: list[float] = []
     converged = False
     for it in range(max_iter + 1):
@@ -528,7 +537,7 @@ def _em_single(spec, series, params, tol, max_iter):
             converged = True
             break
         xi = _pairwise_counts(params, filt, smoothed)
-        params = _m_step(params, X, y, smoothed, xi)
+        params = _m_step(params, X, y, smoothed, xi, sigma_floor)
     return params, RegimeProbabilities.from_filter(filt, smoothed), trace, converged
 
 
@@ -562,9 +571,11 @@ def em_fit(
 
     Regimes in the result are relabeled so regime 1 has the largest
     stationary probability. A run aborts as degenerate when a regime's
-    total posterior mass drops below one observation-equivalent; if every
-    run of a stage degenerates the model is likely over-specified and a
-    DegenerateModelError suggests fewer regimes.
+    total posterior mass drops below one observation-equivalent, or its
+    sigma below 1e-9 times the standard deviation of the series (a regime
+    that fits a few observations exactly, as in a series of repeated
+    values); if every run of a stage degenerates the model is likely
+    over-specified and a DegenerateModelError suggests fewer regimes.
     """
     series = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(series)):

@@ -100,6 +100,35 @@ def test_training_is_bitwise_the_per_step_loop(n, dim, rows, cols, schedule):
     assert np.array_equal(grid.code_vectors, seed_train_som(X, rows, cols, seed=5, **schedule))
 
 
+# Training runs its steps in blocks of _TRAIN_BLOCK_BYTES // code.nbytes
+# (46 steps for 5x5 nodes of 14 dimensions) and takes each neighbourhood
+# weight once per distinct grid distance.
+@pytest.mark.parametrize("n, dim, rows, cols, epochs", [
+    (80, 3, 7, 9, 3),  # 28 distinct grid distances on 63 nodes
+    (500, 14, 5, 5, 2),  # 10 blocks of 46 steps and one of 40 per epoch
+    (30, 2, 32, 32, 2),  # the largest grid: blocks of 8 steps
+    (1400, None, 5, 5, 1),  # 1-d features: blocks of 655 steps
+])
+def test_blocked_training_is_bitwise_the_per_step_loop(n, dim, rows, cols, epochs):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal(n if dim is None else (n, dim))
+    grid = train_som(X, rows, cols, epochs=epochs, seed=2)
+    assert np.array_equal(grid.code_vectors, seed_train_som(X, rows, cols, epochs, seed=2))
+
+
+def test_training_memory_stays_near_the_block_budget():
+    """All 2078 steps' observations repeated over 5x5 nodes would take
+    5.8 MB; in blocks, training's temporaries stay under 1 MiB."""
+    X = np.random.default_rng(2078).standard_normal((2078, 14))
+    tracemalloc.start()
+    try:
+        train_som(X, 5, 5, epochs=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_empty_input_errors():
     with pytest.raises(ValidationError, match="empty"):
         train_som(np.empty((0, 3)), 2, 2)

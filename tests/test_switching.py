@@ -409,6 +409,24 @@ def test_em_single_regime_data_degenerates_or_fits():
     assert (np.diff(res.trace) >= -1e-8).all()
 
 
+def test_em_ends_a_restart_whose_sigma_collapses_on_duplicated_pairs():
+    """Each value twice: some regime can fit y_t = y_{t-1} exactly. Its sigma
+    then shrinks towards 0 and the M-step loses the precision that keeps EM
+    monotone, so the restart must end as collapsed, not trip the
+    monotonicity check."""
+    spec = MsSpec(families=("linear", "linear"))
+    pairs = np.repeat(simulate(linear_params(), T=200, seed=0)[0], 2)
+    with pytest.raises(DegenerateModelError, match="standard deviation"):
+        em_fit(spec, pairs, seed=0, n_restarts=3, max_iter=100)
+    # here one restart of three does not collapse, and the fit completes
+    pairs = np.repeat(simulate(linear_params(), T=100, seed=1)[0], 2)
+    res = em_fit(spec, pairs, seed=0, n_restarts=3, max_iter=100)
+    assert res.restart_logliks.count(None) == 2
+    assert res.restart_logliks[res.restart] is not None
+    assert (np.diff(res.trace) >= -1e-8).all()
+    assert res.params.sigmas.min() > 1e-9 * np.std(pairs)
+
+
 def test_em_short_series_warns():
     true = linear_params()
     series, _ = simulate(true, T=40, seed=5)
