@@ -61,7 +61,6 @@ from .switching import (
     MsParams,
     MsSpec,
     RegimeProbabilities,
-    cross_tabulate,
     em_fit,
     hamilton_filter,
     kim_smoother,
@@ -101,7 +100,6 @@ __all__ = [
     "bmu_indices",
     "build_features",
     "compute_spread",
-    "cross_tabulate",
     "detect",
     "em_fit",
     "hac_macro_classes",

@@ -3,7 +3,9 @@
 Subcommands: ingest, analyze, report, simulate; ingest is analyze with
 no stages, and writes the same files and manifest. Flags mirror RunConfig
 keys; a --config JSON file overrides the defaults and explicit flags
-override the file. When --outdir is absent the BIMETAL_OUTPUT_DIR
+override the file. The file may hold only the keys its command reads: the
+sim_* keys and outdir for simulate, the analysis keys, input and outdir for
+the others. When --outdir is absent the BIMETAL_OUTPUT_DIR
 environment variable is honored.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
@@ -20,6 +22,7 @@ from dataclasses import fields
 from .data import HPL_KINDS, SPREAD_AGGREGATIONS
 from .errors import DataError, NumericalError
 from .pipeline import RunConfig, load_bundle, run_analyze, run_report, run_simulate
+from .pipeline import _analysis_keys, _read_config
 
 OUTPUT_DIR_ENV = "BIMETAL_OUTPUT_DIR"
 
@@ -128,10 +131,14 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
-        config = RunConfig.from_file(args.config)
-    else:
-        config = RunConfig()
+    file = _read_config(args.config) if getattr(args, "config", None) else {}
+    config = RunConfig.from_dict(file)
+    # a --config file holds only what its command reads: simulate the sim_*
+    # keys and outdir, the other commands the analysis keys, input and outdir
+    read = {*_analysis_keys(config), "input"}
+    foreign = set(file) & read if args.command == "simulate" else set(file) - read - {"outdir"}
+    if foreign:
+        raise DataError(f"config keys {sorted(foreign)} are not read by {args.command}")
 
     overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
 

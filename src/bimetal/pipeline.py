@@ -114,22 +114,22 @@ class RunConfig:
                     )
         return cls(**decoded)
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        """Read a JSON object of RunConfig keys; a file that is not one is
-        a DataError naming it."""
-        try:
-            d = dio.read_json(path)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-            raise DataError(f"invalid config file {path}: {exc}") from exc
-        if not isinstance(d, dict):
-            raise DataError(f"invalid config file {path}: not a JSON object")
-        return cls.from_dict(d)
-
     def merged(self, overrides: dict) -> "RunConfig":
         d = self.to_dict()
         d.update({k: v for k, v in overrides.items() if v is not None})
         return RunConfig.from_dict(d)
+
+
+def _read_config(path) -> dict:
+    """The JSON object of a config file, for ``RunConfig.from_dict``; a file
+    that is not one is a DataError naming it."""
+    try:
+        d = dio.read_json(path)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise DataError(f"invalid config file {path}: {exc}") from exc
+    if not isinstance(d, dict):
+        raise DataError(f"invalid config file {path}: not a JSON object")
+    return d
 
 
 def _analysis_keys(config: RunConfig) -> dict:
@@ -309,8 +309,9 @@ def load_bundle(outdir) -> AnalysisBundle:
     decoded is a DataError naming the file, and so is one that does not fit
     the run: features.csv of another length than the manifest's n_weeks, a
     periodization whose week classes, class counts and class means
-    disagree, or a segmentation whose T and tau do not split the spread
-    into segments.
+    disagree, an ms_model whose probabilities do not have one row per
+    spread observation from the model's lag on and one column per regime,
+    or a segmentation whose T and tau do not split the spread into segments.
     """
     outdir = Path(outdir)
     path = outdir / "manifest.json"
@@ -321,7 +322,8 @@ def load_bundle(outdir) -> AnalysisBundle:
         config = RunConfig.from_dict(manifest["config"])
         n_weeks = manifest.get("n_weeks")
         bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
-        for entry in manifest["artifacts"]:
+        # the features first: the checks below fit the other records to the spread
+        for entry in sorted(manifest["artifacts"], key=lambda e: e["name"] != "features"):
             name, path = entry["name"], outdir / entry["path"]
             if name == "features":
                 table = dio.parse_dataset(path)
@@ -343,6 +345,16 @@ def load_bundle(outdir) -> AnalysisBundle:
                         f"week_to_class, class_counts and class_means do not put "
                         f"the {n_weeks} weeks in classes 1..{c.k}"
                     )
+            if name == "ms_model" and bundle.spread is not None:
+                probs, spec = bundle.em.probabilities, bundle.em.spec
+                shape = (len(bundle.spread) - probs.offset, spec.n_regimes)
+                if (probs.offset != spec.lag or probs.filtered.shape != shape
+                        or probs.smoothed.shape != shape):
+                    raise ValueError(
+                        f"probabilities from observation {probs.offset} do not cover "
+                        f"the {len(bundle.spread)} spread observations in "
+                        f"{spec.n_regimes} regimes"
+                    )
             if name.startswith("segmentation_") and bundle.spread is not None:
                 seg = bundle.segmentations[name.removeprefix("segmentation_")]
                 bounds = [0, *seg.tau, seg.T]
@@ -361,9 +373,12 @@ def load_bundle(outdir) -> AnalysisBundle:
 def run_report(bundle: AnalysisBundle) -> dict:
     """Emit the three report files from a completed analysis.
 
-    class_table.csv mirrors the regime/volatility cross-tabulation
-    (per class: size, share of observations ruled by regime 1, spread
-    volatility); class_means.csv holds the per-class raw-variable means; and
+    class_table.csv is built here, where the views meet: it cross-tabulates
+    the SOM classes against the switching model, one row per class with its
+    observation count, the share of its observations with a smoothed
+    P(regime 1) above 0.5, and the standard deviation of its spread; each
+    observation takes its week's class, so a per_day week counts twice.
+    class_means.csv holds the per-class raw-variable means; and
     aligned_series.csv lines up, one row per spread observation (two per
     week with per_day aggregation), the spread, the smoothed probability of
     regime 1, and indicator columns for the change-points of both modes,
@@ -383,13 +398,19 @@ def run_report(bundle: AnalysisBundle) -> dict:
     classification = bundle.classification
     probs = bundle.em.probabilities
 
+    # the share of regime 1 is over the observations that have a probability,
+    # those from probs.offset on
+    obs_class = classification.week_to_class[spread.t_index]
+    regime1 = probs.smoothed[:, 0] > 0.5
+    rows = []
+    for cls in sorted(set(obs_class.tolist())):
+        member = obs_class == cls
+        ruled = regime1[member[probs.offset:]]
+        share = ruled.mean() if ruled.size else float("nan")
+        rows.append([cls, int(member.sum()), f"{share:.3f}",
+                     f"{spread.values[member].std(ddof=0):.3f}"])
     dio.write_csv(
-        outdir / "class_table.csv",
-        ["class", "n_obs", "pct_regime1", "spread_std"],
-        (
-            [r.class_id, r.n_obs, f"{r.pct_regime1:.3f}", f"{r.spread_std:.3f}"]
-            for r in msmod.cross_tabulate(probs, classification, spread)
-        ),
+        outdir / "class_table.csv", ["class", "n_obs", "pct_regime1", "spread_std"], rows
     )
 
     means = classification.class_means

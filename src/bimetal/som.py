@@ -337,14 +337,15 @@ def _ward_linkage(X: np.ndarray) -> np.ndarray:
 
 
 def _cut(Z: np.ndarray, k: int) -> np.ndarray:
-    """Each point's cluster when the linkage Z is cut at k clusters, as
-    scipy's ``cut_tree(Z, n_clusters=k)`` labels them.
+    """Each point's cluster when the linkage Z is cut at k clusters, the
+    partition of scipy's ``cut_tree(Z, n_clusters=k)``; a cluster is named
+    by its top node, not by cut_tree's label.
 
     ``cut_tree`` applies the merges by height, not by row. It walks the
     tree breadth first from the root, right child first, and ``insort_left``s
     each merge by height, so among tied heights the merge it reached later
-    comes first. A merge gives all its points the lowest label among them
-    and closes the gap in the labels above.
+    comes first. Its first n - k merges are applied here from the top down,
+    each child taking its parent's top node.
     """
     n = Z.shape[0] + 1
     walk = [2 * n - 2]
@@ -354,16 +355,10 @@ def _cut(Z: np.ndarray, k: int) -> np.ndarray:
     rows = np.array([c - n for c in reversed(walk) if c >= n], dtype=int)
     rows = rows[np.argsort(Z[rows, 2], kind="stable")]
 
-    members = np.eye(2 * n - 1, n, dtype=bool)  # the points of each cluster
-    for r in range(n - 1):
-        members[n + r] = members[int(Z[r, 0])] | members[int(Z[r, 1])]
-    labels = np.arange(n)
-    for r in rows[: n - k]:
-        points = members[n + r]
-        merged = labels[points]
-        labels[points] = merged.min()
-        labels[labels > merged.max()] -= 1
-    return labels
+    top = np.arange(2 * n - 1)
+    for r in np.sort(rows[: n - k])[::-1]:  # a parent's row follows its children's
+        top[Z[r, :2].astype(int)] = top[n + r]
+    return top[:n]
 
 
 def hac_macro_classes(grid: SomGrid, k: int) -> tuple[np.ndarray, tuple]:
@@ -381,8 +376,6 @@ def hac_macro_classes(grid: SomGrid, k: int) -> tuple[np.ndarray, tuple]:
     n = grid.n_nodes
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} out of range 1..{n}")
-    if n == 1:
-        return np.array([1]), ()
     Z = _ward_linkage(grid.code_vectors)
     history = tuple(
         (int(a), int(b), float(h), int(size)) for a, b, h, size in Z

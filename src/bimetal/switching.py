@@ -656,64 +656,3 @@ def _best_run(spec, series, starts, tol, max_iter, logliks):
             "); try fewer regimes"
         )
     return best
-
-
-# ---------------------------------------------------------------------------
-# Cross-tabulation against a periodization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClassRegimeRow:
-    """One macro-class row: size, share ruled by regime 1, spread volatility."""
-
-    class_id: int
-    n_obs: int
-    pct_regime1: float
-    spread_std: float
-
-
-def cross_tabulate(probs: RegimeProbabilities, classification, spread) -> list[ClassRegimeRow]:
-    """Per macro-class: observation count, share of observations with
-    smoothed P(regime 1) > 0.5, and the standard deviation of the spread.
-
-    Each spread observation takes the class of its week, ``spread.t_index``;
-    with per_day aggregation a week contributes two observations.
-    """
-    week_to_class = classification.week_to_class
-    n_weeks = week_to_class.shape[0]
-    values = spread.values
-    n_obs = values.shape[0]
-    if probs.offset + probs.smoothed.shape[0] != n_obs:
-        raise ValidationError(
-            f"misaligned indices: probabilities cover {probs.smoothed.shape[0]} "
-            f"steps from observation {probs.offset}, spread has {n_obs} observations"
-        )
-    t_index = np.asarray(spread.t_index)
-    if t_index.shape != (n_obs,) or not np.array_equal(
-        np.unique(t_index), np.arange(n_weeks)
-    ):
-        raise ValidationError(
-            f"misaligned indices: {n_weeks} classified weeks vs the weeks of "
-            f"{n_obs} spread observations"
-        )
-    obs_class = week_to_class[t_index]
-
-    regime1 = np.zeros(n_obs, dtype=bool)
-    has_prob = np.zeros(n_obs, dtype=bool)
-    regime1[probs.offset:] = probs.smoothed[:, 0] > 0.5
-    has_prob[probs.offset:] = True
-
-    rows = []
-    for cls in sorted(set(obs_class.tolist())):
-        member = obs_class == cls
-        with_prob = member & has_prob
-        share = float(regime1[with_prob].mean()) if with_prob.any() else float("nan")
-        rows.append(
-            ClassRegimeRow(
-                class_id=int(cls),
-                n_obs=int(member.sum()),
-                pct_regime1=share,
-                spread_std=float(values[member].std(ddof=0)),
-            )
-        )
-    return rows

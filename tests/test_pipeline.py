@@ -4,7 +4,9 @@ import io
 import json
 import shutil
 import tracemalloc
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,17 +14,21 @@ from numpy.testing import assert_allclose
 
 from bimetal.cli import main
 from bimetal.data import (
-    HEADER, SPREAD_AGGREGATIONS, to_json, write_csv, write_features_csv, write_json,
+    HEADER, SPREAD_AGGREGATIONS, SpreadSeries, to_json, write_csv, write_features_csv,
+    write_json,
 )
 from bimetal.errors import DataError, ValidationError
 from bimetal.pipeline import (
     AnalysisBundle,
     RunConfig,
+    _read_config,
     load_bundle,
     run_analyze,
     run_report,
     run_simulate,
 )
+from bimetal.som import MacroClassification
+from bimetal.switching import RegimeProbabilities
 
 from conftest import make_csv, synthetic_rows
 from oracles import seed_em_fit
@@ -81,7 +87,7 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
     assert again == cfg
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
-    assert RunConfig.from_file(path) == cfg
+    assert RunConfig.from_dict(_read_config(path)) == cfg
     # a misspelt key, and keys the config no longer has
     for key in ("som_seeed", "som_lr_start", "ms_regimes"):
         with pytest.raises(ValidationError, match="unknown config keys"):
@@ -564,6 +570,28 @@ def _tau_negative(text):
     return json.dumps(d)
 
 
+def _probabilities_of_a_longer_series(text):
+    d = json.loads(text)
+    for key in ("filtered", "smoothed"):
+        d["probabilities"][key] += d["probabilities"][key][:20]
+    return json.dumps(d)
+
+
+def _probabilities_of_a_third_regime(text):
+    d = json.loads(text)
+    for key in ("filtered", "smoothed"):
+        d["probabilities"][key] = [row + [0.0] for row in d["probabilities"][key]]
+    return json.dumps(d)
+
+
+def _probabilities_from_past_the_lag(text):
+    d = json.loads(text)
+    d["probabilities"]["offset"] += 1
+    for key in ("filtered", "smoothed"):
+        del d["probabilities"][key][0]
+    return json.dumps(d)
+
+
 def _last_row_cut_short(text):
     return text.rstrip("\n").rsplit(",", 1)[0] + "\n"
 
@@ -583,6 +611,9 @@ def _last_rows_dropped(text):
     ("features.csv", _last_row_cut_short),
     ("features.csv", _last_rows_dropped),
     ("ms_model.json", _offset_as_string),
+    ("ms_model.json", _probabilities_of_a_longer_series),
+    ("ms_model.json", _probabilities_of_a_third_regime),
+    ("ms_model.json", _probabilities_from_past_the_lag),
     ("periodization.json", _class_counts_as_strings),
     ("periodization.json", _class_means_null),
     ("periodization.json", _class_count_dropped),
@@ -602,6 +633,25 @@ def test_report_on_malformed_artifact_is_data_error(analyzed, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("data error: malformed artifact")
     assert {p.name for p in run.iterdir() if p.name in err} == {filename}
+
+
+@pytest.mark.parametrize("filename, corrupt", [
+    ("ms_model.json", _probabilities_of_a_longer_series),
+    ("segmentation_mean.json", _tau_past_the_end),
+])
+def test_report_checks_an_artifact_listed_before_the_features(analyzed, tmp_path, capsys,
+                                                              filename, corrupt):
+    config, _ = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    path = run / filename
+    path.write_text(corrupt(path.read_text()))
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["artifacts"].sort(key=lambda entry: entry["name"] == "features")
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--outdir", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: malformed artifact {path}: ")
 
 
 def test_report_on_features_written_before_the_table_format_is_data_error(
@@ -688,6 +738,59 @@ def test_report_after_per_day_analyze(sim_dataset, tmp_path):
     aligned = (out / "aligned_series.csv").read_text().splitlines()
     assert len(aligned) == 2 * n_weeks + 1
     assert aligned[1].split(",")[0] == aligned[2].split(",")[0]  # same week
+
+
+def _class_table(tmp_path, week_to_class, values, p_regime1, per_day=False):
+    """The class_table.csv rows that report writes for a hand-built bundle:
+    one spread observation per week (two with ``per_day``), and P(regime 1)
+    for the observations from the first on (the lag, 1, conditions)."""
+    t_index = np.repeat(np.arange(len(week_to_class)), 2 if per_day else 1)
+    spread = SpreadSeries(t_index=t_index, years=1821 + 0 * t_index, weeks=t_index + 1,
+                          values=np.asarray(values, dtype=float),
+                          aggregation="per_day" if per_day else "mean")
+    counts = dict(Counter(week_to_class))
+    classification = MacroClassification(
+        k=len(counts), node_to_class=np.array(sorted(counts)), linkage_history=(),
+        week_to_class=np.array(week_to_class), class_means={c: {"x0": 0.0} for c in counts},
+        intervals=(), class_counts=counts,
+    )
+    p = np.column_stack([p_regime1, 1.0 - np.asarray(p_regime1, dtype=float)])
+    probs = RegimeProbabilities(offset=1, loglik=0.0, filtered=p, smoothed=p)
+    no_change = SimpleNamespace(tau=())
+    bundle = AnalysisBundle(
+        outdir=tmp_path, manifest={"artifacts": []}, spread=spread,
+        classification=classification, em=SimpleNamespace(probabilities=probs),
+        segmentations={"mean": no_change, "meanvar": no_change},
+    )
+    run_report(bundle)
+    header, *rows = (tmp_path / "class_table.csv").read_text().splitlines()
+    assert header == "class,n_obs,pct_regime1,spread_std"
+    return rows
+
+
+def test_class_table_all_regime_one(tmp_path):
+    rows = _class_table(tmp_path, [1, 1, 1, 2, 2, 2, 3, 3, 3],
+                        np.linspace(0.1, 0.9, 9), np.ones(8))
+    # each class's spread is three steps of 0.1 apart: std sqrt(2/3) * 0.1
+    assert rows == ["1,3,1.000,0.082", "2,3,1.000,0.082", "3,3,1.000,0.082"]
+
+
+def test_class_table_constant_spread_zero_std(tmp_path):
+    rows = _class_table(tmp_path, [1] * 6, np.full(6, 0.25), np.zeros(5))
+    assert rows == ["1,6,0.000,0.000"]
+
+
+def test_class_table_share_of_a_class_without_probabilities_is_nan(tmp_path):
+    rows = _class_table(tmp_path, [1, 2, 2, 2], [0.3, 0.1, 0.2, 0.3], [1.0, 0.2, 0.7])
+    assert rows == ["1,1,nan,0.000", "2,3,0.667,0.082"]
+
+
+def test_class_table_per_day_observations_take_their_weeks_class(tmp_path):
+    # three weeks, two observations each (Tuesday, Friday)
+    rows = _class_table(tmp_path, [1, 2, 2], [0.1, 0.3, 0.2, 0.2, 0.5, 0.5],
+                        [1, 1, 0, 0, 0], per_day=True)
+    # class 1: only the Friday has a probability; class 2: one of four in regime 1
+    assert rows == ["1,2,1.000,0.100", "2,4,0.250,0.150"]
 
 
 @pytest.mark.parametrize("artifact, stage", [
@@ -1011,7 +1114,7 @@ def test_features_csv_cells_are_the_json_floats(tmp_path):
     ("ms_restarts", 2.5),
     ("ms_families", "mlp"),
     ("include_hpl", "no"),
-    # tuple elements of the wrong type
+    # tuple elements of the wrong type, in a config file of simulate
     ("sim_coefs", [1, 2]),
     ("sim_levels", ["a", 1, 2]),
     ("sim_tau", [1.5, 3]),
@@ -1021,14 +1124,48 @@ def test_cli_bad_ingest_value_in_config_is_data_error(tmp_path, capsys, key, val
     data.write_text(make_csv(synthetic_rows(12, seed=4)))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({key: value}))
-    code = main(["analyze", "--config", str(cfg_path), "--input", str(data),
-                 "--outdir", str(tmp_path / "out")])
+    command = ["simulate"] if key.startswith("sim_") else ["analyze", "--input", str(data)]
+    code = main([*command, "--config", str(cfg_path), "--outdir", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("data error:") and repr(value) in err[0]
     assert f"config key {key!r}" in err[0]
     assert len(err) == 1  # no traceback
     assert not (tmp_path / "out").exists()  # caught before any stage ran
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("analyze", "sim_T", 999),
+    ("ingest", "sim_seed", 1),
+    ("report", "sim_kind", "steps"),
+    ("simulate", "som_rows", 9),
+    ("simulate", "input", "data.csv"),
+])
+def test_cli_config_key_of_another_command_is_data_error(tmp_path, capsys, command,
+                                                         key, value):
+    data = tmp_path / "data.csv"
+    data.write_text(make_csv(synthetic_rows(12, seed=4)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    inputs = ["--input", str(data)] if command in ("analyze", "ingest") else []
+    code = main([command, "--config", str(cfg_path), *inputs,
+                 "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: config keys [{key!r}] are not read by {command}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_files_hold_the_keys_their_command_reads(tmp_path):
+    sim_cfg = tmp_path / "sim.json"
+    sim_cfg.write_text(json.dumps({"sim_T": 60, "sim_seed": 2, "outdir": str(tmp_path / "sim")}))
+    assert main(["simulate", "--config", str(sim_cfg)]) == 0
+    data = tmp_path / "sim" / "dataset.csv"
+    assert len(data.read_text().splitlines()) == 61
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps({"input": str(data), "outdir": str(tmp_path / "run"),
+                                   "som_rows": 2, "som_cols": 2, "n_classes": 2}))
+    assert main(["analyze", "--config", str(run_cfg), "--stages", "som"]) == 0
 
 
 @pytest.mark.parametrize("text", ['{"som_rows": 5,}', "[5]", "\udcff"])

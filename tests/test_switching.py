@@ -14,9 +14,7 @@ from bimetal.switching import (
     EmResult,
     MsParams,
     MsSpec,
-    RegimeProbabilities,
     _perceptron_starts,
-    cross_tabulate,
     em_fit,
     hamilton_filter,
     kim_smoother,
@@ -547,73 +545,3 @@ def test_perceptron_starts_try_each_assignment_of_the_linear_regimes(families, o
             else:  # the perceptron reproduces its slot's line
                 fit, want = mean.predict(X), line.predict(X)
                 assert np.linalg.norm(fit - want) <= 0.02 * np.linalg.norm(want)
-
-
-# ---------------------------------------------------------------------------
-# Cross-tabulation
-# ---------------------------------------------------------------------------
-
-class _FakeClassification:
-    def __init__(self, week_to_class):
-        self.week_to_class = np.asarray(week_to_class)
-
-
-class _FakeSpread:
-    def __init__(self, values, t_index=None):
-        self.values = np.asarray(values, dtype=float)
-        n = self.values.shape[0]
-        self.t_index = np.arange(n) if t_index is None else np.asarray(t_index)
-
-
-def _probs(smoothed, offset=1):
-    smoothed = np.asarray(smoothed, dtype=float)
-    return RegimeProbabilities(
-        filtered=smoothed.copy(), smoothed=smoothed, loglik=0.0, offset=offset
-    )
-
-
-def test_cross_tab_all_regime_one():
-    n = 9
-    probs = _probs(np.column_stack([np.ones(n - 1), np.zeros(n - 1)]))
-    classes = _FakeClassification([1, 1, 1, 2, 2, 2, 3, 3, 3])
-    spread = _FakeSpread(np.linspace(0.1, 0.9, n))
-    rows = cross_tabulate(probs, classes, spread)
-    assert [r.class_id for r in rows] == [1, 2, 3]
-    assert all(r.pct_regime1 == 1.0 for r in rows)
-    assert [r.n_obs for r in rows] == [3, 3, 3]
-
-
-def test_cross_tab_constant_spread_zero_std():
-    n = 6
-    probs = _probs(np.column_stack([np.zeros(n - 1), np.ones(n - 1)]))
-    classes = _FakeClassification([1, 1, 1, 1, 1, 1])
-    spread = _FakeSpread(np.full(n, 0.25))
-    rows = cross_tabulate(probs, classes, spread)
-    assert rows[0].spread_std == 0.0
-    assert rows[0].pct_regime1 == 0.0
-
-
-def test_cross_tab_misaligned_errors():
-    probs = _probs(np.ones((5, 2)) * 0.5)
-    classes = _FakeClassification([1, 1, 2, 2, 2, 2])
-    with pytest.raises(ValidationError, match="misaligned"):
-        cross_tabulate(probs, classes, _FakeSpread(np.ones(7)))
-    with pytest.raises(ValidationError, match="misaligned"):
-        cross_tabulate(_probs(np.ones((3, 2)) * 0.5), classes, _FakeSpread(np.ones(6)))
-    # week indices past the classified weeks, or weeks without an observation
-    for t_index in ([0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 4, 4]):
-        with pytest.raises(ValidationError, match="misaligned"):
-            cross_tabulate(probs, classes, _FakeSpread(np.ones(6), t_index))
-
-
-def test_cross_tab_per_day_observations_take_their_weeks_class():
-    # three weeks, two observations each (Tuesday, Friday)
-    probs = _probs(np.column_stack([[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]]))
-    classes = _FakeClassification([1, 2, 2])
-    spread = _FakeSpread([0.1, 0.3, 0.2, 0.2, 0.5, 0.5], t_index=[0, 0, 1, 1, 2, 2])
-    rows = cross_tabulate(probs, classes, spread)
-    assert [(r.class_id, r.n_obs) for r in rows] == [(1, 2), (2, 4)]
-    assert rows[0].pct_regime1 == 1.0  # only the Friday has a probability
-    assert rows[1].pct_regime1 == 0.25
-    assert rows[0].spread_std == pytest.approx(0.1)
-    assert rows[1].spread_std == pytest.approx(0.15)
