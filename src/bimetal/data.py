@@ -287,32 +287,19 @@ HPL_KINDS = ("difference", "ratio")
 
 
 @dataclass
-class FeatureSet(_WeekLabels):
-    """All feature vectors of a dataset plus the standardization statistics
-    needed to reproduce (or invert) the z-scoring."""
+class FeatureSet:
+    """The SOM's input: the imputed ``table``, the ``hpl`` pair derived from
+    it (one column per quotation day) and ``standardized``, the z-scored
+    vectors the map trains on (the 12 quotations, then the hpl pair unless
+    it is left out). Class means are read on the raw columns RAW_COLUMNS,
+    the table's values then the hpl pair."""
 
-    years: np.ndarray
-    weeks: np.ndarray
-    base: np.ndarray          # (n, 12) raw values, VALUE_COLUMNS order
-    hpl: np.ndarray           # (n, 2) derived variable, one per quotation day
-    standardized: np.ndarray  # (n, d) z-scored SOM input
-    feature_names: tuple[str, ...]
-    means: np.ndarray
-    stds: np.ndarray
-    include_hpl: bool
-    hpl_kind: str
+    table: QuotationTable
+    hpl: np.ndarray           # (n, 2)
+    standardized: np.ndarray  # (n, 14), or (n, 12) without hpl
 
     def __len__(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def raw_names(self) -> tuple[str, ...]:
-        return RAW_COLUMNS
-
-    @property
-    def raw_matrix(self) -> np.ndarray:
-        """Raw (unstandardized) values incl. hpl, for per-class means."""
-        return np.hstack([self.base, self.hpl])
+        return len(self.table)
 
 
 def build_features(
@@ -338,12 +325,11 @@ def build_features(
     avg = (poa + lgs) / 2.0
     hpl = hoa - avg if hpl_kind == "difference" else hoa / avg
 
-    base = table.values
     if include_hpl:
-        raw = np.hstack([base, hpl])
+        raw = np.hstack([table.values, hpl])
         names = RAW_COLUMNS
     else:
-        raw = base
+        raw = table.values
         names = VALUE_COLUMNS
 
     means = raw.mean(axis=0)
@@ -353,20 +339,7 @@ def build_features(
         raise ValidationError(
             f"cannot standardize: zero variance in {', '.join(names[i] for i in zero)}"
         )
-    standardized = (raw - means) / stds
-
-    return FeatureSet(
-        years=table.years,
-        weeks=table.weeks,
-        base=base,
-        hpl=hpl,
-        standardized=standardized,
-        feature_names=names,
-        means=means,
-        stds=stds,
-        include_hpl=include_hpl,
-        hpl_kind=hpl_kind,
-    )
+    return FeatureSet(table=table, hpl=hpl, standardized=(raw - means) / stds)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +405,7 @@ def compute_spread(
 
 def write_features_csv(fs: FeatureSet, target) -> None:
     """Write the imputed quotations of ``fs`` in the ingestion format."""
-    write_dataset(QuotationTable(years=fs.years, weeks=fs.weeks, values=fs.base), target)
+    write_dataset(fs.table, target)
 
 
 def write_spread_csv(spread: SpreadSeries, target) -> None:

@@ -15,9 +15,9 @@ block of steps.
 Memory: the best-matching-node search walks the observations in blocks of
 rows, so its temporaries take about ``_BMU_BLOCK_BYTES`` whatever the
 number of weeks, and training walks its steps in blocks of about
-``_TRAIN_BLOCK_BYTES``. Training, the Ward linkage and its cut each hold
-tables of nodes x nodes entries, so a grid is limited to ``MAX_NODES``
-nodes.
+``_TRAIN_BLOCK_BYTES``. Training's index table and the Ward linkage's
+distance tables each hold nodes x nodes entries, so a grid is limited to
+``MAX_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureSet
+from .data import RAW_COLUMNS, FeatureSet
 from .errors import ValidationError
 
 
@@ -38,8 +38,8 @@ _LR_END = 0.01
 _RADIUS_END = 0.5
 
 #: The most nodes a grid may have (32x32). Training's grid-distance index
-#: table, the Ward linkage's distances and its cut's membership table each
-#: hold nodes x nodes entries: 8 MiB per 8-byte table at this size.
+#: table and the Ward linkage's two distance tables each hold nodes x nodes
+#: entries: 8 MiB per 8-byte table at this size.
 MAX_NODES = 1024
 
 # The rows of one block of the best-matching-node search are sized so that
@@ -395,8 +395,8 @@ def periodize(features, grid: SomGrid, k: int = 6) -> MacroClassification:
     week_to_class = node_to_class[bmu_indices(grid, features)]
 
     if isinstance(features, FeatureSet):
-        raw = features.raw_matrix
-        names = features.raw_names
+        raw = np.hstack([features.table.values, features.hpl])
+        names = RAW_COLUMNS
     else:
         raw = _as_matrix(features)
         names = tuple(f"x{i}" for i in range(raw.shape[1]))

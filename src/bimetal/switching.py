@@ -550,7 +550,6 @@ def canonical_regime_order(params: MsParams) -> list[int]:
 def em_fit(
     spec: MsSpec,
     series,
-    init: MsParams | None = None,
     seed: int = 0,
     tol: float = 1e-6,
     max_iter: int = 200,
@@ -558,8 +557,7 @@ def em_fit(
 ) -> EmResult:
     """Fit by EM; best of ``n_restarts`` seeded jittered initializations.
 
-    The model has one regime per entry of ``spec.families``. When ``init``
-    params are given a single run starts from them instead. Each M-step
+    The model has one regime per entry of ``spec.families``. Each M-step
     refits every regime's mean by its own ``fit_weighted`` (closed form for
     a linear mean, at most 200 Levenberg-Marquardt steps for a perceptron).
 
@@ -598,21 +596,18 @@ def em_fit(
             stacklevel=2,
         )
 
-    logliks: list[float | None] = []
-    if init is not None:
-        restart, fit = _best_run(spec, series, [init], tol, max_iter, logliks)
-    elif n_restarts < 1:
+    if n_restarts < 1:
         raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
-    else:
-        linear = MsSpec(spec.lag, ("linear",) * spec.n_regimes)
-        starts = (
-            _initial_params(linear, series, np.random.default_rng(child))
-            for child in np.random.SeedSequence(seed).spawn(n_restarts)
-        )
-        restart, fit = _best_run(linear, series, starts, tol, max_iter, logliks)
-        if "mlp" in spec.families:
-            starts = _perceptron_starts(spec, fit[0], make_design(series, spec.lag)[0])
-            restart, fit = _best_run(spec, series, starts, tol, max_iter, logliks)
+    logliks: list[float | None] = []
+    linear = MsSpec(spec.lag, ("linear",) * spec.n_regimes)
+    starts = (
+        _initial_params(linear, series, np.random.default_rng(child))
+        for child in np.random.SeedSequence(seed).spawn(n_restarts)
+    )
+    restart, fit = _best_run(linear, series, starts, tol, max_iter, logliks)
+    if "mlp" in spec.families:
+        starts = _perceptron_starts(spec, fit[0], make_design(series, spec.lag)[0])
+        restart, fit = _best_run(spec, series, starts, tol, max_iter, logliks)
 
     params, probs, trace, converged = fit
     order = canonical_regime_order(params)

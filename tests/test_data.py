@@ -291,7 +291,9 @@ def test_standardization_moments(small_table):
 def test_features_without_hpl(small_table):
     fs = build_features(small_table, include_hpl=False)
     assert fs.standardized.shape == (30, 12)
-    assert fs.feature_names[-1] == "phv_f"
+    # the z-score of the 12 quotations alone
+    values = fs.table.values
+    assert_array_equal(fs.standardized, (values - values.mean(axis=0)) / values.std(axis=0))
     # hpl is still computed for descriptive tables
     assert fs.hpl.shape == (30, 2)
 
@@ -309,7 +311,7 @@ def test_features_serialization_roundtrip(small_table, tmp_path):
     write_features_csv(fs, tmp_path / "features.csv")
     fs2 = build_features(parse_dataset(tmp_path / "features.csv"), hpl_kind="ratio")
     assert_array_equal(fs2.standardized, fs.standardized)
-    assert fs2.feature_names == fs.feature_names
+    assert_array_equal(fs2.hpl, fs.hpl)
 
     lines = (tmp_path / "features.csv").read_text().splitlines()
     assert len(lines) == 31

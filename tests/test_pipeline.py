@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 
 from bimetal.cli import main
 from bimetal.data import (
-    HEADER, SPREAD_AGGREGATIONS, SpreadSeries, to_json, write_csv, write_features_csv,
-    write_json,
+    HEADER, RAW_COLUMNS, SPREAD_AGGREGATIONS, SpreadSeries, to_json, write_csv,
+    write_features_csv, write_json,
 )
 from bimetal.errors import DataError, ValidationError
 from bimetal.pipeline import (
@@ -30,7 +30,7 @@ from bimetal.pipeline import (
 from bimetal.som import MacroClassification
 from bimetal.switching import RegimeProbabilities
 
-from conftest import make_csv, synthetic_rows
+from conftest import assert_tables_equal, make_csv, synthetic_rows
 from oracles import seed_em_fit
 
 
@@ -396,12 +396,11 @@ def test_load_bundle_reloads_features_exactly(sim_dataset, tmp_path, hpl):
                          run_ms=False, run_cpd=False, **hpl)
     saved = run_analyze(config).features
     loaded = load_bundle(tmp_path).features
-    for f in dataclasses.fields(saved):
-        want, got = getattr(saved, f.name), getattr(loaded, f.name)
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want) and got.dtype == want.dtype, f.name
-        else:
-            assert got == want and type(got) is type(want), f.name
+    assert [f.name for f in dataclasses.fields(saved)] == ["table", "hpl", "standardized"]
+    assert_tables_equal(loaded.table, saved.table)
+    for name in ("hpl", "standardized"):
+        want, got = getattr(saved, name), getattr(loaded, name)
+        assert np.array_equal(got, want) and got.dtype == want.dtype, name
     # the flags come from the manifest's config, so no features.json is written
     assert not (tmp_path / "features.json").exists()
 
@@ -662,17 +661,19 @@ def test_report_on_features_written_before_the_table_format_is_data_error(
     config, bundle = analyzed
     run = tmp_path / "run"
     shutil.copytree(config.outdir, run)
+    assert config.include_hpl  # so the standardized columns are RAW_COLUMNS
     fs = bundle.features
+    raw = np.hstack([fs.table.values, fs.hpl])
     write_csv(
         run / "features.csv",
-        ["year", "week", *fs.raw_names, *(f"std_{name}" for name in fs.feature_names)],
+        ["year", "week", *RAW_COLUMNS, *(f"std_{name}" for name in RAW_COLUMNS)],
         ([y, w, *map(repr, row)] for y, w, row in zip(
-            fs.years.tolist(), fs.weeks.tolist(),
-            np.hstack([fs.raw_matrix, fs.standardized]).tolist())),
+            fs.table.years.tolist(), fs.table.weeks.tolist(),
+            np.hstack([raw, fs.standardized]).tolist())),
     )
-    write_json({"feature_names": list(fs.feature_names), "means": fs.means.tolist(),
-                "stds": fs.stds.tolist(), "include_hpl": fs.include_hpl,
-                "hpl_kind": fs.hpl_kind}, run / "features.json")
+    write_json({"feature_names": list(RAW_COLUMNS), "means": raw.mean(axis=0).tolist(),
+                "stds": raw.std(axis=0).tolist(), "include_hpl": config.include_hpl,
+                "hpl_kind": config.hpl_kind}, run / "features.json")
     assert main(["report", "--outdir", str(run)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: malformed artifact {run / 'features.csv'}: ")
@@ -1090,7 +1091,7 @@ def test_cli_flag_overrides_config_file(tmp_path):
 
 def test_features_csv_cells_are_the_json_floats(tmp_path):
     """features.csv is the imputed table in the ingestion format: every
-    value cell is the repr of one float of the FeatureSet's base, the
+    value cell is the repr of one float of the FeatureSet's table, the
     imputed cells included."""
     data = tmp_path / "data.csv"
     data.write_text(make_csv(synthetic_rows(12, seed=4, missing={(3, 0), (4, 5)})))
@@ -1102,8 +1103,8 @@ def test_features_csv_cells_are_the_json_floats(tmp_path):
     assert len(rows) == len(fs)
     for i, line in enumerate(rows):
         cells = line.split(",")
-        assert [int(c) for c in cells[:2]] == [fs.years[i], fs.weeks[i]]
-        assert cells[2:] == [repr(v) for v in fs.base[i].tolist()]
+        assert [int(c) for c in cells[:2]] == [fs.table.years[i], fs.table.weeks[i]]
+        assert cells[2:] == [repr(v) for v in fs.table.values[i].tolist()]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from bimetal.data import build_features, from_json, to_json
+from bimetal.data import RAW_COLUMNS, build_features, from_json, to_json
 from bimetal.errors import ValidationError
 from bimetal.som import (
     MAX_NODES,
@@ -410,6 +410,22 @@ def test_periodize_singleton_class_means():
     assert_allclose(
         [full.class_means[singleton][f"x{i}"] for i in range(2)], X[1]
     )
+
+
+@pytest.mark.parametrize("include_hpl", [True, False])
+def test_periodize_class_means_are_the_raw_column_means(small_table, include_hpl):
+    """A FeatureSet's class means are read on the 14 raw columns, the
+    quotations then the hpl pair, even when the map trains without hpl."""
+    fs = build_features(small_table, include_hpl=include_hpl)
+    grid = train_som(fs, 3, 3, epochs=5, seed=1)
+    full = periodize(fs, grid, k=4)
+    raw = np.hstack([small_table.values, fs.hpl])
+    assert len(RAW_COLUMNS) == raw.shape[1] == 14
+    assert sorted(full.class_means) == sorted(set(full.week_to_class.tolist()))
+    for cls, means in full.class_means.items():
+        assert list(means) == list(RAW_COLUMNS)
+        want = raw[full.week_to_class == cls].mean(axis=0)
+        assert_array_equal(list(means.values()), want)
 
 
 def test_periodize_intervals_partition(small_table):
