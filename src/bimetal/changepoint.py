@@ -79,12 +79,12 @@ def _check_min_seg_len(mode: SegMode, min_seg_len) -> int:
 class SegCostTable:
     """Contrasts of every segment series[i:j], one row of j at a time.
 
-    Only the prefix sums c1 (of the series) and c2 (of its squares) are
-    stored, so the state is O(T); ``row(i)`` computes the contrasts of
-    series[i:j] for j = i+min_seg_len..T on demand; a segment shorter than
-    min_seg_len has no entry. Total costs of multi-segment configurations
-    come only from the DP summing these entries; no subadditivity is
-    assumed.
+    Only the prefix sums c1 (of the series) and c2 (of its squares) and
+    the segment lengths 0..T, as floats, are stored, so the state is O(T);
+    ``row(i)`` computes the contrasts of series[i:j] for j =
+    i+min_seg_len..T on demand; a segment shorter than min_seg_len has no
+    entry. Total costs of multi-segment configurations come only from the
+    DP summing these entries; no subadditivity is assumed.
     """
 
     mode: SegMode
@@ -92,6 +92,7 @@ class SegCostTable:
     variance_floor: float
     c1: np.ndarray
     c2: np.ndarray
+    lengths: np.ndarray
 
     @property
     def T(self) -> int:
@@ -101,7 +102,7 @@ class SegCostTable:
         """Contrast of series[i:j] for j = i+min_seg_len..T (empty when
         no feasible segment starts at i)."""
         m = self.min_seg_len
-        n = np.arange(m, self.T - i + 1)  # j - i
+        n = self.lengths[m : self.T - i + 1]  # j - i
         sums = self.c1[i + m :] - self.c1[i]
         sse = (self.c2[i + m :] - self.c2[i]) - sums * sums / n
         sse = np.maximum(sse, 0.0)  # guard tiny negative rounding
@@ -118,6 +119,7 @@ class SegCostTable:
             variance_floor=_variance_floor(series),
             c1=np.concatenate([[0.0], np.cumsum(series)]),
             c2=np.concatenate([[0.0], np.cumsum(series * series)]),
+            lengths=np.arange(series.shape[0] + 1, dtype=float),
         )
 
 

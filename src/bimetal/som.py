@@ -8,9 +8,10 @@ dataset into contiguous (mostly) intervals.
 
 Training's cost is numpy's per-call overhead, not arithmetic: each of the
 epochs * n online updates works on a nodes x dim table. So each update makes
-five ufunc calls on arrays of that one shape, all contiguous, with no
-broadcast and no scalar math; what broadcasting would do is done once per
-block of steps.
+four calls on arrays of that one shape, all contiguous, with no broadcast
+and no scalar math: a subtract, one np.vecdot for the squared distances,
+and the multiply and subtract of the update. What broadcasting would do is
+done once per block of steps.
 
 Memory: the best-matching-node search walks the observations in blocks of
 rows, so its temporaries take about ``_BMU_BLOCK_BYTES`` whatever the
@@ -103,12 +104,21 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
     lr * exp(-d2 / denom) are computed for the distinct grid distances d2
     only and repeated over the dimensions. A step takes the rows of its
     best-matching node's weights from the nodes x nodes table of distinct
-    distance indices, so all five of its ufunc calls work on same-shape
-    arrays. Each element still goes through the per-step rule's IEEE
-    operations, in its order: the same divide, exp and multiply of the
-    weights, and the same pairwise sum of the squared differences, so BMU
-    ties break alike. The code vectors are bit for bit those of a loop that
-    evaluates the schedule at every step (``tests/oracles.seed_train_som``).
+    distance indices, so all four of its array calls work on same-shape
+    arrays. Each element of the update still goes through the per-step
+    rule's IEEE operations, in its order: the same divide, exp and multiply
+    of the weights, the same difference, product and subtraction.
+
+    The squared distances are the one exception: one ``np.vecdot`` of the
+    differences with themselves per step, where the per-step rule sums the
+    squares pairwise. The two may differ in the last bits, and ``vecdot``'s
+    bits may depend on the BLAS and the CPU. Identical code vectors still
+    get identical distances, so an exact tie goes to the lowest node, as in
+    the rule. But two nodes whose distances are within rounding of each
+    other may be ordered differently, and then the best-matching node and
+    every later update differ. Where no best-matching node differs, the
+    code vectors are bit for bit those of a loop that evaluates the
+    schedule at every step (``tests/oracles.seed_train_som``).
     """
     X = _as_matrix(features)
     n = X.shape[0]
@@ -156,12 +166,11 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
     XX = np.empty((block, nodes, dim))
     H = np.empty((block, uniq.size, dim))
     diff = np.empty_like(code)  # code - x, then the update
-    sq = np.empty_like(code)
     dist = np.empty(nodes)
     # Bound once and given their output positionally: the step below runs
     # epochs * n times, and its arrays are small enough that the cost of
     # each ufunc call is mostly the call itself.
-    subtract, multiply, add_reduce = np.subtract, np.multiply, np.add.reduce
+    subtract, multiply, vecdot = np.subtract, np.multiply, np.vecdot
     for epoch in range(epochs):
         order = rng.permutation(n)
         # step / total and the schedule for this epoch's steps, with the
@@ -180,8 +189,7 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
             H[:m] = (np.exp(uniq / denoms[steps, None]) * lrs[steps, None])[:, :, None]
             for xx, h in zip(XX[:m], H[:m]):
                 subtract(code, xx, diff)
-                multiply(diff, diff, sq)
-                add_reduce(sq, 1, None, dist)  # squared distance to each node
+                vecdot(diff, diff, dist)  # squared distance to each node
                 # code -= (lr*h)(code - x): the same bits as code += (lr*h)(x - code)
                 multiply(h.take(inv[dist.argmin()], 0), diff, diff)
                 subtract(code, diff, code)

@@ -116,6 +116,33 @@ def test_blocked_training_is_bitwise_the_per_step_loop(n, dim, rows, cols, epoch
     assert np.array_equal(grid.code_vectors, seed_train_som(X, rows, cols, epochs, seed=2))
 
 
+# Training takes each squared distance as one np.vecdot, not as the loop's
+# pairwise sum of squares, so the two can differ in the last bit. Both give
+# identical code vectors the same distance, so exact ties still go to the
+# lowest node; these cases make such ties (repeated observations, and fewer
+# distinct observations than nodes, so the initial code vectors repeat) on
+# rounded data in 12 (the features without hpl), 14 (the default features)
+# and 20 dimensions.
+@pytest.mark.parametrize("n, dim, rows, cols, decimals, repeats", [
+    (60, 12, 5, 5, None, 1),
+    (40, 14, 5, 5, 0, 2),  # every observation twice
+    (40, 14, 5, 5, 1, 2),
+    (12, 14, 5, 5, 0, 1),  # 12 observations for 25 nodes
+    (12, 14, 5, 5, 1, 3),  # 12 distinct observations for 25 nodes
+    (30, 20, 5, 5, 0, 2),
+    (10, 20, 4, 6, 1, 2),  # 20 observations for 24 nodes
+])
+def test_training_is_bitwise_the_per_step_loop_where_the_sums_differ(
+    n, dim, rows, cols, decimals, repeats
+):
+    X = 3.0 * np.random.default_rng(dim + n).standard_normal((n, dim))
+    if decimals is not None:
+        X = X.round(decimals)
+    X = np.tile(X, (repeats, 1))
+    grid = train_som(X, rows, cols, epochs=4, seed=3)
+    assert np.array_equal(grid.code_vectors, seed_train_som(X, rows, cols, 4, seed=3))
+
+
 def test_training_memory_stays_near_the_block_budget():
     """All 2078 steps' observations repeated over 5x5 nodes would take
     5.8 MB; in blocks, training's temporaries stay under 1 MiB."""
