@@ -81,20 +81,38 @@ class QuotationTable(_WeekLabels):
 @contextmanager
 def _stream(target, mode, newline=""):
     """Yield ``target`` when it is already an open stream; otherwise open
-    the path it names as UTF-8 text in ``mode`` and close it on exit."""
+    the path it names as UTF-8 text in ``mode`` (read past a leading
+    byte-order mark) and close it on exit."""
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
     else:
-        with open(target, mode, encoding="utf-8", newline=newline) as fh:
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        with open(target, mode, encoding=encoding, newline=newline) as fh:
             yield fh
 
 
-def write_csv(target, header, rows) -> None:
-    """Write a header row, then ``rows``, as CSV with "\\n" line ends."""
+_BLOCK_ROWS = 256  # rows formatted at a time, so no long table is held whole as text
+
+
+def write_table(target, header, columns) -> None:
+    """Write a header row, then one row per index of the equal-length
+    ``columns``, as CSV with "\\n" line ends. A column is an integer array
+    (cells by ``str``), a float array (cells by ``repr``, which reads back
+    exactly; "" for NaN) or a list of ready-made strings."""
     with _stream(target, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            writer.writerows(zip(*(_cells(c[lo:lo + _BLOCK_ROWS]) for c in columns)))
+
+
+def _cells(column) -> list:
+    """The cells of one ``write_table`` column."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind == "f":
+        return ["" if math.isnan(v) else repr(v) for v in column.tolist()]
+    return column.tolist()
 
 
 def _csv_rows(stream):
@@ -182,16 +200,9 @@ def parse_dataset(source) -> QuotationTable:
     )
 
 
-def _table_rows(keys, values):
-    """CSV rows: the integer key columns (1-D arrays), then each float of the
-    2-D ``values`` by ``repr``, which reads back exactly ("" for NaN)."""
-    for *key, row in zip(*(k.tolist() for k in keys), values):
-        yield key + ["" if math.isnan(v) else repr(v) for v in row.tolist()]
-
-
 def write_dataset(table: QuotationTable, target) -> None:
     """Write a QuotationTable back to the ingestion format (round-trips parse)."""
-    write_csv(target, HEADER, _table_rows((table.years, table.weeks), table.values))
+    write_table(target, HEADER, [table.years, table.weeks, *table.values.T])
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +420,8 @@ def write_features_csv(fs: FeatureSet, target) -> None:
 
 
 def write_spread_csv(spread: SpreadSeries, target) -> None:
-    write_csv(target, ["week_index", "year", "week", "spread"], _table_rows(
-        (spread.t_index, spread.years, spread.weeks), spread.values[:, None]
-    ))
+    write_table(target, ["week_index", "year", "week", "spread"],
+                [spread.t_index, spread.years, spread.weeks, spread.values])
 
 
 def write_json(obj: dict, target) -> None:

@@ -402,45 +402,33 @@ def run_report(bundle: AnalysisBundle) -> dict:
     # those from probs.offset on
     obs_class = classification.week_to_class[spread.t_index]
     regime1 = probs.smoothed[:, 0] > 0.5
-    rows = []
-    for cls in sorted(set(obs_class.tolist())):
-        member = obs_class == cls
-        ruled = regime1[member[probs.offset:]]
-        share = ruled.mean() if ruled.size else float("nan")
-        rows.append([cls, int(member.sum()), f"{share:.3f}",
-                     f"{spread.values[member].std(ddof=0):.3f}"])
-    dio.write_csv(
-        outdir / "class_table.csv", ["class", "n_obs", "pct_regime1", "spread_std"], rows
+    classes = sorted(set(obs_class.tolist()))
+    members = [obs_class == cls for cls in classes]
+    ruled = [regime1[member[probs.offset:]] for member in members]
+    dio.write_table(
+        outdir / "class_table.csv", ["class", "n_obs", "pct_regime1", "spread_std"],
+        [np.array(classes), np.array([member.sum() for member in members]),
+         [f"{r.mean() if r.size else float('nan'):.3f}" for r in ruled],
+         [f"{spread.values[member].std(ddof=0):.3f}" for member in members]],
     )
 
     means = classification.class_means
-    var_names = list(next(iter(means.values())).keys())
-    dio.write_csv(
-        outdir / "class_means.csv",
-        ["class", "n_weeks"] + var_names,
-        (
-            [cls, classification.class_counts[cls]]
-            + [repr(means[cls][v]) for v in var_names]
-            for cls in sorted(means)
-        ),
+    order = sorted(means)
+    var_names = list(next(iter(means.values())))
+    dio.write_table(
+        outdir / "class_means.csv", ["class", "n_weeks", *var_names],
+        [np.array(order), np.array([classification.class_counts[c] for c in order]),
+         *(np.array([means[c][v] for c in order]) for v in var_names)],
     )
 
-    labels = spread.labels
-    T = len(spread)
-    cp_mean = np.zeros(T, dtype=int)
-    cp_mean[list(bundle.segmentations["mean"].tau)] = 1
-    cp_mv = np.zeros(T, dtype=int)
-    cp_mv[list(bundle.segmentations["meanvar"].tau)] = 1
-    offset = probs.offset
-    dio.write_csv(
+    p_regime1 = np.concatenate([np.full(probs.offset, np.nan), probs.smoothed[:, 0]])
+    cp = np.zeros((2, len(spread)), dtype=int)
+    for flags, mode in zip(cp, ("mean", "meanvar")):
+        flags[list(bundle.segmentations[mode].tau)] = 1
+    dio.write_table(
         outdir / "aligned_series.csv",
         ["week", "spread", "p_regime1", "cp_mean", "cp_meanvar"],
-        (
-            [labels[t], repr(float(spread.values[t])),
-             "" if t < offset else repr(float(probs.smoothed[t - offset, 0])),
-             int(cp_mean[t]), int(cp_mv[t])]
-            for t in range(T)
-        ),
+        [spread.labels, spread.values, p_regime1, *cp],
     )
 
     return {

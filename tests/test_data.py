@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bimetal import data
 from bimetal.data import (
     HEADER,
     HPL_KINDS,
@@ -21,6 +22,7 @@ from bimetal.data import (
     write_dataset,
     write_features_csv,
     write_spread_csv,
+    write_table,
 )
 from bimetal.errors import ImputationError, ParseError, ValidationError
 from bimetal.som import MacroClassification
@@ -110,6 +112,22 @@ def test_parse_non_utf8_bytes(tmp_path):
         parse_dataset(path)
 
 
+def test_parse_reads_past_a_utf8_byte_order_mark(tmp_path):
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark."""
+    text = make_csv(synthetic_rows(3, seed=2, missing={(1, 4)}))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert_tables_equal(parse_dataset(path), parse_csv(text))
+
+
+def test_parse_non_utf8_bytes_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "data.csv"
+    text = make_csv(synthetic_rows(2)).replace("1821", "18\xe921", 1)
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        parse_dataset(path)
+
+
 def test_parse_week_out_of_calendar_range():
     rows = synthetic_rows(1)
     rows[0][1] = 54
@@ -143,6 +161,18 @@ def test_roundtrip_preserves_cells():
     buf = io.StringIO()
     write_dataset(table, buf)
     assert_tables_equal(parse_csv(buf.getvalue()), table)
+
+
+@pytest.mark.parametrize("block", [1, 2, 256])
+def test_write_table_cells(block, monkeypatch):
+    """Integers by str, floats by repr ("" for NaN), strings as given, in
+    the same bytes whatever the number of rows formatted at a time."""
+    monkeypatch.setattr(data, "_BLOCK_ROWS", block)
+    buf = io.StringIO()
+    write_table(buf, ["n", "x", "s"], [
+        np.array([3, -1, 12]), np.array([0.1, np.nan, 1 / 3]), ["a", "b,c", ""],
+    ])
+    assert buf.getvalue() == 'n,x,s\n3,0.1,a\n-1,,"b,c"\n12,0.3333333333333333,\n'
 
 
 # ---------------------------------------------------------------------------

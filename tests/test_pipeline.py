@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 
 from bimetal.cli import main
 from bimetal.data import (
-    HEADER, RAW_COLUMNS, SPREAD_AGGREGATIONS, SpreadSeries, to_json, write_csv,
-    write_features_csv, write_json,
+    HEADER, RAW_COLUMNS, SPREAD_AGGREGATIONS, SpreadSeries, to_json,
+    write_features_csv, write_json, write_table,
 )
 from bimetal.errors import DataError, ValidationError
 from bimetal.pipeline import (
@@ -664,12 +664,10 @@ def test_report_on_features_written_before_the_table_format_is_data_error(
     assert config.include_hpl  # so the standardized columns are RAW_COLUMNS
     fs = bundle.features
     raw = np.hstack([fs.table.values, fs.hpl])
-    write_csv(
+    write_table(
         run / "features.csv",
         ["year", "week", *RAW_COLUMNS, *(f"std_{name}" for name in RAW_COLUMNS)],
-        ([y, w, *map(repr, row)] for y, w, row in zip(
-            fs.table.years.tolist(), fs.table.weeks.tolist(),
-            np.hstack([raw, fs.standardized]).tolist())),
+        [fs.table.years, fs.table.weeks, *np.hstack([raw, fs.standardized]).T],
     )
     write_json({"feature_names": list(RAW_COLUMNS), "means": raw.mean(axis=0).tolist(),
                 "stds": raw.std(axis=0).tolist(), "include_hpl": config.include_hpl,
@@ -720,6 +718,16 @@ def test_report_files(analyzed):
     offset = bundle.em.probabilities.offset
     assert all(r[2] == "" for r in rows[:offset])
     assert all(r[2] != "" for r in rows[offset:])
+    # every float cell reads back bit for bit
+    np.testing.assert_array_equal([float(r[1]) for r in rows], bundle.spread.values)
+    np.testing.assert_array_equal([float(r[2]) for r in rows[offset:]],
+                                  bundle.em.probabilities.smoothed[:, 0])
+    c = bundle.classification
+    header = means[0].split(",")
+    for line in means[1:]:
+        cls, n_weeks, *cells = line.split(",")
+        assert int(n_weeks) == c.class_counts[int(cls)]
+        assert [float(x) for x in cells] == [c.class_means[int(cls)][v] for v in header[2:]]
 
 
 def test_report_after_per_day_analyze(sim_dataset, tmp_path):
