@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 
 from .data import HPL_KINDS, SPREAD_AGGREGATIONS
@@ -172,7 +173,20 @@ def _warn_em(em) -> None:
               f"collapsed", file=sys.stderr)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a Python warning as one ``warning:`` line on stderr, as
+    ``_warn_em`` does, without the category and the source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    # only how a warning is shown changes: the filters, so -W error, still hold
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

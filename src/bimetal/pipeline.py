@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import typing
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -176,15 +175,15 @@ def _ingested(table, config: RunConfig) -> tuple[dio.FeatureSet, dio.SpreadSerie
 
 
 # artifact name -> (stage that writes it, AnalysisBundle attribute that
-# holds it, record type of its JSON file); the ingest records have no type,
-# as ``load_bundle`` rebuilds them from features.csv and the manifest's
-# config, and a segmentation (attribute None) is held in ``segmentations``
-# under its mode
+# holds it, record type of its JSON file); the ingest records and the
+# periodization have no type, as ``load_bundle`` rebuilds them from
+# features.csv, som_grid.json and the manifest's config, and a segmentation
+# (attribute None) is held in ``segmentations`` under its mode
 _ARTIFACTS = {
     "features": ("ingest", "features", None),
     "spread": ("ingest", "spread", None),
     "som_grid": ("som", "grid", sommod.SomGrid),
-    "periodization": ("som", "classification", sommod.MacroClassification),
+    "periodization": ("som", "classification", None),
     "ms_model": ("ms", "em", msmod.EmResult),
     "segmentation_mean": ("cpd", None, cpd.Segmentation),
     "segmentation_meanvar": ("cpd", None, cpd.Segmentation),
@@ -303,13 +302,14 @@ def load_bundle(outdir) -> AnalysisBundle:
 
     Each record is read from one file. The features and the spread are
     rebuilt, as ``analyze`` built them, from the imputed table in
-    features.csv and the flags of the manifest's config; spread.csv and
-    spread.json are exports that are not read back. Every other record is
-    decoded from its JSON file. A manifest or artifact that cannot be
-    decoded is a DataError naming the file, and so is one that does not fit
-    the run: features.csv of another length than the manifest's n_weeks, a
-    periodization whose week classes, class counts and class means
-    disagree, an ms_model whose probabilities do not have one row per
+    features.csv and the flags of the manifest's config, and the
+    periodization from the features and som_grid.json; spread.csv,
+    spread.json and periodization.json are exports that are not read back.
+    Every other record is decoded from its JSON file. A manifest or
+    artifact that cannot be decoded is a DataError naming the file, and so
+    is one that does not fit the run: features.csv of another length than
+    the manifest's n_weeks, a som_grid of another dimension than the
+    features, an ms_model whose probabilities do not have one row per
     spread observation from the model's lag on and one column per regime,
     or a segmentation whose T and tau do not split the spread into segments.
     """
@@ -322,7 +322,7 @@ def load_bundle(outdir) -> AnalysisBundle:
         config = RunConfig.from_dict(manifest["config"])
         n_weeks = manifest.get("n_weeks")
         bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
-        # the features first: the checks below fit the other records to the spread
+        # the features first: the periodization and the checks below build on them
         for entry in sorted(manifest["artifacts"], key=lambda e: e["name"] != "features"):
             name, path = entry["name"], outdir / entry["path"]
             if name == "features":
@@ -333,18 +333,13 @@ def load_bundle(outdir) -> AnalysisBundle:
                     )
                 bundle.features, bundle.spread = _ingested(table, config)
             elif name in _ARTIFACTS and _ARTIFACTS[name][2] is not None:
-                # (the spread came with the features; an unknown artifact is skipped)
+                # (the spread came with the features, the periodization comes
+                # with the grid; an unknown artifact is skipped)
                 _keep(bundle, name, dio.from_json(_ARTIFACTS[name][2], dio.read_json(path)))
-            if name == "periodization":
-                c = bundle.classification
-                weeks = c.week_to_class.tolist()
-                if (len(weeks) != n_weeks or not set(weeks) <= set(range(1, c.k + 1))
-                        or dict(Counter(weeks)) != c.class_counts
-                        or c.class_means.keys() != c.class_counts.keys()):
-                    raise ValueError(
-                        f"week_to_class, class_counts and class_means do not put "
-                        f"the {n_weeks} weeks in classes 1..{c.k}"
-                    )
+            if name == "som_grid" and bundle.features is not None:
+                bundle.classification = sommod.periodize(
+                    bundle.features, bundle.grid, k=config.n_classes
+                )
             if name == "ms_model" and bundle.spread is not None:
                 probs, spec = bundle.em.probabilities, bundle.em.spec
                 shape = (len(bundle.spread) - probs.offset, spec.n_regimes)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Levenberg–Marquardt stops once an accepted step lowers the loss by no more
 # than this fraction of it. Looser tolerances leave the M-step inexact and
 # cost more EM iterations than they save.
@@ -34,10 +36,10 @@ def make_design(series: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
     """
     series = np.asarray(series, dtype=float)
     if lag < 1:
-        raise ValueError("lag must be >= 1")
+        raise ValidationError("lag must be >= 1")
     T = series.shape[0]
     if T <= lag:
-        raise ValueError(f"series of length {T} has no usable steps at lag {lag}")
+        raise ValidationError(f"series of length {T} has no usable steps at lag {lag}")
     X = np.column_stack([series[lag - 1 - i : T - 1 - i] for i in range(lag)])
     return X, series[lag:]
 

@@ -100,6 +100,28 @@ def test_parse_bad_price_cell_reports_line_and_column():
         parse_csv(make_csv(rows))
 
 
+def test_parse_skips_blank_rows_and_still_counts_their_lines():
+    rows = synthetic_rows(3, seed=1)
+    header, *lines = make_csv(rows).splitlines()
+    blanks = ["", "," * (len(HEADER) - 1)]
+    text = "\n".join([header, lines[0], *blanks, *lines[1:]]) + "\n"
+    assert_tables_equal(parse_csv(text), parse_csv(make_csv(rows)))
+    with pytest.raises(ParseError, match="line 6: bad price cell 'abc' in column poa_t"):
+        parse_csv(text.replace(lines[2], lines[2].replace(str(rows[2][2]), "abc", 1)))
+
+
+def test_parse_bad_year_or_week_cell_reports_line():
+    rows = synthetic_rows(2)
+    rows[1][1] = "2a"
+    with pytest.raises(ParseError, match="line 3: bad year/week cell"):
+        parse_csv(make_csv(rows))
+
+
+def test_parse_empty_input():
+    with pytest.raises(ParseError, match="empty input: missing header row"):
+        parse_csv("")
+
+
 def test_parse_bad_header():
     with pytest.raises(ParseError, match="unexpected header"):
         parse_csv(make_csv([], header=["year", "week", "nope"]))

@@ -4,6 +4,7 @@ import io
 import json
 import shutil
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -405,6 +406,20 @@ def test_load_bundle_reloads_features_exactly(sim_dataset, tmp_path, hpl):
     assert not (tmp_path / "features.json").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"spread_aggregation": "per_day"},
+    {"include_hpl": False, "hpl_kind": "ratio"},
+    {"som_rows": 3, "som_cols": 4, "n_classes": 4},
+], ids=["per_day", "no_hpl", "grid_3x4"])
+def test_load_bundle_rebuilds_the_periodization_exactly(sim_dataset, tmp_path, overrides):
+    """The periodization comes back from the features and som_grid.json as
+    the record analyze held."""
+    config = fast_config(input=str(sim_dataset), outdir=str(tmp_path), run_ms=False,
+                         run_cpd=False, **overrides)
+    saved = run_analyze(config).classification
+    assert to_json(load_bundle(tmp_path).classification) == to_json(saved)
+
+
 @pytest.mark.parametrize("aggregation", SPREAD_AGGREGATIONS)
 def test_load_bundle_rebuilds_the_spread_exactly(tmp_path, aggregation):
     """The spread comes back from features.csv and the manifest's config as
@@ -557,6 +572,12 @@ def _weeks_outside_the_classes(text):
     return json.dumps(d)
 
 
+def _intervals_rewritten(text):
+    d = json.loads(text)
+    d["intervals"] = [[0, len(d["week_to_class"]) - 1, 1]]
+    return json.dumps(d)
+
+
 def _tau_past_the_end(text):
     d = json.loads(text)
     d["tau"] = [100000]
@@ -613,11 +634,6 @@ def _last_rows_dropped(text):
     ("ms_model.json", _probabilities_of_a_longer_series),
     ("ms_model.json", _probabilities_of_a_third_regime),
     ("ms_model.json", _probabilities_from_past_the_lag),
-    ("periodization.json", _class_counts_as_strings),
-    ("periodization.json", _class_means_null),
-    ("periodization.json", _class_count_dropped),
-    ("periodization.json", _class_means_empty),
-    ("periodization.json", _weeks_outside_the_classes),
     ("segmentation_mean.json", _tau_past_the_end),
     ("segmentation_meanvar.json", _tau_negative),
 ])
@@ -632,6 +648,40 @@ def test_report_on_malformed_artifact_is_data_error(analyzed, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("data error: malformed artifact")
     assert {p.name for p in run.iterdir() if p.name in err} == {filename}
+
+
+@pytest.mark.parametrize("corrupt", [
+    _class_counts_as_strings, _class_means_null, _class_count_dropped,
+    _class_means_empty, _weeks_outside_the_classes, _intervals_rewritten,
+])
+def test_report_does_not_read_periodization_json(analyzed, tmp_path, corrupt):
+    """periodization.json is an export: the periodization is rebuilt from the
+    features and som_grid.json, so a corrupted copy changes no report file."""
+    config, _ = analyzed
+    intact, corrupted = tmp_path / "intact", tmp_path / "corrupted"
+    shutil.copytree(config.outdir, intact)
+    shutil.copytree(config.outdir, corrupted)
+    path = corrupted / "periodization.json"
+    path.write_text(corrupt(path.read_text()))
+    assert _report_files(corrupted) == _report_files(intact)
+
+
+def test_report_on_a_grid_of_another_dimension_is_data_error(analyzed, sim_dataset,
+                                                             tmp_path, capsys):
+    """A som_grid.json trained without the hpl pair has 12 dimensions, the
+    run's features 14: report exits 2 and names that file alone."""
+    config, _ = analyzed
+    nohpl = fast_config(input=str(sim_dataset), outdir=str(tmp_path / "nohpl"),
+                        include_hpl=False, hpl_kind="ratio", run_ms=False, run_cpd=False)
+    run_analyze(nohpl)
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    shutil.copy(tmp_path / "nohpl" / "som_grid.json", run)
+    assert main(["report", "--outdir", str(run)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: malformed artifact {run / 'som_grid.json'}: "
+        "dimension mismatch: data dim 14, grid dim 12\n"
+    )
 
 
 @pytest.mark.parametrize("filename, corrupt", [
@@ -957,6 +1007,14 @@ def test_cli_series_no_longer_than_the_lag_is_data_error(tmp_path, capsys):
     assert not (out / "ms_model.json").exists()
 
 
+def test_cli_analyze_without_input_is_data_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: no input file configured\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failed_stage"]) == ("failed", "ingest")
+
+
 def test_cli_ingest_duplicate_week(tmp_path, capsys):
     rows = synthetic_rows(3, seed=2)
     rows[2][0], rows[2][1] = rows[1][0], rows[1][1]
@@ -1065,6 +1123,30 @@ def test_cli_analyze_warns_on_collapsed_restarts(sim_dataset, tmp_path, capsys,
                  "--ms-families", "linear,linear", "--ms-restarts", "3",
                  "--outdir", str(tmp_path / "out")]) == 0
     assert "warning: 1 of 3 restarts collapsed" in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.filterwarnings("default")
+def test_cli_shows_a_python_warning_as_one_warning_line(tmp_path, capsys):
+    """The short-series UserWarning reads like ``_warn_em``'s lines: no
+    category and no source line. Only how it is shown changes: under an
+    "error" filter the warning is still raised."""
+    run_simulate(RunConfig(outdir=str(tmp_path), sim_T=60, sim_seed=2))
+    lines = (tmp_path / "dataset.csv").read_text().splitlines(keepends=True)
+    data = tmp_path / "short.csv"
+    data.write_text("".join(lines[:31]))
+    argv = ["analyze", "--input", str(data), "--stages", "ms",
+            "--ms-families", "linear,linear"]
+    assert main(argv + ["--outdir", str(tmp_path / "shown")]) == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "series length" in line] == [
+        "warning: series length 30 is short for 8 parameters (< 10 per parameter); "
+        "estimates may be unstable"
+    ]
+    assert "UserWarning" not in err and "em_fit(" not in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="series length 30 is short"):
+            main(argv + ["--outdir", str(tmp_path / "raised")])
 
 
 def test_cli_analyze_numerical_failure_exits_3(sim_dataset, tmp_path, capsys,

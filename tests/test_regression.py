@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bimetal.data import from_json, to_json
+from bimetal.errors import ValidationError
 from bimetal.regression import LinearMean, MlpMean, make_design
 from bimetal.switching import MsParams, simulate, transition_from_pq
 from oracles import mlp_gradient, random_mlp, seed_mlp_fit
@@ -18,8 +19,13 @@ def test_make_design_layout():
 
 
 def test_make_design_too_short():
-    with pytest.raises(ValueError, match="usable"):
+    with pytest.raises(ValidationError, match="usable"):
         make_design(np.ones(2), lag=2)
+
+
+def test_make_design_lag_below_one():
+    with pytest.raises(ValidationError, match="lag must be >= 1"):
+        make_design(np.ones(5), lag=0)
 
 
 def test_linear_predict_and_exact_recovery():

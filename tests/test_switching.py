@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -135,6 +137,17 @@ def test_simulate_transition_frequencies():
     assert stay1 == pytest.approx(q, abs=0.01)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"T": 0}, "T must be >= 1"),
+    ({"initial_state": 2}, r"initial_state 2 out of range 0\.\.1"),
+    ({"initial_state": -1}, r"initial_state -1 out of range 0\.\.1"),
+    ({"initial_lags": [0.0, 0.0]}, "initial_lags must have length 1"),
+])
+def test_simulate_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        simulate(linear_params(), **{"T": 10, "seed": 0, **kwargs})
+
+
 def test_simulate_deterministic():
     params = linear_params()
     a = simulate(params, T=100, seed=42)
@@ -192,6 +205,30 @@ def test_filter_rejects_nonfinite():
     params = linear_params()
     with pytest.raises(ValidationError, match="non-finite"):
         hamilton_filter(params, [1.0, np.nan, 2.0])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"transition": np.full((2, 3), 0.5)}, "must be square"),
+    ({"transition": [[1.2, 0.2], [-0.2, 0.8]]}, r"must lie in \[0, 1\]"),
+    ({"transition": [[0.9, 0.3], [0.2, 0.7]]}, "columns must sum to 1"),
+    ({"transition": transition_from_pq(1.0, 0.8)}, r"strictly inside \(0, 1\)"),
+    ({"sigmas": [0.3, 0.6, 0.9]}, "one mean model and one sigma per regime"),
+    ({"means": (LinearMean(np.array([2.0, 0.5])),)}, "one mean model and one sigma"),
+    ({"means": (LinearMean(np.array([2.0, 0.5])), LinearMean(np.array([1.0, 0.2, 0.1])))},
+     "same lag order"),
+    ({"sigmas": [0.3, 0.0]}, "strictly positive"),
+    ({"sigmas": [-0.3, 0.6]}, "strictly positive"),
+], ids=["not-square", "outside-0-1", "column-sum", "absorbing", "three-sigmas",
+        "one-mean", "mixed-lags", "zero-sigma", "negative-sigma"])
+def test_filter_rejects_invalid_params(change, message):
+    params = dataclasses.replace(linear_params(), **change)
+    with pytest.raises(ValidationError, match=message):
+        hamilton_filter(params, np.linspace(0.1, 1.0, 20))
+
+
+def test_filter_rejects_a_series_no_longer_than_the_lag():
+    with pytest.raises(ValidationError, match="length 1 has no usable steps at lag 1"):
+        hamilton_filter(linear_params(), np.array([0.3]))
 
 
 @pytest.mark.filterwarnings("error")
