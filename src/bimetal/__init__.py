@@ -44,9 +44,10 @@ from .pipeline import (
     load_bundle,
     run_analyze,
     run_report,
-    run_simulate,
 )
 from .regression import LinearMean, MlpMean, make_design
+# the module; the name bimetal.simulate is switching's simulate, imported below
+from .simulate import run_simulate
 from .som import (
     MacroClassification,
     SomGrid,

@@ -22,8 +22,9 @@ from dataclasses import fields
 
 from .data import HPL_KINDS, SPREAD_AGGREGATIONS
 from .errors import DataError, NumericalError
-from .pipeline import RunConfig, load_bundle, run_analyze, run_report, run_simulate
+from .pipeline import RunConfig, load_bundle, run_analyze, run_report
 from .pipeline import _analysis_keys, _read_config
+from .simulate import run_simulate
 
 OUTPUT_DIR_ENV = "BIMETAL_OUTPUT_DIR"
 

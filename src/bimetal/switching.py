@@ -249,14 +249,6 @@ class RegimeProbabilities:
     filtered: np.ndarray
     smoothed: np.ndarray
 
-    @classmethod
-    def from_filter(cls, filt, smoothed: np.ndarray) -> "RegimeProbabilities":
-        """Pair a filter pass with the smoother output computed from it."""
-        return cls(
-            offset=filt.offset, loglik=filt.loglik,
-            filtered=filt.filtered, smoothed=smoothed,
-        )
-
 
 @dataclass
 class FilterResult:
@@ -538,7 +530,8 @@ def _em_single(spec, series, params, tol, max_iter):
             break
         xi = _pairwise_counts(params, filt, smoothed)
         params = _m_step(params, X, y, smoothed, xi, sigma_floor)
-    return params, RegimeProbabilities.from_filter(filt, smoothed), trace, converged
+    probs = RegimeProbabilities(filt.offset, filt.loglik, filt.filtered, smoothed)
+    return params, probs, trace, converged
 
 
 def canonical_regime_order(params: MsParams) -> list[int]:
@@ -572,8 +565,10 @@ def em_fit(
     total posterior mass drops below one observation-equivalent, or its
     sigma below 1e-9 times the standard deviation of the series (a regime
     that fits a few observations exactly, as in a series of repeated
-    values); if every run of a stage degenerates the model is likely
-    over-specified and a DegenerateModelError suggests fewer regimes.
+    values). If every run of a stage degenerates, a DegenerateModelError
+    gives the first three reasons and the count of steps that repeat the
+    previous value exactly, which a regime can fit with sigma near 0; with
+    more than two regimes, it also suggests fewer.
     """
     series = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(series)):
@@ -646,8 +641,10 @@ def _best_run(spec, series, starts, tol, max_iter, logliks):
         if best is None or fit[2][-1] > best[1][2][-1]:
             best = (len(logliks) - 1, fit)
     if best is None:
+        repeats = np.count_nonzero(series[1:] == series[:-1])
         raise DegenerateModelError(
-            "all restarts degenerate (" + "; ".join(failures[:3]) +
-            "); try fewer regimes"
+            "all restarts degenerate (" + "; ".join(failures[:3]) + f"); {repeats} of "
+            f"{len(series) - 1} steps repeat the previous value exactly"
+            + ("; try fewer regimes" if spec.n_regimes > 2 else "")
         )
     return best

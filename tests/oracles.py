@@ -71,7 +71,8 @@ def enumerate_loglik(params, series):
 def posterior_probabilities(params, series):
     """Filtered and smoothed regime probabilities of ``series`` in one call."""
     filt = hamilton_filter(params, series)
-    return RegimeProbabilities.from_filter(filt, kim_smoother(params, filt))
+    return RegimeProbabilities(filt.offset, filt.loglik, filt.filtered,
+                               kim_smoother(params, filt))
 
 
 def enumerate_posteriors(params, series):

@@ -15,8 +15,9 @@ import pytest
 from bimetal.changepoint import detect, optimal_segmentation_for_k
 from bimetal.data import compute_spread, impute_missing, parse_dataset
 from bimetal.errors import DegenerateModelError
-from bimetal.pipeline import RunConfig, run_analyze, run_simulate
+from bimetal.pipeline import RunConfig, run_analyze
 from bimetal.regression import LinearMean
+from bimetal.simulate import run_simulate
 from bimetal.som import periodize, train_som
 from bimetal.switching import (
     MsParams,

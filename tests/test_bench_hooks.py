@@ -17,6 +17,7 @@ import tracing  # noqa: E402
 
 from bimetal import pipeline, switching  # noqa: E402
 from bimetal.pipeline import RunConfig  # noqa: E402
+from bimetal.simulate import run_simulate  # noqa: E402
 
 HOOKS = [(owner, attr) for _, owner, attr in tracing.SPANS + tracing.COUNTERS]
 HOOKS.append((switching, "_em_single"))
@@ -25,6 +26,12 @@ HOOKS.append((switching, "_em_single"))
 def test_every_hooked_attribute_exists():
     for owner, attr in HOOKS:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr} is gone"
+
+
+def test_pipeline_still_re_exports_run_simulate():
+    """``perfbench/workloads.py`` simulates its datasets through
+    ``pipeline.run_simulate``, which lives in ``bimetal.simulate``."""
+    assert pipeline.run_simulate is run_simulate
 
 
 def test_traced_run_fires_every_span_and_uninstall_restores(tmp_path):

@@ -26,8 +26,8 @@ from bimetal.pipeline import (
     load_bundle,
     run_analyze,
     run_report,
-    run_simulate,
 )
+from bimetal.simulate import run_simulate
 from bimetal.som import MacroClassification
 from bimetal.switching import RegimeProbabilities
 

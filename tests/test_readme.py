@@ -3,7 +3,8 @@
 import re
 from pathlib import Path
 
-from bimetal.pipeline import RunConfig, run_simulate
+from bimetal.pipeline import RunConfig
+from bimetal.simulate import run_simulate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -463,6 +463,21 @@ def test_em_ends_a_restart_whose_sigma_collapses_on_duplicated_pairs():
     assert res.params.sigmas.min() > 1e-9 * np.std(pairs)
 
 
+@pytest.mark.parametrize("n_regimes", [2, 3])
+def test_em_collapse_message_counts_repeats_and_advises_fewer_regimes_past_two(n_regimes):
+    """When every restart collapses, the error counts the steps that repeat
+    the previous value exactly. It advises fewer regimes only when there are
+    more than two, the fewest a spec allows."""
+    pairs = np.repeat(simulate(linear_params(), T=200, seed=0)[0], 2)
+    with pytest.raises(DegenerateModelError) as info:
+        em_fit(MsSpec(families=("linear",) * n_regimes), pairs, seed=0,
+               n_restarts=3, max_iter=100)
+    message = str(info.value)
+    assert message.startswith("all restarts degenerate (")
+    assert "); 200 of 399 steps repeat the previous value exactly" in message
+    assert message.endswith("; try fewer regimes") == (n_regimes > 2)
+
+
 def test_em_short_series_warns():
     true = linear_params()
     series, _ = simulate(true, T=40, seed=5)
