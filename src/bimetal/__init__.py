@@ -46,7 +46,6 @@ from .pipeline import (
     run_report,
 )
 from .regression import LinearMean, MlpMean, make_design
-# the module; the name bimetal.simulate is switching's simulate, imported below
 from .simulate import run_simulate
 from .som import (
     MacroClassification,
@@ -65,7 +64,6 @@ from .switching import (
     em_fit,
     hamilton_filter,
     kim_smoother,
-    simulate,
     stationary_distribution,
     transition_from_pq,
 )
@@ -116,7 +114,6 @@ __all__ = [
     "run_analyze",
     "run_report",
     "run_simulate",
-    "simulate",
     "stationary_distribution",
     "train_som",
     "transition_from_pq",

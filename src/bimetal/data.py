@@ -459,7 +459,7 @@ def from_json(cls, value):
     no number, None fits only ``X | None``, a tuple takes a list (of its
     length, unless it is ``tuple[X, ...]``) and an array takes numbers;
     else a TypeError names the field path and the value, e.g.
-    ``probabilities: offset: '1' is not int``."""
+    ``converged: 'true' is not bool``."""
     return _decoder(cls)(value)
 
 

@@ -343,14 +343,13 @@ def load_bundle(outdir) -> AnalysisBundle:
                     bundle.features, bundle.grid, k=config.n_classes
                 )
             if name == "ms_model" and bundle.spread is not None:
-                probs, spec = bundle.em.probabilities, bundle.em.spec
-                shape = (len(bundle.spread) - probs.offset, spec.n_regimes)
-                if (probs.offset != spec.lag or probs.filtered.shape != shape
-                        or probs.smoothed.shape != shape):
+                probs, params = bundle.em.probabilities, bundle.em.params
+                shape = (len(bundle.spread) - params.lag, params.n_regimes)
+                if probs.filtered.shape != shape or probs.smoothed.shape != shape:
                     raise ValueError(
-                        f"probabilities from observation {probs.offset} do not cover "
+                        f"probabilities from observation {params.lag} do not cover "
                         f"the {len(bundle.spread)} spread observations in "
-                        f"{spec.n_regimes} regimes"
+                        f"{params.n_regimes} regimes"
                     )
             if name.startswith("segmentation_") and bundle.spread is not None:
                 seg = bundle.segmentations[name.removeprefix("segmentation_")]
@@ -393,15 +392,15 @@ def run_report(bundle: AnalysisBundle) -> dict:
     outdir = bundle.outdir
     spread = bundle.spread
     classification = bundle.classification
-    probs = bundle.em.probabilities
+    probs, lag = bundle.em.probabilities, bundle.em.params.lag
 
     # the share of regime 1 is over the observations that have a probability,
-    # those from probs.offset on
+    # those from the model's lag on
     obs_class = classification.week_to_class[spread.t_index]
     regime1 = probs.smoothed[:, 0] > 0.5
     classes = sorted(set(obs_class.tolist()))
     members = [obs_class == cls for cls in classes]
-    ruled = [regime1[member[probs.offset:]] for member in members]
+    ruled = [regime1[member[lag:]] for member in members]
     dio.write_table(
         outdir / "class_table.csv", ["class", "n_obs", "pct_regime1", "spread_std"],
         [np.array(classes), np.array([member.sum() for member in members]),
@@ -418,7 +417,7 @@ def run_report(bundle: AnalysisBundle) -> dict:
          *(np.array([means[c][v] for c in order]) for v in var_names)],
     )
 
-    p_regime1 = np.concatenate([np.full(probs.offset, np.nan), probs.smoothed[:, 0]])
+    p_regime1 = np.concatenate([np.full(lag, np.nan), probs.smoothed[:, 0]])
     cp = np.zeros((2, len(spread)), dtype=int)
     for flags, mode in zip(cp, ("mean", "meanvar")):
         flags[list(bundle.segmentations[mode].tau)] = 1

@@ -238,14 +238,10 @@ def simulate(
 
 @dataclass
 class RegimeProbabilities:
-    """A-posteriori regime memberships for the usable steps t = lag..T-1.
+    """A-posteriori regime memberships, one row per usable step t = lag..T-1:
+    the rows start at the model's lag, as the first ``lag`` observations
+    only condition the recursion."""
 
-    ``offset`` is the number of leading observations that only condition
-    the recursion and carry no probability row.
-    """
-
-    offset: int
-    loglik: float
     filtered: np.ndarray
     smoothed: np.ndarray
 
@@ -257,7 +253,6 @@ class FilterResult:
     filtered: np.ndarray
     predicted: np.ndarray
     loglik: float
-    offset: int
 
 
 def _log_densities(params: MsParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -329,7 +324,7 @@ def hamilton_filter(params: MsParams, series) -> FilterResult:
     filtered = (W / mass).T
     return FilterResult(
         filtered=filtered, predicted=np.vstack([pi, filtered[:-1] @ A.T]),
-        loglik=float(c.sum() + lg[-1] + np.log(mass[-1])), offset=params.lag,
+        loglik=float(c.sum() + lg[-1] + np.log(mass[-1])),
     )
 
 
@@ -417,10 +412,9 @@ class EmResult:
     each E-step. ``restart_logliks`` holds one final log-likelihood per EM
     run, None for a run that collapsed: the jittered restarts first and,
     for a spec with a perceptron regime, then its one run per assignment
-    (see ``em_fit``). ``restart`` indexes that list."""
+    (see ``em_fit``). ``restart`` indexes that list. Each regime's family
+    is its mean's ``kind`` and the lag is ``params.lag``."""
 
-    spec: MsSpec
-    seed: int
     params: MsParams
     probabilities: RegimeProbabilities
     trace: tuple[float, ...]
@@ -530,8 +524,7 @@ def _em_single(spec, series, params, tol, max_iter):
             break
         xi = _pairwise_counts(params, filt, smoothed)
         params = _m_step(params, X, y, smoothed, xi, sigma_floor)
-    probs = RegimeProbabilities(filt.offset, filt.loglik, filt.filtered, smoothed)
-    return params, probs, trace, converged
+    return params, RegimeProbabilities(filt.filtered, smoothed), trace, converged
 
 
 def canonical_regime_order(params: MsParams) -> list[int]:
@@ -606,17 +599,11 @@ def em_fit(
 
     params, probs, trace, converged = fit
     order = canonical_regime_order(params)
-    probs = RegimeProbabilities(
-        offset=probs.offset,
-        loglik=probs.loglik,
-        filtered=probs.filtered[:, order],
-        smoothed=probs.smoothed[:, order],
-    )
     return EmResult(
-        spec=spec,
-        seed=seed,
         params=params.permuted(order),
-        probabilities=probs,
+        probabilities=RegimeProbabilities(
+            probs.filtered[:, order], probs.smoothed[:, order]
+        ),
         trace=tuple(trace),
         converged=converged,
         restart=restart,

@@ -88,6 +88,9 @@ RUNS = [
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "nohpl", "--no-hpl",
      "--hpl-kind", "ratio", *_QUICK],
     ["report", "--outdir", "nohpl"],
+    # lag 2: the first two observations only condition the switching model
+    ["analyze", "--input", "sim/dataset.csv", "--outdir", "lag2", "--ms-lag", "2", *_QUICK],
+    ["report", "--outdir", "lag2"],
     # ingest, without and with imputed cells (one at an edge, one run of two)
     ["ingest", "--input", "sim/dataset.csv", "--outdir", "ingest"],
     _blank("sim/dataset.csv", "gaps.csv", [(1, 3), (40, 5), (41, 5), (300, 13)]),

@@ -71,8 +71,7 @@ def enumerate_loglik(params, series):
 def posterior_probabilities(params, series):
     """Filtered and smoothed regime probabilities of ``series`` in one call."""
     filt = hamilton_filter(params, series)
-    return RegimeProbabilities(filt.offset, filt.loglik, filt.filtered,
-                               kim_smoother(params, filt))
+    return RegimeProbabilities(filt.filtered, kim_smoother(params, filt))
 
 
 def enumerate_posteriors(params, series):
@@ -113,10 +112,7 @@ def numpy_filter(params, series):
         f = w / s
         filtered[t] = f
         pred = A @ f
-    return FilterResult(
-        filtered=filtered, predicted=predicted, loglik=float(loglik),
-        offset=params.lag,
-    )
+    return FilterResult(filtered=filtered, predicted=predicted, loglik=float(loglik))
 
 
 def numpy_smoother(params, filt):
@@ -370,9 +366,8 @@ def seed_em_fit(spec, series, seed, tol, max_iter, n_restarts):
     params, probs, trace, converged, restart = best
     order = canonical_regime_order(params)
     return EmResult(
-        spec=spec, seed=seed, params=params.permuted(order),
+        params=params.permuted(order),
         probabilities=RegimeProbabilities(
-            offset=probs.offset, loglik=probs.loglik,
             filtered=probs.filtered[:, order], smoothed=probs.smoothed[:, order]),
         trace=tuple(trace), converged=converged, restart=restart,
         restart_logliks=tuple(logliks),

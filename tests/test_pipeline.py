@@ -7,7 +7,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from bimetal.pipeline import (
 )
 from bimetal.simulate import run_simulate
 from bimetal.som import MacroClassification
-from bimetal.switching import RegimeProbabilities
+from bimetal.switching import MsSpec, RegimeProbabilities
 
 from conftest import assert_tables_equal, make_csv, synthetic_rows
 from oracles import seed_em_fit
@@ -165,6 +165,14 @@ def test_config_values_are_type_checked():
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+def test_bimetal_simulate_is_the_module():
+    import bimetal
+    import bimetal.simulate
+
+    assert isinstance(bimetal.simulate, ModuleType)
+    assert bimetal.simulate.run_simulate is bimetal.run_simulate
+
 
 def test_simulate_regimes_dataset(tmp_path):
     config = fast_config(outdir=str(tmp_path))
@@ -339,21 +347,31 @@ def test_load_bundle_reads_a_grid_with_the_old_schedule_record(analyzed, tmp_pat
 
 def test_load_bundle_reads_an_ms_model_that_stores_the_regime_and_iteration_counts(
         analyzed, tmp_path):
-    """An ms_model.json written when the spec stored n_regimes and the result
-    stored n_iter loads; both counts come back from families and trace."""
+    """ms_model.json holds only the fit. One written when it also stored the
+    spec (with n_regimes), the seed, n_iter and the probabilities' offset and
+    loglik loads; the regime count, lag and iteration count come back from
+    params and trace, and it is written back in the new form."""
     config, bundle = analyzed
     run = tmp_path / "run"
     shutil.copytree(config.outdir, run)
     path = run / "ms_model.json"
     new_text = path.read_text()
     record = json.loads(new_text)
-    assert "n_iter" not in record and "n_regimes" not in record["spec"]
-    record["spec"] = {"n_regimes": 2, **record["spec"]}
-    record["n_iter"] = len(record["trace"])
-    path.write_text(json.dumps(record))
+    assert list(record) == ["params", "probabilities", "trace", "converged",
+                            "restart", "restart_logliks"]
+    assert list(record["probabilities"]) == ["filtered", "smoothed"]
+    old = {
+        "spec": {"lag": 1, "families": ["linear", "linear"], "hidden_units": 3,
+                 "n_regimes": 2},
+        "seed": config.ms_seed, **record, "n_iter": len(record["trace"]),
+    }
+    old["probabilities"] = {"offset": 1, "loglik": record["trace"][-1],
+                            **record["probabilities"]}
+    path.write_text(json.dumps(old))
     em = load_bundle(run).em
-    assert em.spec == bundle.em.spec and em.spec.n_regimes == 2
-    assert em.n_iter == bundle.em.n_iter == record["n_iter"]
+    assert em.params.n_regimes == 2 and em.params.lag == config.ms_lag == 1
+    assert em.n_iter == bundle.em.n_iter == old["n_iter"]
+    assert em.loglik == bundle.em.loglik == old["probabilities"]["loglik"]
     buf = io.StringIO()
     write_json(to_json(em), buf)
     assert buf.getvalue() == new_text
@@ -364,7 +382,7 @@ def test_linear_ms_model_is_the_jittered_restart_loop_byte_for_byte(analyzed):
     best of the seeded jittered restarts (``oracles.seed_em_fit``), byte
     for byte."""
     config, bundle = analyzed
-    spec = bundle.em.spec
+    spec = MsSpec(config.ms_lag, config.ms_families, config.ms_hidden)
     assert set(spec.families) == {"linear"}
     want = seed_em_fit(spec, bundle.spread.values, seed=config.ms_seed, tol=config.ms_tol,
                        max_iter=config.ms_max_iter, n_restarts=config.ms_restarts)
@@ -536,9 +554,9 @@ def _truncated(text):
     return text[: len(text) // 2]
 
 
-def _offset_as_string(text):
+def _converged_as_string(text):
     d = json.loads(text)
-    d["probabilities"]["offset"] = "1"
+    d["converged"] = "true"
     return json.dumps(d)
 
 
@@ -606,7 +624,6 @@ def _probabilities_of_a_third_regime(text):
 
 def _probabilities_from_past_the_lag(text):
     d = json.loads(text)
-    d["probabilities"]["offset"] += 1
     for key in ("filtered", "smoothed"):
         del d["probabilities"][key][0]
     return json.dumps(d)
@@ -630,7 +647,7 @@ def _last_rows_dropped(text):
     ("manifest.json", _without_config),
     ("features.csv", _last_row_cut_short),
     ("features.csv", _last_rows_dropped),
-    ("ms_model.json", _offset_as_string),
+    ("ms_model.json", _converged_as_string),
     ("ms_model.json", _probabilities_of_a_longer_series),
     ("ms_model.json", _probabilities_of_a_third_regime),
     ("ms_model.json", _probabilities_from_past_the_lag),
@@ -765,12 +782,12 @@ def test_report_files(analyzed):
     assert sum(int(r[3]) for r in rows) == bundle.segmentations["mean"].n_change_points
     assert sum(int(r[4]) for r in rows) == bundle.segmentations["meanvar"].n_change_points
     # probability blank during the conditioning lag, filled afterwards
-    offset = bundle.em.probabilities.offset
-    assert all(r[2] == "" for r in rows[:offset])
-    assert all(r[2] != "" for r in rows[offset:])
+    lag = bundle.em.params.lag
+    assert all(r[2] == "" for r in rows[:lag])
+    assert all(r[2] != "" for r in rows[lag:])
     # every float cell reads back bit for bit
     np.testing.assert_array_equal([float(r[1]) for r in rows], bundle.spread.values)
-    np.testing.assert_array_equal([float(r[2]) for r in rows[offset:]],
+    np.testing.assert_array_equal([float(r[2]) for r in rows[lag:]],
                                   bundle.em.probabilities.smoothed[:, 0])
     c = bundle.classification
     header = means[0].split(",")
@@ -799,6 +816,31 @@ def test_report_after_per_day_analyze(sim_dataset, tmp_path):
     assert aligned[1].split(",")[0] == aligned[2].split(",")[0]  # same week
 
 
+def test_report_after_a_lag_two_analyze(sim_dataset, tmp_path):
+    """With lag 2 the first two observations only condition the model: their
+    p_regime1 cells are blank, and pct_regime1 counts the observations from
+    index 2 on."""
+    out = tmp_path / "lag2"
+    run_analyze(fast_config(input=str(sim_dataset), outdir=str(out), ms_lag=2))
+    assert main(["report", "--outdir", str(out)]) == 0
+    bundle = load_bundle(out)
+    smoothed = bundle.em.probabilities.smoothed
+    assert smoothed.shape == (len(bundle.spread) - 2, 2)
+
+    aligned = (out / "aligned_series.csv").read_text().splitlines()[1:]
+    cells = [line.split(",")[2] for line in aligned]
+    assert cells[:2] == ["", ""]
+    np.testing.assert_array_equal([float(c) for c in cells[2:]], smoothed[:, 0])
+
+    obs_class = bundle.classification.week_to_class[bundle.spread.t_index][2:]
+    regime1 = smoothed[:, 0] > 0.5
+    rows = [line.split(",") for line in
+            (out / "class_table.csv").read_text().splitlines()[1:]]
+    assert [r[2] for r in rows] == [
+        f"{regime1[obs_class == int(r[0])].mean():.3f}" for r in rows
+    ]
+
+
 def _class_table(tmp_path, week_to_class, values, p_regime1, per_day=False):
     """The class_table.csv rows that report writes for a hand-built bundle:
     one spread observation per week (two with ``per_day``), and P(regime 1)
@@ -814,11 +856,12 @@ def _class_table(tmp_path, week_to_class, values, p_regime1, per_day=False):
         intervals=(), class_counts=counts,
     )
     p = np.column_stack([p_regime1, 1.0 - np.asarray(p_regime1, dtype=float)])
-    probs = RegimeProbabilities(offset=1, loglik=0.0, filtered=p, smoothed=p)
+    probs = RegimeProbabilities(filtered=p, smoothed=p)
     no_change = SimpleNamespace(tau=())
     bundle = AnalysisBundle(
         outdir=tmp_path, manifest={"artifacts": []}, spread=spread,
-        classification=classification, em=SimpleNamespace(probabilities=probs),
+        classification=classification,
+        em=SimpleNamespace(params=SimpleNamespace(lag=1), probabilities=probs),
         segmentations={"mean": no_change, "meanvar": no_change},
     )
     run_report(bundle)
@@ -991,7 +1034,7 @@ def test_cli_regime_count_is_the_number_of_families(sim_dataset, tmp_path, capsy
                  "--ms-restarts", "2", "--ms-max-iter", "3"])
     assert code == 0, capsys.readouterr().err
     model = json.loads((out / "ms_model.json").read_text())
-    assert model["spec"]["families"] == ["linear"] * 3
+    assert [m["kind"] for m in model["params"]["means"]] == ["linear"] * 3
     assert np.array(model["params"]["transition"]).shape == (3, 3)
 
 
