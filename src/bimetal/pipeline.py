@@ -31,6 +31,8 @@ REFERENCE_TRANSITION = (0.844298, 0.746643)
 
 # The config keys whose values must be one of a fixed set.
 _CHOICES = {"hpl_kind": dio.HPL_KINDS, "spread_aggregation": dio.SPREAD_AGGREGATIONS}
+# The config keys that must not be negative: a gap length and the seeds.
+_NON_NEGATIVE = ("max_gap", "som_seed", "ms_seed", "sim_seed")
 
 
 @dataclass
@@ -93,8 +95,9 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         """Build a RunConfig from JSON-like keys, each decoded by
         ``data.from_json`` (lists become tuples, numbers stay as given); an
-        unknown key, a mistyped value or an ingest flag that is not one of
-        its choices is a ValidationError naming the key."""
+        unknown key, a mistyped value, an ingest flag that is not one of its
+        choices or a negative gap or seed is a ValidationError naming the
+        key."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -112,6 +115,10 @@ class RunConfig:
                 if choices is not None and decoded[f.name] not in choices:
                     raise ValidationError(
                         f"config key {f.name!r}: {d[f.name]!r} is not one of {choices}"
+                    )
+                if f.name in _NON_NEGATIVE and decoded[f.name] < 0:
+                    raise ValidationError(
+                        f"config key {f.name!r}: {d[f.name]!r} must be >= 0"
                     )
         return cls(**decoded)
 

@@ -111,7 +111,7 @@ class MsParams:
         """Persistence of regime 2."""
         return float(self.transition[1, 1])
 
-    def validate(self, allow_degenerate=False, allow_zero_sigma=False) -> None:
+    def validate(self) -> None:
         A = self.transition
         n = self.n_regimes
         if A.shape != (n, n):
@@ -120,16 +120,16 @@ class MsParams:
             raise ValidationError("transition entries must lie in [0, 1]")
         if not np.allclose(A.sum(axis=0), 1.0, atol=1e-9):
             raise ValidationError("transition columns must sum to 1")
-        if not allow_degenerate and (np.any(A <= 0) or np.any(A >= 1)):
-            raise ValidationError(
-                "transition entries must lie strictly inside (0, 1)"
-            )
+        if np.any(A <= 0) or np.any(A >= 1):
+            raise ValidationError("transition entries must lie strictly inside (0, 1)")
         if len(self.means) != n or self.sigmas.shape != (n,):
             raise ValidationError("one mean model and one sigma per regime")
         lags = {m.lag for m in self.means}
         if len(lags) != 1:
             raise ValidationError("all regimes must share the same lag order")
-        if np.any(self.sigmas < 0) or (not allow_zero_sigma and np.any(self.sigmas == 0)):
+        if self.lag < 1:
+            raise ValidationError("lag must be >= 1")
+        if np.any(self.sigmas <= 0):
             raise ValidationError("sigmas must be strictly positive")
 
     def permuted(self, order) -> "MsParams":
@@ -177,45 +177,23 @@ def stationary_distribution(transition) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def simulate(
-    params: MsParams,
-    T: int,
-    seed: int = 0,
-    burn_in: int = 100,
-    initial_state: int | None = None,
-    initial_lags=None,
-    allow_degenerate: bool = False,
-    allow_zero_sigma: bool = False,
+    params: MsParams, T: int, seed: int = 0, burn_in: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (series, states) of length T from the generative model.
 
-    The chain starts from its stationary distribution (or from
-    ``initial_state``); lag values start at ``initial_lags`` (default
-    zeros) and ``burn_in`` initial samples are discarded. Deterministic
-    given the seed. Degenerate chains (p=q=1) and zero noise are allowed
-    only with the explicit flags.
+    The chain starts from its stationary distribution and the lag values
+    from zeros; ``burn_in`` initial samples are discarded. From
+    ``default_rng(seed)`` it draws one uniform for the initial state, then
+    per step one normal for the noise and one uniform for the next state.
     """
     if T < 1:
         raise ValidationError("T must be >= 1")
-    params.validate(allow_degenerate=allow_degenerate, allow_zero_sigma=allow_zero_sigma)
+    params.validate()
     rng = np.random.default_rng(seed)
     A = params.transition
     n = params.n_regimes
-    lag = params.lag
-
-    if initial_state is None:
-        pi = stationary_distribution(A)
-        state = int(np.searchsorted(np.cumsum(pi), rng.random()))
-    else:
-        state = int(initial_state)
-        if not 0 <= state < n:
-            raise ValidationError(f"initial_state {state} out of range 0..{n - 1}")
-
-    if initial_lags is None:
-        lags = np.zeros(lag)
-    else:
-        lags = np.asarray(initial_lags, dtype=float).copy()
-        if lags.shape != (lag,):
-            raise ValidationError(f"initial_lags must have length {lag}")
+    state = int(np.searchsorted(np.cumsum(stationary_distribution(A)), rng.random()))
+    lags = np.zeros(params.lag)
     cum_cols = np.cumsum(A, axis=0)
 
     total = burn_in + T
@@ -504,8 +482,8 @@ def _m_step(params, X, y, smoothed, xi, sigma_floor) -> MsParams:
     return MsParams(transition=A, means=tuple(means), sigmas=sigmas)
 
 
-def _em_single(spec, series, params, tol, max_iter):
-    X, y = make_design(series, spec.lag)
+def _em_single(series, params, tol, max_iter):
+    X, y = make_design(series, params.lag)
     sigma_floor = max(_SIGMA_REL_FLOOR * float(np.std(y)), _SIGMA_TINY)
     trace: list[float] = []
     converged = False
@@ -587,15 +565,14 @@ def em_fit(
     if n_restarts < 1:
         raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
     logliks: list[float | None] = []
-    linear = MsSpec(spec.lag, ("linear",) * spec.n_regimes)
     starts = (
-        _initial_params(linear, series, np.random.default_rng(child))
+        _initial_params(spec, series, np.random.default_rng(child))
         for child in np.random.SeedSequence(seed).spawn(n_restarts)
     )
-    restart, fit = _best_run(linear, series, starts, tol, max_iter, logliks)
+    restart, fit = _best_run(series, starts, tol, max_iter, logliks)
     if "mlp" in spec.families:
         starts = _perceptron_starts(spec, fit[0], make_design(series, spec.lag)[0])
-        restart, fit = _best_run(spec, series, starts, tol, max_iter, logliks)
+        restart, fit = _best_run(series, starts, tol, max_iter, logliks)
 
     params, probs, trace, converged = fit
     order = canonical_regime_order(params)
@@ -611,7 +588,7 @@ def em_fit(
     )
 
 
-def _best_run(spec, series, starts, tol, max_iter, logliks):
+def _best_run(series, starts, tol, max_iter, logliks):
     """Run EM from each start, appending each run's final log-likelihood
     (None if it collapsed) to ``logliks``. Returns the list index and the
     ``_em_single`` output of the best run, the earliest on a tie, or raises
@@ -619,7 +596,7 @@ def _best_run(spec, series, starts, tol, max_iter, logliks):
     best, failures = None, []
     for start in starts:
         try:
-            fit = _em_single(spec, series, start, tol, max_iter)
+            fit = _em_single(series, start, tol, max_iter)
         except _DegenerateRestart as exc:
             logliks.append(None)
             failures.append(str(exc))
@@ -632,6 +609,6 @@ def _best_run(spec, series, starts, tol, max_iter, logliks):
         raise DegenerateModelError(
             "all restarts degenerate (" + "; ".join(failures[:3]) + f"); {repeats} of "
             f"{len(series) - 1} steps repeat the previous value exactly"
-            + ("; try fewer regimes" if spec.n_regimes > 2 else "")
+            + ("; try fewer regimes" if start.n_regimes > 2 else "")
         )
     return best

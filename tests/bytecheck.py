@@ -114,6 +114,9 @@ RUNS = [
     ["simulate", "--outdir", "bad_tau", "--sim-kind", "steps", "--sim-tau", "[100,50]"],
     ["simulate", "--outdir", "bad_std", "--sim-kind", "steps",
      "--sim-stds", "[0.03,-0.08,0.03]"],
+    ["simulate", "--outdir", "bad_coefs", "--sim-coefs", "[[0.1],[0.2]]"],
+    ["analyze", "--input", "sim/dataset.csv", "--outdir", "bad_som_seed", "--som-seed", "-1"],
+    ["ingest", "--input", "sim/dataset.csv", "--outdir", "bad_gap", "--max-gap", "-1"],
     _write("sim_keys.json", '{"sim_T": 999}'),
     ["analyze", "--config", "sim_keys.json", "--input", "sim/dataset.csv",
      "--outdir", "foreign_key"],

@@ -359,7 +359,7 @@ def seed_em_fit(spec, series, seed, tol, max_iter, n_restarts):
         A = np.tile((1.0 - diag) / (n - 1), (n, 1))
         A[np.arange(n), np.arange(n)] = diag
         params, probs, trace, converged = _em_single(
-            spec, series, MsParams(A, means, sigmas), tol, max_iter)
+            series, MsParams(A, means, sigmas), tol, max_iter)
         logliks.append(trace[-1])
         if best is None or trace[-1] > best[2][-1]:
             best = (params, probs, trace, converged, r)

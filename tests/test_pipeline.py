@@ -1109,6 +1109,32 @@ def test_cli_simulate_steps_std_sign(tmp_path, capsys, stds, code):
         assert truth["stds"] == [0, 0, 0]
 
 
+def test_cli_simulate_intercept_only_coefs_is_data_error(tmp_path, capsys):
+    # a regime mean without a lag coefficient has nothing to recurse on
+    out = tmp_path / "out"
+    assert main(["simulate", "--outdir", str(out), "--sim-coefs", "[[0.1],[0.2]]"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: lag must be >= 1"]
+    assert not (out / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("ingest", "--max-gap"),
+    ("analyze", "--som-seed"),
+    ("analyze", "--ms-seed"),
+    ("simulate", "--sim-seed"),
+])
+def test_cli_negative_gap_or_seed_is_data_error(sim_dataset, tmp_path, capsys, command,
+                                                flag):
+    out = tmp_path / "out"
+    given = [] if command == "simulate" else ["--input", str(sim_dataset)]
+    assert main([command, *given, flag, "-1", "--outdir", str(out)]) == 2
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: config key {key!r}: -1 must be >= 0"
+    ]
+    assert not out.exists()  # refused before any stage ran
+
+
 def test_cli_full_workflow(tmp_path, capsys, monkeypatch):
     out = tmp_path / "work"
     assert main(["simulate", "--outdir", str(out), "--sim-T", "140",

@@ -100,31 +100,27 @@ def test_stationary_degenerate_errors():
 # Simulation
 # ---------------------------------------------------------------------------
 
-def test_simulate_absorbing_chain():
-    params = linear_params(p=1.0, q=1.0)
-    _, states = simulate(
-        params, T=50, seed=0, burn_in=10, initial_state=0, allow_degenerate=True
-    )
-    assert_array_equal(states, np.zeros(50, dtype=int))
-
-
-def test_simulate_noiseless_recursion():
-    params = MsParams(
-        transition=transition_from_pq(1.0, 1.0),
-        means=(LinearMean(np.array([1.0, 0.5])), LinearMean(np.array([0.0, 0.9]))),
-        sigmas=np.array([0.0, 0.0]),
-    )
-    y, states = simulate(
-        params, T=10, seed=3, burn_in=0, initial_state=0,
-        initial_lags=[2.0], allow_degenerate=True, allow_zero_sigma=True,
-    )
-    expect = []
-    prev = 2.0
-    for _ in range(10):
-        prev = 1.0 + 0.5 * prev
-        expect.append(prev)
-    assert_allclose(y, expect, atol=1e-12)
-    assert set(states.tolist()) == {0}
+def test_simulate_replays_its_draws():
+    """The series and the regime path, rebuilt bit for bit from the same
+    generator: a uniform for the stationary initial state, then per step
+    the regime's mean of the previous value plus sigma times a normal, and
+    a uniform against the current state's column for the next state."""
+    p, q = 0.9, 0.6
+    coefs, sigmas = ((1.0, 0.5), (0.0, 0.9)), (0.3, 0.7)
+    y, states = simulate(linear_params(p, q, coefs, sigmas), T=40, seed=4, burn_in=0)
+    rng = np.random.default_rng(4)
+    state = int(rng.random() > (1 - q) / ((1 - p) + (1 - q)))
+    to_first = (p, 1 - q)  # P(next regime is 0 | current regime)
+    prev, expect_y, expect_states = 0.0, [], []
+    for _ in range(40):
+        a0, a1 = coefs[state]
+        prev = (a0 + a1 * prev) + sigmas[state] * rng.standard_normal()
+        expect_y.append(prev)
+        expect_states.append(state)
+        state = int(rng.random() > to_first[state])
+    assert_array_equal(y, expect_y)
+    assert_array_equal(states, expect_states)
+    assert np.count_nonzero(np.diff(expect_states)) >= 5  # the regimes alternate
 
 
 def test_simulate_transition_frequencies():
@@ -139,13 +135,11 @@ def test_simulate_transition_frequencies():
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"T": 0}, "T must be >= 1"),
-    ({"initial_state": 2}, r"initial_state 2 out of range 0\.\.1"),
-    ({"initial_state": -1}, r"initial_state -1 out of range 0\.\.1"),
-    ({"initial_lags": [0.0, 0.0]}, "initial_lags must have length 1"),
+    ({"params": linear_params(coefs=((0.1,), (0.2,)))}, "lag must be >= 1"),
 ])
 def test_simulate_rejects_bad_arguments(kwargs, message):
     with pytest.raises(ValidationError, match=message):
-        simulate(linear_params(), **{"T": 10, "seed": 0, **kwargs})
+        simulate(**{"params": linear_params(), "T": 10, "seed": 0, **kwargs})
 
 
 def test_simulate_deterministic():
@@ -417,8 +411,7 @@ def test_em_recovers_simulated_linear_model():
 def test_em_init_at_truth_is_near_fixed_point():
     true = linear_params()
     series, _ = simulate(true, T=800, seed=9)
-    _, _, trace, _ = _em_single(MsSpec(families=("linear", "linear")), series, true,
-                                1e-9, 50)
+    _, _, trace, _ = _em_single(series, true, 1e-9, 50)
     diffs = np.diff(trace)
     assert (diffs >= -1e-8).all()
     # starting at the generating parameters, the first EM step barely moves
