@@ -183,31 +183,6 @@ def _ingested(table, config: RunConfig) -> tuple[dio.FeatureSet, dio.SpreadSerie
     return features, dio.compute_spread(table, aggregation=config.spread_aggregation)
 
 
-# artifact name -> (stage that writes it, AnalysisBundle attribute that
-# holds it, record type of its JSON file); the ingest records and the
-# periodization have no type, as ``load_bundle`` rebuilds them from
-# features.csv, som_grid.json and the manifest's config, and a segmentation
-# (attribute None) is held in ``segmentations`` under its mode
-_ARTIFACTS = {
-    "features": ("ingest", "features", None),
-    "spread": ("ingest", "spread", None),
-    "som_grid": ("som", "grid", sommod.SomGrid),
-    "periodization": ("som", "classification", None),
-    "ms_model": ("ms", "em", msmod.EmResult),
-    "segmentation_mean": ("cpd", None, cpd.Segmentation),
-    "segmentation_meanvar": ("cpd", None, cpd.Segmentation),
-}
-
-
-def _keep(bundle: AnalysisBundle, name: str, obj) -> None:
-    """Hold the record of artifact ``name`` in its bundle attribute."""
-    attr = _ARTIFACTS[name][1]
-    if attr is None:
-        bundle.segmentations[obj.mode.value] = obj
-    else:
-        setattr(bundle, attr, obj)
-
-
 def run_analyze(config: RunConfig) -> AnalysisBundle:
     """Ingest the input (parse, impute, and persist the features, the
     spread and the imputation report), run the enabled stages, and persist
@@ -229,12 +204,10 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
     }
     bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
 
-    def keep(name, obj, *files):
-        """List artifact ``name`` and its files (default ``name``.json) in
-        the manifest; hold ``obj`` in the bundle."""
+    def listed(name, *files):
+        """Add ``name`` and its files (default ``name``.json) to the manifest."""
         files = dict(zip(("path", "json"), files or (f"{name}.json",)))
         manifest["artifacts"].append({"name": name, **files})
-        _keep(bundle, name, obj)
 
     stage = "ingest"
     try:
@@ -245,6 +218,7 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
         table = dio.parse_dataset(str(path))
         table, report = dio.impute_missing(table, max_gap=config.max_gap)
         features, spread = _ingested(table, config)
+        bundle.features, bundle.spread = features, spread
         manifest["n_weeks"] = len(table)
         manifest["ingest"] = {
             "imputation_report": "imputation_report.json",
@@ -256,8 +230,8 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
         dio.write_json(
             dio.imputation_report_to_dict(report), outdir / "imputation_report.json"
         )
-        keep("features", features, "features.csv")
-        keep("spread", spread, "spread.csv", "spread.json")
+        listed("features", "features.csv")
+        listed("spread", "spread.csv", "spread.json")
 
         if config.run_som:
             stage = "som"
@@ -266,24 +240,22 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
                 epochs=config.som_epochs, seed=config.som_seed,
             )
             classification = sommod.periodize(features, grid, k=config.n_classes)
+            bundle.grid, bundle.classification = grid, classification
             dio.write_json(dio.to_json(grid), outdir / "som_grid.json")
             dio.write_json(dio.to_json(classification), outdir / "periodization.json")
-            keep("som_grid", grid)
-            keep("periodization", classification)
+            listed("som_grid")
+            listed("periodization")
 
         if config.run_ms:
             stage = "ms"
-            spec = msmod.MsSpec(
-                lag=config.ms_lag,
-                families=config.ms_families,
-                hidden_units=config.ms_hidden,
-            )
-            em = msmod.em_fit(
+            spec = msmod.MsSpec(lag=config.ms_lag, families=config.ms_families,
+                                hidden_units=config.ms_hidden)
+            bundle.em = em = msmod.em_fit(
                 spec, spread.values, seed=config.ms_seed, tol=config.ms_tol,
                 max_iter=config.ms_max_iter, n_restarts=config.ms_restarts,
             )
             dio.write_json(dio.to_json(em), outdir / "ms_model.json")
-            keep("ms_model", em)
+            listed("ms_model")
 
         if config.run_cpd:
             stage = "cpd"
@@ -295,7 +267,8 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
                     threshold=config.cpd_threshold, penalty=config.cpd_penalty,
                 )
                 dio.write_json(seg.to_dict(labels=labels), outdir / f"{name}.json")
-                keep(name, seg)
+                bundle.segmentations[mode.value] = seg
+                listed(name)
     except Exception:
         manifest["status"] = "failed"
         manifest["failed_stage"] = stage
@@ -309,18 +282,20 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
 def load_bundle(outdir) -> AnalysisBundle:
     """Reload a persisted analysis from its manifest.
 
-    Each record is read from one file. The features and the spread are
-    rebuilt, as ``analyze`` built them, from the imputed table in
-    features.csv and the flags of the manifest's config, and the
-    periodization from the features and som_grid.json; spread.csv,
-    spread.json and periodization.json are exports that are not read back.
-    Every other record is decoded from its JSON file. A manifest or
-    artifact that cannot be decoded is a DataError naming the file, and so
-    is one that does not fit the run: features.csv of another length than
-    the manifest's n_weeks, a som_grid of another dimension than the
-    features, an ms_model whose probabilities do not have one row per
-    spread observation from the model's lag on and one column per regime,
-    or a segmentation whose T and tau do not split the spread into segments.
+    The features and the spread are rebuilt, as ``analyze`` built them,
+    from the imputed table in features.csv and the flags of the manifest's
+    config, and the periodization from the features and som_grid.json;
+    spread.csv, spread.json and periodization.json are exports that are not
+    read back. The grid, the model and the segmentations are decoded from
+    their JSON files, after the features, whatever the manifest's order; an
+    unknown artifact is skipped. A manifest or artifact that cannot be
+    decoded is a DataError naming the file, and so is one that does not fit
+    the run: features.csv of another length than the manifest's n_weeks, a
+    som_grid of another dimension than the features, an ms_model whose
+    probabilities do not have one row per spread observation from the
+    model's lag on and one column per regime, a segmentation whose T and tau
+    do not split the spread into segments, or any of these three listed
+    without the features to check it against.
     """
     outdir = Path(outdir)
     path = outdir / "manifest.json"
@@ -329,43 +304,49 @@ def load_bundle(outdir) -> AnalysisBundle:
     try:  # from here on, path names the file being read
         manifest = dio.read_json(path)
         config = RunConfig.from_dict(manifest["config"])
-        n_weeks = manifest.get("n_weeks")
         bundle = AnalysisBundle(outdir=outdir, manifest=manifest)
-        # the features first: the periodization and the checks below build on them
-        for entry in sorted(manifest["artifacts"], key=lambda e: e["name"] != "features"):
-            name, path = entry["name"], outdir / entry["path"]
-            if name == "features":
-                table = dio.parse_dataset(path)
-                if len(table) != n_weeks:
-                    raise DataError(
-                        f"{len(table)} rows, but the manifest has n_weeks {n_weeks}"
-                    )
-                bundle.features, bundle.spread = _ingested(table, config)
-            elif name in _ARTIFACTS and _ARTIFACTS[name][2] is not None:
-                # (the spread came with the features, the periodization comes
-                # with the grid; an unknown artifact is skipped)
-                _keep(bundle, name, dio.from_json(_ARTIFACTS[name][2], dio.read_json(path)))
-            if name == "som_grid" and bundle.features is not None:
-                bundle.classification = sommod.periodize(
-                    bundle.features, bundle.grid, k=config.n_classes
-                )
-            if name == "ms_model" and bundle.spread is not None:
-                probs, params = bundle.em.probabilities, bundle.em.params
-                shape = (len(bundle.spread) - params.lag, params.n_regimes)
-                if probs.filtered.shape != shape or probs.smoothed.shape != shape:
-                    raise ValueError(
-                        f"probabilities from observation {params.lag} do not cover "
-                        f"the {len(bundle.spread)} spread observations in "
-                        f"{params.n_regimes} regimes"
-                    )
-            if name.startswith("segmentation_") and bundle.spread is not None:
-                seg = bundle.segmentations[name.removeprefix("segmentation_")]
+        files = {e["name"]: outdir / e["path"] for e in manifest["artifacts"]}
+
+        def decoded(name, record_type):
+            """The record of artifact ``name``, once the features can check it."""
+            nonlocal path
+            path = files[name]
+            if bundle.spread is None:
+                raise DataError("the manifest lists no features to check it against")
+            return dio.from_json(record_type, dio.read_json(path))
+
+        if "features" in files:
+            path = files["features"]
+            table = dio.parse_dataset(path)
+            if len(table) != manifest.get("n_weeks"):
+                raise DataError(f"{len(table)} rows, but the manifest has n_weeks "
+                                f"{manifest.get('n_weeks')}")
+            bundle.features, bundle.spread = _ingested(table, config)
+        if "som_grid" in files:
+            bundle.grid = decoded("som_grid", sommod.SomGrid)
+            bundle.classification = sommod.periodize(
+                bundle.features, bundle.grid, k=config.n_classes
+            )
+        if "ms_model" in files:
+            bundle.em = decoded("ms_model", msmod.EmResult)
+            probs, params = bundle.em.probabilities, bundle.em.params
+            shape = (len(bundle.spread) - params.lag, params.n_regimes)
+            if probs.filtered.shape != shape or probs.smoothed.shape != shape:
+                raise ValueError(
+                    f"probabilities from observation {params.lag} do not cover "
+                    f"the {len(bundle.spread)} spread observations in "
+                    f"{params.n_regimes} regimes")
+        for mode in cpd.SegMode:
+            name = f"segmentation_{mode.value}"
+            if name in files:
+                seg = bundle.segmentations[mode.value] = decoded(name, cpd.Segmentation)
                 bounds = [0, *seg.tau, seg.T]
                 if seg.T != len(bundle.spread) or bounds != sorted(set(bounds)):
                     raise ValueError(
                         f"T {seg.T} and tau {list(seg.tau)} do not split the "
-                        f"{len(bundle.spread)} spread observations into segments"
-                    )
+                        f"{len(bundle.spread)} spread observations into segments")
+                if seg.mode is not mode:
+                    raise ValueError(f"mode {seg.mode.value}, not {mode.value}")
     except DataError as exc:  # a table that does not parse or build, or a config
         raise DataError(f"malformed artifact {path}: {exc}") from exc
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
@@ -387,11 +368,14 @@ def run_report(bundle: AnalysisBundle) -> dict:
     regime 1, and indicator columns for the change-points of both modes,
     ready for external plotting.
     """
-    for name in ("spread", "periodization", "ms_model",
-                 "segmentation_mean", "segmentation_meanvar"):
-        stage, attr, _ = _ARTIFACTS[name]
-        mode = name.removeprefix("segmentation_")
-        if (getattr(bundle, attr) if attr else bundle.segmentations.get(mode)) is None:
+    for name, stage, record in (
+        ("spread", "ingest", bundle.spread),
+        ("periodization", "som", bundle.classification),
+        ("ms_model", "ms", bundle.em),
+        ("segmentation_mean", "cpd", bundle.segmentations.get("mean")),
+        ("segmentation_meanvar", "cpd", bundle.segmentations.get("meanvar")),
+    ):
+        if record is None:
             raise DataError(
                 f"missing artifact {name!r}: run the {stage} stage of analyze first"
             )

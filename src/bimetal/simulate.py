@@ -51,9 +51,8 @@ def _spread_to_weeks(spread_values, rng) -> dio.QuotationTable:
 
 def run_simulate(config: RunConfig) -> dict:
     """Write a synthetic dataset in the ingestion format plus a ground-truth
-    sidecar (true regime states or true change-point indices)."""
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    sidecar (true regime states or true change-point indices); a refused
+    configuration writes nothing, not even the output directory."""
     rng = np.random.default_rng(config.sim_seed + 1)  # exchange-rate noise only
     truth = {"kind": config.sim_kind, "seed": config.sim_seed}
 
@@ -63,11 +62,16 @@ def run_simulate(config: RunConfig) -> dict:
             means=tuple(LinearMean(np.array(c)) for c in config.sim_coefs),
             sigmas=np.array(config.sim_sigmas),
         )
-        y, states = msmod.simulate(
-            params, T=config.sim_T, seed=config.sim_seed, burn_in=200
-        )
-        shift = max(0.0, 0.01 - float(y.min()))
-        y = y + shift
+        # coefficients that drive the series past the float range are refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, states = msmod.simulate(
+                params, T=config.sim_T, seed=config.sim_seed, burn_in=200
+            )
+            shift = max(0.0, 0.01 - float(y.min()))
+            y = y + shift
+        if not np.isfinite(y).all():
+            raise ValidationError(f"sim_coefs {[list(c) for c in config.sim_coefs]} "
+                                  "draw a series that is not finite")
         # a level shift c maps each intercept a0 to a0 + c(1 - sum(a_1..a_l))
         shifted = [
             [c[0] + shift * (1.0 - sum(c[1:]))] + list(c[1:])
@@ -95,6 +99,8 @@ def run_simulate(config: RunConfig) -> dict:
         raise ValidationError(f"unknown sim_kind {config.sim_kind!r}")
 
     table = _spread_to_weeks(y, rng)
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     dataset_path = outdir / "dataset.csv"
     dio.write_dataset(table, str(dataset_path))
     dio.write_json(truth, outdir / "dataset_truth.json")

@@ -116,8 +116,6 @@ class MsParams:
         n = self.n_regimes
         if A.shape != (n, n):
             raise ValidationError("transition matrix must be square")
-        if np.any(A < 0) or np.any(A > 1):
-            raise ValidationError("transition entries must lie in [0, 1]")
         if not np.allclose(A.sum(axis=0), 1.0, atol=1e-9):
             raise ValidationError("transition columns must sum to 1")
         if np.any(A <= 0) or np.any(A >= 1):

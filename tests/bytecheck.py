@@ -115,6 +115,7 @@ RUNS = [
     ["simulate", "--outdir", "bad_std", "--sim-kind", "steps",
      "--sim-stds", "[0.03,-0.08,0.03]"],
     ["simulate", "--outdir", "bad_coefs", "--sim-coefs", "[[0.1],[0.2]]"],
+    ["simulate", "--outdir", "explosive", "--sim-coefs", "[[0.1,3.0],[0.2,3.0]]"],
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "bad_som_seed", "--som-seed", "-1"],
     ["ingest", "--input", "sim/dataset.csv", "--outdir", "bad_gap", "--max-gap", "-1"],
     _write("sim_keys.json", '{"sim_T": 999}'),

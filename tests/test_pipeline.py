@@ -720,6 +720,60 @@ def test_report_checks_an_artifact_listed_before_the_features(analyzed, tmp_path
     assert err.startswith(f"data error: malformed artifact {path}: ")
 
 
+def _loaded_records(run):
+    """The JSON text of every record that ``load_bundle`` reads from ``run``."""
+    bundle = load_bundle(run)
+    return json.dumps(to_json([bundle.features, bundle.spread, bundle.grid,
+                               bundle.classification, bundle.em, bundle.segmentations]))
+
+
+def test_load_bundle_reads_a_reversed_manifest_alike(analyzed, tmp_path):
+    """The records are read features first whatever the manifest's order: a
+    manifest that lists its artifacts in reverse loads the same records, and
+    report writes the same three files."""
+    config, _ = analyzed
+    intact, reversed_ = tmp_path / "intact", tmp_path / "reversed"
+    shutil.copytree(config.outdir, intact)
+    shutil.copytree(config.outdir, reversed_)
+    manifest = json.loads((reversed_ / "manifest.json").read_text())
+    manifest["artifacts"].reverse()
+    (reversed_ / "manifest.json").write_text(json.dumps(manifest))
+    assert load_bundle(reversed_).artifact_names[0] == "segmentation_meanvar"
+    assert _loaded_records(reversed_) == _loaded_records(intact)
+    assert _report_files(reversed_) == _report_files(intact)
+
+
+@pytest.mark.parametrize("artifact", ["som_grid", "ms_model", "segmentation_meanvar"])
+def test_report_on_an_artifact_listed_without_the_features_is_data_error(
+        analyzed, tmp_path, capsys, artifact):
+    """Each of these records is checked against the features, so a manifest
+    that lists it without them makes report exit 2 naming its file."""
+    config, _ = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["artifacts"] = [e for e in manifest["artifacts"] if e["name"] == artifact]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", "--outdir", str(run)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: malformed artifact {run / f'{artifact}.json'}: "
+        "the manifest lists no features to check it against\n"
+    )
+
+
+def test_report_on_a_segmentation_of_the_other_mode_is_data_error(analyzed, tmp_path,
+                                                                   capsys):
+    config, _ = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    shutil.copy(run / "segmentation_meanvar.json", run / "segmentation_mean.json")
+    assert main(["report", "--outdir", str(run)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: malformed artifact {run / 'segmentation_mean.json'}: "
+        "ValueError('mode meanvar, not mean')\n"
+    )
+
+
 def test_report_on_features_written_before_the_table_format_is_data_error(
         analyzed, tmp_path, capsys):
     """An outdir written when features.csv held the hpl and std_* columns,
@@ -1115,6 +1169,35 @@ def test_cli_simulate_intercept_only_coefs_is_data_error(tmp_path, capsys):
     assert main(["simulate", "--outdir", str(out), "--sim-coefs", "[[0.1],[0.2]]"]) == 2
     assert capsys.readouterr().err.splitlines() == ["data error: lag must be >= 1"]
     assert not (out / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sim-coefs", "[[0.1],[0.2]]"],
+    ["--sim-kind", "steps", "--sim-tau", "[100,50]"],
+    ["--sim-kind", "steps", "--sim-stds", "[0.03,-0.08,0.03]"],
+], ids=["intercept-only", "tau-decreasing", "negative-std"])
+def test_cli_refused_simulate_leaves_no_directory(tmp_path, capsys, argv):
+    out = tmp_path / "x" / "y"
+    assert main(["simulate", "--outdir", str(out), *argv]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_simulate_explosive_coefs_is_data_error(tmp_path, capsys):
+    """A lag coefficient of 3 in both regimes multiplies the series by about
+    3 a step, past the float range within the 700 steps drawn: refused
+    before anything is written, and without a numpy overflow warning. A
+    lag coefficient above 1 in one regime only keeps the series finite."""
+    out = tmp_path / "out"
+    assert main(["simulate", "--outdir", str(out),
+                 "--sim-coefs", "[[0.1,3.0],[0.2,3.0]]"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: sim_coefs [[0.1, 3.0], [0.2, 3.0]] draw a series that is not finite"
+    ]
+    assert not out.exists()
+    assert main(["simulate", "--outdir", str(out),
+                 "--sim-coefs", "[[0.05,1.1],[0.18,0.3]]"]) == 0
+    assert (out / "dataset.csv").exists()
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -203,7 +203,7 @@ def test_filter_rejects_nonfinite():
 
 @pytest.mark.parametrize("change, message", [
     ({"transition": np.full((2, 3), 0.5)}, "must be square"),
-    ({"transition": [[1.2, 0.2], [-0.2, 0.8]]}, r"must lie in \[0, 1\]"),
+    ({"transition": [[1.2, 0.2], [-0.2, 0.8]]}, r"strictly inside \(0, 1\)"),
     ({"transition": [[0.9, 0.3], [0.2, 0.7]]}, "columns must sum to 1"),
     ({"transition": transition_from_pq(1.0, 0.8)}, r"strictly inside \(0, 1\)"),
     ({"sigmas": [0.3, 0.6, 0.9]}, "one mean model and one sigma per regime"),
