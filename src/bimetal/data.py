@@ -49,16 +49,8 @@ RAW_COLUMNS = VALUE_COLUMNS + ("hpl_t", "hpl_f")
 SPREAD_AGGREGATIONS = ("mean", "tuesday", "friday", "per_day")
 
 
-class _WeekLabels:
-    """``labels`` of a record with ``years`` and ``weeks`` arrays."""
-
-    @property
-    def labels(self) -> list[str]:
-        return [f"{y}/{w:02d}" for y, w in zip(self.years.tolist(), self.weeks.tolist())]
-
-
 @dataclass
-class QuotationTable(_WeekLabels):
+class QuotationTable:
     """The raw quotation table, one row per calendar week.
 
     ``values`` holds each week's 12 quotations in VALUE_COLUMNS order
@@ -72,6 +64,11 @@ class QuotationTable(_WeekLabels):
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def labels(self) -> list[str]:
+        """Each week as "year/week", the week number on two digits."""
+        return [f"{y}/{w:02d}" for y, w in zip(self.years.tolist(), self.weeks.tolist())]
 
     def by_series(self) -> np.ndarray:
         """(n, 6, 2) view of ``values``: week, series (SERIES order), day."""
@@ -321,7 +318,8 @@ def build_features(
     """Turn a complete QuotationTable into standardized feature vectors.
 
     Requires imputed (complete) data. Standardization is a global z-score
-    over the whole dataset; a zero-variance coordinate is an error.
+    over the whole dataset; a coordinate whose mean or variance overflows
+    and a zero-variance coordinate are errors.
     """
     if not len(table):
         raise ValidationError("no data rows")
@@ -343,8 +341,15 @@ def build_features(
         raw = table.values
         names = VALUE_COLUMNS
 
-    means = raw.mean(axis=0)
-    stds = raw.std(axis=0)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        means = raw.mean(axis=0)
+        stds = raw.std(axis=0)
+    huge = np.flatnonzero(~np.isfinite(means) | ~np.isfinite(stds))
+    if huge.size:
+        raise ValidationError(
+            f"cannot standardize: mean or variance overflows in "
+            f"{', '.join(names[i] for i in huge)}"
+        )
     zero = np.flatnonzero(stds == 0.0)
     if zero.size:
         raise ValidationError(
@@ -358,18 +363,16 @@ def build_features(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SpreadSeries(_WeekLabels):
+class SpreadSeries:
     """Weekly spread between the highest and lowest gold-silver price.
 
-    ``t_index`` holds the week index of each observation; with per_day
-    aggregation each week contributes two consecutive observations.
+    ``t_index`` holds the week index of each observation into the table it
+    was computed from, which names the weeks; with per_day aggregation each
+    week contributes two consecutive observations.
     """
 
     t_index: np.ndarray
-    years: np.ndarray
-    weeks: np.ndarray
     values: np.ndarray
-    aggregation: str
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -390,7 +393,6 @@ def compute_spread(
 
     prices = table.by_series()[:, : len(GOLD_SILVER_SERIES)]  # (n, 3, 2)
     per_day = prices.max(axis=1) - prices.min(axis=1)  # (n, 2)
-    years, wnums = table.years, table.weeks
     idx = np.arange(len(table))
     if aggregation == "mean":
         values = per_day.mean(axis=1)
@@ -401,13 +403,7 @@ def compute_spread(
     else:  # per_day: two observations per week, Tuesday first
         values = per_day.reshape(-1)
         idx = np.repeat(idx, 2)
-        years = np.repeat(years, 2)
-        wnums = np.repeat(wnums, 2)
-
-    return SpreadSeries(
-        t_index=idx, years=years, weeks=wnums, values=values,
-        aggregation=aggregation,
-    )
+    return SpreadSeries(t_index=idx, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +415,12 @@ def write_features_csv(fs: FeatureSet, target) -> None:
     write_dataset(fs.table, target)
 
 
-def write_spread_csv(spread: SpreadSeries, target) -> None:
+def write_spread_csv(spread: SpreadSeries, table: QuotationTable, target) -> None:
+    """Write each observation of ``spread`` with its week's index, year and
+    week number in ``table``, the table it was computed from."""
+    idx = spread.t_index
     write_table(target, ["week_index", "year", "week", "spread"],
-                [spread.t_index, spread.years, spread.weeks, spread.values])
+                [idx, table.years[idx], table.weeks[idx], spread.values])
 
 
 def write_json(obj: dict, target) -> None:

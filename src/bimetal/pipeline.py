@@ -225,7 +225,7 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
             "n_imputed": len(report),
         }
         dio.write_features_csv(features, outdir / "features.csv")
-        dio.write_spread_csv(spread, outdir / "spread.csv")
+        dio.write_spread_csv(spread, table, outdir / "spread.csv")
         dio.write_json(dio.to_json(spread), outdir / "spread.json")
         dio.write_json(
             dio.imputation_report_to_dict(report), outdir / "imputation_report.json"
@@ -259,7 +259,7 @@ def run_analyze(config: RunConfig) -> AnalysisBundle:
 
         if config.run_cpd:
             stage = "cpd"
-            labels = spread.labels
+            labels = np.array(table.labels)[spread.t_index].tolist()
             for mode in cpd.SegMode:
                 name = f"segmentation_{mode.value}"
                 seg = cpd.detect(
@@ -408,6 +408,7 @@ def run_report(bundle: AnalysisBundle) -> dict:
          *(np.array([means[c][v] for c in order]) for v in var_names)],
     )
 
+    weeks = np.array(bundle.features.table.labels)[spread.t_index].tolist()
     p_regime1 = np.concatenate([np.full(lag, np.nan), probs.smoothed[:, 0]])
     cp = np.zeros((2, len(spread)), dtype=int)
     for flags, mode in zip(cp, ("mean", "meanvar")):
@@ -415,7 +416,7 @@ def run_report(bundle: AnalysisBundle) -> dict:
     dio.write_table(
         outdir / "aligned_series.csv",
         ["week", "spread", "p_regime1", "cp_mean", "cp_meanvar"],
-        [spread.labels, spread.values, p_regime1, *cp],
+        [weeks, spread.values, p_regime1, *cp],
     )
 
     return {

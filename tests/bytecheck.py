@@ -6,11 +6,12 @@ checks out ``BASE`` (any git revision) with ``git worktree add`` into a
 temporary directory, runs one fixed list of CLI calls with that tree's
 ``src`` on the path, then runs the same list with this working tree's
 ``src``, each into the same outdir paths of one work directory (the
-manifest records the input path as given). For each call it compares every
-file under the call's ``--outdir``, stdout, stderr and the exit code, and
-prints one line: ``same``, or the names of what differs. It reports and
-decides nothing: a change that moves bytes on purpose shows here, and says
-why elsewhere. The list takes well under a minute per tree.
+manifest records the input path as given). For each call it compares the
+call's ``--outdir`` and every file and directory under it, stdout, stderr
+and the exit code, and prints one line: ``same``, or the names of what
+differs. It reports and decides nothing: a change that moves bytes on
+purpose shows here, and says why elsewhere. The list takes well under a
+minute per tree.
 
 Pytest does not collect this file; ``tests/test_bytecheck.py`` runs a short
 list twice from this tree.
@@ -116,6 +117,11 @@ RUNS = [
      "--sim-stds", "[0.03,-0.08,0.03]"],
     ["simulate", "--outdir", "bad_coefs", "--sim-coefs", "[[0.1],[0.2]]"],
     ["simulate", "--outdir", "explosive", "--sim-coefs", "[[0.1,3.0],[0.2,3.0]]"],
+    # a finite series whose prices' variance overflows: simulate writes it,
+    # ingest refuses it
+    ["simulate", "--outdir", "overflow", "--sim-coefs", "[[0.1,2.5],[0.2,2.5]]",
+     "--sim-T", "200"],
+    ["ingest", "--input", "overflow/dataset.csv", "--outdir", "overflow/run"],
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "bad_som_seed", "--som-seed", "-1"],
     ["ingest", "--input", "sim/dataset.csv", "--outdir", "bad_gap", "--max-gap", "-1"],
     _write("sim_keys.json", '{"sim_T": 999}'),
@@ -135,11 +141,14 @@ RUNS = [
 
 
 def _digests(work: Path, outdir: str) -> dict:
-    """The sha256 of every file under ``outdir``, by its path in ``work``;
-    none if ``outdir`` does not exist."""
+    """By path in ``work``: "directory" for ``outdir`` and every directory
+    under it, so that an empty one is seen, and the sha256 of every file
+    under it; none if ``outdir`` does not exist."""
+    root = work / outdir
     return {
-        str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted((work / outdir).rglob("*")) if p.is_file()
+        str(p.relative_to(work)):
+            "directory" if p.is_dir() else hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted([root, *root.rglob("*")]) if p.exists()
     }
 
 

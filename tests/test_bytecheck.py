@@ -33,3 +33,22 @@ def test_two_runs_of_this_tree_are_the_same_and_an_altered_file_is_named(tmp_pat
     assert bytecheck.compare(first, altered)[1:] == [
         "ingest --input sim/dataset.csv --outdir sim: sim/dataset_truth.json"
     ]
+
+
+def test_an_empty_directory_left_under_or_as_an_outdir_is_named(tmp_path):
+    work = tmp_path / "work"
+    # a refused simulate writes nothing, so its outdir exists only if made before
+    refused = ["simulate", "--outdir", "gone", "--sim-coefs", "[[0.1],[0.2]]"]
+    steps = [*SHORT, refused]
+    first = bytecheck.run_list(SRC, work, steps)
+    assert first[2]["exit"] == 2 and first[2]["files"] == {}
+
+    def leave_empty(work):
+        (work / "sim" / "empty").mkdir()
+        (work / "gone").mkdir()
+
+    left = bytecheck.run_list(SRC, work, [SHORT[0], leave_empty, SHORT[1], refused])
+    assert bytecheck.compare(first, left)[1:] == [
+        "ingest --input sim/dataset.csv --outdir sim: sim/empty",
+        "simulate --outdir gone --sim-coefs '[[0.1],[0.2]]': gone",
+    ]

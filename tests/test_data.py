@@ -333,6 +333,17 @@ def test_zero_variance_errors():
         build_features(table)
 
 
+@pytest.mark.parametrize("include_hpl, names", [
+    (True, "hoa_t, hoa_f, hpl_t, hpl_f"), (False, "hoa_t, hoa_f"),
+])
+def test_an_overflowing_variance_is_refused_naming_its_columns(include_hpl, names):
+    # finite prices whose squared deviation from the mean passes the float range
+    table = make_table(dict(poa=15.8, lgs=15.7, hoa=1e200), dict(poa=15.6, lgs=15.9, hoa=15.9))
+    with pytest.raises(ValidationError) as err:
+        build_features(table, include_hpl=include_hpl)
+    assert str(err.value) == f"cannot standardize: mean or variance overflows in {names}"
+
+
 def test_standardization_moments(small_table):
     fs = build_features(small_table)
     assert fs.standardized.shape == (30, 14)
@@ -485,10 +496,26 @@ def test_spread_serialization_roundtrip(small_table):
     spread = compute_spread(small_table)
     again = from_json(SpreadSeries, to_json(spread))
     assert_allclose(again.values, spread.values)
-    assert again.aggregation == "mean"
+    assert again.t_index.tolist() == spread.t_index.tolist()
 
     buf = io.StringIO()
-    write_spread_csv(spread, buf)
+    write_spread_csv(spread, small_table, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "week_index,year,week,spread"
     assert len(lines) == len(small_table) + 1
+
+
+@pytest.mark.parametrize("aggregation", ["mean", "per_day"])
+def test_spread_csv_names_each_observation_by_its_tables_week(small_table, aggregation):
+    """The year and week cells of spread.csv are the table's, at each
+    observation's week index: twice per week with per_day."""
+    spread = compute_spread(small_table, aggregation)
+    buf = io.StringIO()
+    write_spread_csv(spread, small_table, buf)
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    per_week = 2 if aggregation == "per_day" else 1
+    weeks = [i for i in range(len(small_table)) for _ in range(per_week)]
+    assert [[int(c) for c in row[:3]] for row in rows] == [
+        [i, small_table.years[i], small_table.weeks[i]] for i in weeks
+    ]
+    assert [float(row[3]) for row in rows] == spread.values.tolist()

@@ -15,8 +15,8 @@ from numpy.testing import assert_allclose
 
 from bimetal.cli import main
 from bimetal.data import (
-    HEADER, RAW_COLUMNS, SPREAD_AGGREGATIONS, SpreadSeries, to_json,
-    write_features_csv, write_json, write_table,
+    HEADER, RAW_COLUMNS, SPREAD_AGGREGATIONS, VALUE_COLUMNS, QuotationTable,
+    SpreadSeries, to_json, write_features_csv, write_json, write_table,
 )
 from bimetal.errors import DataError, ValidationError
 from bimetal.pipeline import (
@@ -287,6 +287,12 @@ def test_analyze_missing_input_recorded_as_data_error(tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
 
 
+def _week_labels(bundle):
+    """The table's week label of each spread observation of ``bundle``."""
+    labels = bundle.features.table.labels
+    return [labels[t] for t in bundle.spread.t_index]
+
+
 def test_load_bundle_roundtrip(analyzed):
     config, bundle = analyzed
     loaded = load_bundle(config.outdir)
@@ -305,7 +311,7 @@ def test_load_bundle_roundtrip(analyzed):
     csv_text = io.StringIO()
     write_features_csv(loaded.features, csv_text)
     assert csv_text.getvalue() == (outdir / "features.csv").read_text()
-    labels = loaded.spread.labels
+    labels = _week_labels(loaded)
     records = {
         "spread": to_json(loaded.spread),
         "som_grid": to_json(loaded.grid),
@@ -405,7 +411,7 @@ def test_load_bundle_reads_a_segmentation_that_stores_penalty_used(analyzed, tmp
     path.write_text(json.dumps(record))
     loaded = load_bundle(run)
     buf = io.StringIO()
-    write_json(loaded.segmentations["mean"].to_dict(labels=loaded.spread.labels), buf)
+    write_json(loaded.segmentations["mean"].to_dict(labels=_week_labels(loaded)), buf)
     assert buf.getvalue() == new_text
 
 
@@ -504,13 +510,13 @@ def test_report_on_an_outdir_whose_config_has_input_outdir_and_sim_keys(analyzed
 
 def test_report_does_not_read_spread_json(analyzed, tmp_path):
     """spread.json is an export: the spread is rebuilt from features.csv, so
-    a spread.json whose years lost an entry changes no report file."""
+    a spread.json whose week indices lost an entry changes no report file."""
     config, _ = analyzed
     intact, cut = tmp_path / "intact", tmp_path / "cut"
     shutil.copytree(config.outdir, intact)
     shutil.copytree(config.outdir, cut)
     record = json.loads((cut / "spread.json").read_text())
-    del record["years"][-1]
+    del record["t_index"][-1]
     write_json(record, cut / "spread.json")
     assert _report_files(cut) == _report_files(intact)
 
@@ -899,10 +905,11 @@ def _class_table(tmp_path, week_to_class, values, p_regime1, per_day=False):
     """The class_table.csv rows that report writes for a hand-built bundle:
     one spread observation per week (two with ``per_day``), and P(regime 1)
     for the observations from the first on (the lag, 1, conditions)."""
-    t_index = np.repeat(np.arange(len(week_to_class)), 2 if per_day else 1)
-    spread = SpreadSeries(t_index=t_index, years=1821 + 0 * t_index, weeks=t_index + 1,
-                          values=np.asarray(values, dtype=float),
-                          aggregation="per_day" if per_day else "mean")
+    n = len(week_to_class)
+    table = QuotationTable(years=np.full(n, 1821), weeks=np.arange(1, n + 1),
+                           values=np.ones((n, len(VALUE_COLUMNS))))
+    spread = SpreadSeries(t_index=np.repeat(np.arange(n), 2 if per_day else 1),
+                          values=np.asarray(values, dtype=float))
     counts = dict(Counter(week_to_class))
     classification = MacroClassification(
         k=len(counts), node_to_class=np.array(sorted(counts)), linkage_history=(),
@@ -913,8 +920,8 @@ def _class_table(tmp_path, week_to_class, values, p_regime1, per_day=False):
     probs = RegimeProbabilities(filtered=p, smoothed=p)
     no_change = SimpleNamespace(tau=())
     bundle = AnalysisBundle(
-        outdir=tmp_path, manifest={"artifacts": []}, spread=spread,
-        classification=classification,
+        outdir=tmp_path, manifest={"artifacts": []},
+        features=SimpleNamespace(table=table), spread=spread, classification=classification,
         em=SimpleNamespace(params=SimpleNamespace(lag=1), probabilities=probs),
         segmentations={"mean": no_change, "meanvar": no_change},
     )
@@ -1198,6 +1205,24 @@ def test_cli_simulate_explosive_coefs_is_data_error(tmp_path, capsys):
     assert main(["simulate", "--outdir", str(out),
                  "--sim-coefs", "[[0.05,1.1],[0.18,0.3]]"]) == 0
     assert (out / "dataset.csv").exists()
+
+
+def test_cli_ingest_of_prices_whose_variance_overflows_is_data_error(tmp_path, capsys):
+    """A lag coefficient of 2.5 in both regimes keeps 200 weeks finite, with
+    prices up to about 1e158: simulate writes them, and ingest refuses to
+    standardize the columns whose variance overflows, without a numpy
+    overflow warning, and records the failed stage."""
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert main(["simulate", "--outdir", str(sim), "--sim-coefs", "[[0.1,2.5],[0.2,2.5]]",
+                 "--sim-T", "200"]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--input", str(sim / "dataset.csv"), "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: cannot standardize: mean or variance overflows in "
+        "lgs_t, lgs_f, hoa_t, hoa_f, hpl_t, hpl_f"
+    ]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failed_stage"]) == ("failed", "ingest")
 
 
 @pytest.mark.parametrize("command, flag", [
