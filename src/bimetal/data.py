@@ -3,12 +3,13 @@
 The raw table carries, per calendar week, Tuesday and Friday quotations for
 six series: the gold-silver prices in Paris, London, and Hamburg
 (poa, lgs, hoa) and the three cross exchange rates (lpv, hlv, phv).
-This module parses and validates that table into one QuotationTable,
-a (weeks x 12) array with NaN for a missing quotation, fills the missing
-cells, and derives the two model inputs from it: the per-week feature
-vectors used by the SOM periodization and the weekly spread series used
-by the switching and change-point models. It also holds the one JSON
-codec of the package: ``to_json`` writes every JSON record and
+This module parses and validates that table into one QuotationTable, a
+(weeks x 12) array with NaN for a missing quotation and every present price
+in [PRICE_MIN, PRICE_MAX], the domain that keeps all arithmetic on it
+finite; fills the missing cells; and derives the two model inputs from it:
+the per-week feature vectors used by the SOM periodization and the weekly
+spread series used by the switching and change-point models. It also holds
+the one JSON codec of the package: ``to_json`` writes every JSON record and
 ``from_json`` reads the model records back. The features and the spread are
 not read back from JSON: the run's flags rebuild both from the imputed
 QuotationTable that ``write_features_csv`` stores.
@@ -48,6 +49,20 @@ RAW_COLUMNS = VALUE_COLUMNS + ("hpl_t", "hpl_f")
 
 SPREAD_AGGREGATIONS = ("mean", "tuesday", "friday", "per_day")
 
+# A quotation's domain: PRICE_MIN <= price <= PRICE_MAX. Everything derived
+# from a table is arithmetic on its prices, and these bounds keep it finite
+# for a table of up to 2**53 weeks, more than any memory holds:
+# - poa + lgs is at most 2 * PRICE_MAX;
+# - a price, a spread or a difference hpl deviates from its column's mean by
+#   less than 2 * PRICE_MAX, so n squared deviations sum below n * 4 * PRICE_MAX**2;
+# - a ratio hpl lies within PRICE_MAX / PRICE_MIN of its column's mean, so
+#   n squared deviations sum below n * (PRICE_MAX / PRICE_MIN)**2.
+# The last is the tightest: bounds 10**-k and 10**k keep 2**53 * 10**(4k)
+# below the float maximum, 1.8e308, for k <= 73. Historical prices (about
+# 1.9 to 25) sit inside by more than 70 orders of magnitude.
+PRICE_MIN, PRICE_MAX = 1e-73, 1e73
+_DOMAIN = f"[{PRICE_MIN!r}, {PRICE_MAX!r}]"
+
 
 @dataclass
 class QuotationTable:
@@ -55,12 +70,20 @@ class QuotationTable:
 
     ``values`` holds each week's 12 quotations in VALUE_COLUMNS order
     (each series' Tuesday price, then its Friday price); NaN marks a
-    missing quotation. Present prices are strictly positive.
+    missing quotation. Any other price lies in [PRICE_MIN, PRICE_MAX].
     """
 
     years: np.ndarray   # (n,) int
     weeks: np.ndarray   # (n,) int
     values: np.ndarray  # (n, 12) float
+
+    def __post_init__(self):
+        # a NaN, a gap, is neither below nor above the domain
+        bad = (self.values < PRICE_MIN) | (self.values > PRICE_MAX)
+        if bad.any():
+            i, c = np.argwhere(bad)[0].tolist()
+            raise ValidationError(f"week {self.labels[i]}: price {self.values[i, c].item()!r} "
+                                  f"in column {VALUE_COLUMNS[c]} is outside {_DOMAIN}")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -181,14 +204,9 @@ def parse_dataset(source) -> QuotationTable:
                     raise ParseError(
                         f"bad price cell {cell!r} in column {column}", line=lineno
                     )
-                if not math.isfinite(price):
-                    raise ValidationError(
-                        f"line {lineno}: non-finite price {cell} in column {column}"
-                    )
-                if price <= 0:
-                    raise ValidationError(
-                        f"line {lineno}: non-positive price {cell} in column {column}"
-                    )
+                if not PRICE_MIN <= price <= PRICE_MAX:  # so is nan, which a table takes for a gap
+                    raise ValidationError(f"line {lineno}: price {cell} in column "
+                                          f"{column} is outside {_DOMAIN}")
                 values.append(price)
     return QuotationTable(
         years=np.array(years, dtype=int),
@@ -318,8 +336,8 @@ def build_features(
     """Turn a complete QuotationTable into standardized feature vectors.
 
     Requires imputed (complete) data. Standardization is a global z-score
-    over the whole dataset; a coordinate whose mean or variance overflows
-    and a zero-variance coordinate are errors.
+    over the whole dataset; a zero-variance coordinate is an error. The
+    table's price domain keeps every mean and variance finite.
     """
     if not len(table):
         raise ValidationError("no data rows")
@@ -341,15 +359,8 @@ def build_features(
         raw = table.values
         names = VALUE_COLUMNS
 
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        means = raw.mean(axis=0)
-        stds = raw.std(axis=0)
-    huge = np.flatnonzero(~np.isfinite(means) | ~np.isfinite(stds))
-    if huge.size:
-        raise ValidationError(
-            f"cannot standardize: mean or variance overflows in "
-            f"{', '.join(names[i] for i in huge)}"
-        )
+    means = raw.mean(axis=0)
+    stds = raw.std(axis=0)
     zero = np.flatnonzero(stds == 0.0)
     if zero.size:
         raise ValidationError(

@@ -56,47 +56,47 @@ def run_simulate(config: RunConfig) -> dict:
     rng = np.random.default_rng(config.sim_seed + 1)  # exchange-rate noise only
     truth = {"kind": config.sim_kind, "seed": config.sim_seed}
 
-    if config.sim_kind == "regimes":
-        params = msmod.MsParams(
-            transition=msmod.transition_from_pq(config.sim_p, config.sim_q),
-            means=tuple(LinearMean(np.array(c)) for c in config.sim_coefs),
-            sigmas=np.array(config.sim_sigmas),
-        )
-        # coefficients that drive the series past the float range are refused
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a draw past the float range is refused below, or by the table's domain
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.sim_kind == "regimes":
+            params = msmod.MsParams(
+                transition=msmod.transition_from_pq(config.sim_p, config.sim_q),
+                means=tuple(LinearMean(np.array(c)) for c in config.sim_coefs),
+                sigmas=np.array(config.sim_sigmas),
+            )
             y, states = msmod.simulate(
                 params, T=config.sim_T, seed=config.sim_seed, burn_in=200
             )
             shift = max(0.0, 0.01 - float(y.min()))
             y = y + shift
-        if not np.isfinite(y).all():
-            raise ValidationError(f"sim_coefs {[list(c) for c in config.sim_coefs]} "
-                                  "draw a series that is not finite")
-        # a level shift c maps each intercept a0 to a0 + c(1 - sum(a_1..a_l))
-        shifted = [
-            [c[0] + shift * (1.0 - sum(c[1:]))] + list(c[1:])
-            for c in config.sim_coefs
-        ]
-        truth.update(shift=shift, transition=params.transition.tolist(), coefs=shifted,
-                     sigmas=list(config.sim_sigmas), true_states=states.tolist())
-    elif config.sim_kind == "steps":
-        tau = tuple(config.sim_tau)
-        bounds = (0,) + tau + (config.sim_T,)
-        if list(bounds) != sorted(set(bounds)):
-            raise ValidationError(f"sim_tau {tau} not increasing within 0..{config.sim_T}")
-        if len(config.sim_levels) != len(tau) + 1 or len(config.sim_stds) != len(tau) + 1:
-            raise ValidationError("sim_levels and sim_stds must have one entry per segment")
-        if not all(std >= 0 for std in config.sim_stds):
-            raise ValidationError(f"sim_stds {list(config.sim_stds)} must all be >= 0")
-        z = np.random.default_rng(config.sim_seed).standard_normal(config.sim_T)
-        n = np.diff(bounds)
-        y = np.maximum(
-            np.repeat(config.sim_levels, n) + np.repeat(config.sim_stds, n) * z, 0.0
-        )
-        truth.update(true_tau=list(tau), levels=list(config.sim_levels),
-                     stds=list(config.sim_stds))
-    else:
-        raise ValidationError(f"unknown sim_kind {config.sim_kind!r}")
+            # a level shift c maps each intercept a0 to a0 + c(1 - sum(a_1..a_l))
+            shifted = [
+                [c[0] + shift * (1.0 - sum(c[1:]))] + list(c[1:])
+                for c in config.sim_coefs
+            ]
+            truth.update(shift=shift, transition=params.transition.tolist(), coefs=shifted,
+                         sigmas=list(config.sim_sigmas), true_states=states.tolist())
+        elif config.sim_kind == "steps":
+            tau = tuple(config.sim_tau)
+            bounds = (0,) + tau + (config.sim_T,)
+            if list(bounds) != sorted(set(bounds)):
+                raise ValidationError(f"sim_tau {tau} not increasing within 0..{config.sim_T}")
+            if len(config.sim_levels) != len(tau) + 1 or len(config.sim_stds) != len(tau) + 1:
+                raise ValidationError("sim_levels and sim_stds must have one entry per segment")
+            if not all(std >= 0 for std in config.sim_stds):
+                raise ValidationError(f"sim_stds {list(config.sim_stds)} must all be >= 0")
+            z = np.random.default_rng(config.sim_seed).standard_normal(config.sim_T)
+            n = np.diff(bounds)
+            y = np.maximum(
+                np.repeat(config.sim_levels, n) + np.repeat(config.sim_stds, n) * z, 0.0
+            )
+            truth.update(true_tau=list(tau), levels=list(config.sim_levels),
+                         stds=list(config.sim_stds))
+        else:
+            raise ValidationError(f"unknown sim_kind {config.sim_kind!r}")
+    # a NaN would be a gap, which the table does not refuse
+    if not np.isfinite(y).all():
+        raise ValidationError(f"the simulated {config.sim_kind} spread is not finite")
 
     table = _spread_to_weeks(y, rng)
     outdir = Path(config.outdir)

@@ -48,16 +48,17 @@ def _write(dst: str, text: str):
     return lambda work: (work / dst).write_text(text)
 
 
-def _blank(src: str, dst: str, cells):
-    """A step that copies a CSV file with the (line, column) ``cells`` emptied."""
-    def blank(work: Path) -> None:
+def _set(src: str, dst: str, cells: dict):
+    """A step that copies a CSV file with each (line, column) of ``cells``
+    set to its text."""
+    def set_cells(work: Path) -> None:
         lines = (work / src).read_text().splitlines(keepends=True)
-        for i, j in cells:
+        for (i, j), text in cells.items():
             row = lines[i].rstrip("\n").split(",")
-            row[j] = ""
+            row[j] = text
             lines[i] = ",".join(row) + "\n"
         (work / dst).write_text("".join(lines))
-    return blank
+    return set_cells
 
 
 # A short run only checks a code path, so it runs with few epochs and
@@ -94,7 +95,7 @@ RUNS = [
     ["report", "--outdir", "lag2"],
     # ingest, without and with imputed cells (one at an edge, one run of two)
     ["ingest", "--input", "sim/dataset.csv", "--outdir", "ingest"],
-    _blank("sim/dataset.csv", "gaps.csv", [(1, 3), (40, 5), (41, 5), (300, 13)]),
+    _set("sim/dataset.csv", "gaps.csv", {(1, 3): "", (40, 5): "", (41, 5): "", (300, 13): ""}),
     ["ingest", "--input", "gaps.csv", "--outdir", "gaps"],
     # the SOM and change-point paths
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "perday_som_cpd",
@@ -117,11 +118,21 @@ RUNS = [
      "--sim-stds", "[0.03,-0.08,0.03]"],
     ["simulate", "--outdir", "bad_coefs", "--sim-coefs", "[[0.1],[0.2]]"],
     ["simulate", "--outdir", "explosive", "--sim-coefs", "[[0.1,3.0],[0.2,3.0]]"],
-    # a finite series whose prices' variance overflows: simulate writes it,
-    # ingest refuses it
+    # a finite series whose prices pass the domain's upper bound: simulate
+    # writes nothing, so ingest finds no input
     ["simulate", "--outdir", "overflow", "--sim-coefs", "[[0.1,2.5],[0.2,2.5]]",
      "--sim-T", "200"],
     ["ingest", "--input", "overflow/dataset.csv", "--outdir", "overflow/run"],
+    # steps whose draw is not finite: inf - inf, and a sum past the float range
+    ["simulate", "--outdir", "steps_inf", "--sim-kind", "steps",
+     "--sim-levels", "[1e999,1,1]", "--sim-stds", "[1e999,0.08,0.03]"],
+    ["simulate", "--outdir", "steps_overflow", "--sim-kind", "steps",
+     "--sim-levels", "[1e308,1,1]", "--sim-stds", "[1e308,0.08,0.03]"],
+    # prices outside the domain: poa + lgs overflows, and so does the ratio hpl
+    _set("sim/dataset.csv", "huge.csv", {(5, 2): "1.5e308", (5, 4): "1.5e308"}),
+    ["ingest", "--input", "huge.csv", "--outdir", "huge"],
+    _set("sim/dataset.csv", "tiny.csv", {(5, 2): "1e-310", (5, 4): "1e-310"}),
+    ["ingest", "--input", "tiny.csv", "--outdir", "tiny", "--hpl-kind", "ratio"],
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "bad_som_seed", "--som-seed", "-1"],
     ["ingest", "--input", "sim/dataset.csv", "--outdir", "bad_gap", "--max-gap", "-1"],
     _write("sim_keys.json", '{"sim_T": 999}'),

@@ -1,4 +1,6 @@
 import io
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,8 @@ from bimetal import data
 from bimetal.data import (
     HEADER,
     HPL_KINDS,
+    PRICE_MAX,
+    PRICE_MIN,
     VALUE_COLUMNS,
     ImputedCell,
     build_features,
@@ -67,21 +71,36 @@ def test_parse_duplicate_week():
         parse_csv(make_csv(rows))
 
 
+def _outside(cell):
+    return re.escape(f"line 2: price {cell} in column poa_t is outside [1e-73, 1e+73]") + "$"
+
+
 def test_parse_nonpositive_price():
     rows = synthetic_rows(1)
     rows[0][4] = -3.0
-    with pytest.raises(ValidationError, match="non-positive"):
+    with pytest.raises(ValidationError, match="price -3.0 in column lgs_t is outside"):
         parse_csv(make_csv(rows))
 
 
-@pytest.mark.parametrize("cell, problem", [
-    ("nan", "non-finite"), ("inf", "non-finite"), ("0", "non-positive"), ("-1", "non-positive"),
+# a literal nan is refused too: a table cannot tell it from a gap
+@pytest.mark.parametrize("cell", [
+    "nan", "inf", "0", "-1", "1e-310", "1e-400", "1.5e308",
+    repr(math.nextafter(PRICE_MIN, 0)), repr(math.nextafter(PRICE_MAX, math.inf)),
+], ids=[
+    "nan-non-finite", "inf-non-finite", "0-non-positive", "-1-non-positive",
+    "subnormal", "underflows-to-0", "near-float-max", "just-below-min", "just-above-max",
 ])
-def test_parse_bad_price_names_its_problem(cell, problem):
+def test_parse_bad_price_names_its_problem(cell):
     rows = synthetic_rows(1)
     rows[0][2 + POA_T] = cell
-    with pytest.raises(ValidationError, match=f"line 2: {problem} price {cell} in column poa_t$"):
+    with pytest.raises(ValidationError, match=_outside(cell)):
         parse_csv(make_csv(rows))
+
+
+def test_parse_accepts_a_price_at_either_bound():
+    rows = synthetic_rows(2)
+    rows[0][2 + POA_T], rows[1][2 + POA_T] = repr(PRICE_MIN), repr(PRICE_MAX)
+    assert parse_csv(make_csv(rows)).values[:, POA_T].tolist() == [PRICE_MIN, PRICE_MAX]
 
 
 def test_parse_malformed_row_reports_line():
@@ -333,15 +352,26 @@ def test_zero_variance_errors():
         build_features(table)
 
 
-@pytest.mark.parametrize("include_hpl, names", [
-    (True, "hoa_t, hoa_f, hpl_t, hpl_f"), (False, "hoa_t, hoa_f"),
-])
-def test_an_overflowing_variance_is_refused_naming_its_columns(include_hpl, names):
-    # finite prices whose squared deviation from the mean passes the float range
-    table = make_table(dict(poa=15.8, lgs=15.7, hoa=1e200), dict(poa=15.6, lgs=15.9, hoa=15.9))
+@pytest.mark.parametrize("price", [1e200, -1.0, np.inf])
+def test_a_table_refuses_a_price_outside_its_domain_naming_week_and_column(price):
+    # a price whose squared deviation passes the float range, one below zero, one infinite
     with pytest.raises(ValidationError) as err:
-        build_features(table, include_hpl=include_hpl)
-    assert str(err.value) == f"cannot standardize: mean or variance overflows in {names}"
+        make_table(dict(poa=15.8, lgs=15.7, hoa=15.9), dict(poa=15.6, lgs=15.9, hoa=price))
+    assert str(err.value) == (
+        f"week 1821/02: price {price!r} in column hoa_t is outside [1e-73, 1e+73]"
+    )
+
+
+def test_a_table_names_the_first_week_holding_a_price_outside_its_domain():
+    # week 1's Friday cell comes before week 2's first column
+    with pytest.raises(ValidationError) as err:
+        make_table(dict(poa=15.8, lgs=15.7, hoa=(15.9, 1e200)), dict(poa=1e200, lgs=15.9, hoa=1e200))
+    assert str(err.value) == "week 1821/01: price 1e+200 in column hoa_f is outside [1e-73, 1e+73]"
+
+
+def test_a_table_accepts_a_gap_and_either_bound():
+    table = make_table(dict(poa=(PRICE_MIN, np.nan), lgs=15.7, hoa=PRICE_MAX))
+    assert np.isnan(table.values).sum() == 1
 
 
 def test_standardization_moments(small_table):

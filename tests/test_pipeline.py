@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import shutil
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
@@ -11,12 +14,13 @@ from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bimetal.cli import main
 from bimetal.data import (
-    HEADER, RAW_COLUMNS, SPREAD_AGGREGATIONS, VALUE_COLUMNS, QuotationTable,
-    SpreadSeries, to_json, write_features_csv, write_json, write_table,
+    HEADER, PRICE_MAX, PRICE_MIN, RAW_COLUMNS, SPREAD_AGGREGATIONS, VALUE_COLUMNS,
+    QuotationTable, SpreadSeries, to_json, write_features_csv, write_json, write_table,
 )
 from bimetal.errors import DataError, ValidationError
 from bimetal.pipeline import (
@@ -1182,11 +1186,17 @@ def test_cli_simulate_intercept_only_coefs_is_data_error(tmp_path, capsys):
     ["--sim-coefs", "[[0.1],[0.2]]"],
     ["--sim-kind", "steps", "--sim-tau", "[100,50]"],
     ["--sim-kind", "steps", "--sim-stds", "[0.03,-0.08,0.03]"],
-], ids=["intercept-only", "tau-decreasing", "negative-std"])
+    # an infinite level and std draw inf - inf, NaN, where the std's normal is
+    # negative; finite ones of 1e308 draw sums past the float range
+    ["--sim-kind", "steps", "--sim-levels", "[1e999,1,1]", "--sim-stds", "[1e999,0.08,0.03]"],
+    ["--sim-kind", "steps", "--sim-levels", "[1e308,1,1]", "--sim-stds", "[1e308,0.08,0.03]"],
+], ids=["intercept-only", "tau-decreasing", "negative-std", "steps-infinite",
+        "steps-overflow"])
 def test_cli_refused_simulate_leaves_no_directory(tmp_path, capsys, argv):
     out = tmp_path / "x" / "y"
     assert main(["simulate", "--outdir", str(out), *argv]) == 2
-    assert capsys.readouterr().err.startswith("data error: ")
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("data error: ")
     assert not (tmp_path / "x").exists()
 
 
@@ -1199,7 +1209,7 @@ def test_cli_simulate_explosive_coefs_is_data_error(tmp_path, capsys):
     assert main(["simulate", "--outdir", str(out),
                  "--sim-coefs", "[[0.1,3.0],[0.2,3.0]]"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "data error: sim_coefs [[0.1, 3.0], [0.2, 3.0]] draw a series that is not finite"
+        "data error: the simulated regimes spread is not finite"
     ]
     assert not out.exists()
     assert main(["simulate", "--outdir", str(out),
@@ -1207,22 +1217,80 @@ def test_cli_simulate_explosive_coefs_is_data_error(tmp_path, capsys):
     assert (out / "dataset.csv").exists()
 
 
-def test_cli_ingest_of_prices_whose_variance_overflows_is_data_error(tmp_path, capsys):
+def test_cli_ingest_of_prices_whose_variance_overflows_is_data_error(sim_dataset, tmp_path,
+                                                                     capsys):
     """A lag coefficient of 2.5 in both regimes keeps 200 weeks finite, with
-    prices up to about 1e158: simulate writes them, and ingest refuses to
-    standardize the columns whose variance overflows, without a numpy
+    prices up to about 1e158, whose squares pass the float range: simulate
+    refuses them as outside a quotation's domain and writes nothing, and
+    ingest refuses such a price on the line that holds it, without a numpy
     overflow warning, and records the failed stage."""
     sim, out = tmp_path / "sim", tmp_path / "out"
     assert main(["simulate", "--outdir", str(sim), "--sim-coefs", "[[0.1,2.5],[0.2,2.5]]",
-                 "--sim-T", "200"]) == 0
-    capsys.readouterr()
-    assert main(["ingest", "--input", str(sim / "dataset.csv"), "--outdir", str(out)]) == 2
+                 "--sim-T", "200"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("data error: week 1821/01: price ")
+    assert line.endswith(" in column lgs_t is outside [1e-73, 1e+73]")
+    assert not sim.exists()
+
+    lines = sim_dataset.read_text().splitlines(keepends=True)
+    row = lines[3].split(",")
+    row[HEADER.index("lgs_t")] = "1e158"
+    lines[3] = ",".join(row)
+    (tmp_path / "huge.csv").write_text("".join(lines))
+    assert main(["ingest", "--input", str(tmp_path / "huge.csv"), "--outdir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "data error: cannot standardize: mean or variance overflows in "
-        "lgs_t, lgs_f, hoa_t, hoa_f, hpl_t, hpl_f"
+        "data error: line 4: price 1e158 in column lgs_t is outside [1e-73, 1e+73]"
     ]
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["status"], manifest["failed_stage"]) == ("failed", "ingest")
+
+
+def _price_cell(x):
+    """The text of 10**x as a mantissa and an exponent, which parses to 0.0
+    or inf past the float range with no float arithmetic overflowing."""
+    e = math.floor(x)
+    return f"{10 ** (x - e)!r}e{e}"
+
+
+@st.composite
+def _quotation_csv(draw):
+    """A table of 1 to 30 weeks whose prices are 10**x, x uniform over the
+    whole float range, 0 and inf included, or, in about half the tables,
+    over the price domain only, so that the arithmetic past parsing is
+    reached; one cell in twenty is left empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = [(-330, 309), (math.log10(PRICE_MIN), math.log10(PRICE_MAX))][rng.integers(2)]
+    n = draw(st.integers(1, 30))
+    cells = [_price_cell(x) for x in rng.uniform(lo, hi, n * len(VALUE_COLUMNS)).tolist()]
+    empty = rng.random(len(cells)) < 0.05
+    cells = np.where(empty, "", cells).reshape(n, -1).tolist()
+    return make_csv([[1821, week, *row] for week, row in enumerate(cells, start=1)])
+
+
+def _poa_lgs_csv(price):
+    """Three plausible weeks, the second with poa_t = lgs_t = ``price``."""
+    rows = synthetic_rows(3)
+    rows[1][2 + VALUE_COLUMNS.index("poa_t")] = rows[1][2 + VALUE_COLUMNS.index("lgs_t")] = price
+    return make_csv(rows)
+
+
+# their sum overflows; the ratio hpl of their mean overflows
+@example(text=_poa_lgs_csv("1.5e308"))
+@example(text=_poa_lgs_csv("1e-310"))
+@settings(max_examples=40, deadline=None)
+@given(text=_quotation_csv())
+def test_cli_ingest_of_any_prices_exits_0_or_2_without_a_warning(text):
+    # a temporary directory per example: tmp_path is one per test function
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_text(text)
+        for flags in (["--hpl-kind", "difference"], ["--hpl-kind", "ratio"], ["--no-hpl"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["ingest", "--input", str(path), "--outdir", tmp, *flags])
+            assert code in (0, 2), err.getvalue()
+            assert not [line for line in err.getvalue().splitlines()
+                        if line.startswith("warning:")]
 
 
 @pytest.mark.parametrize("command, flag", [
