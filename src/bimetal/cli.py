@@ -24,7 +24,7 @@ from .data import HPL_KINDS, SPREAD_AGGREGATIONS
 from .errors import DataError, NumericalError
 from .pipeline import RunConfig, load_bundle, run_analyze, run_report
 from .pipeline import _analysis_keys, _read_config
-from .simulate import run_simulate
+from .simulate import SIM_KINDS, run_simulate
 
 OUTPUT_DIR_ENV = "BIMETAL_OUTPUT_DIR"
 
@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="write a synthetic dataset plus "
                            "its ground-truth sidecar")
     _add_common(p_sim)
-    p_sim.add_argument("--sim-kind", dest="sim_kind", choices=["regimes", "steps"])
+    p_sim.add_argument("--sim-kind", dest="sim_kind", choices=SIM_KINDS)
     p_sim.add_argument("--sim-T", type=int, dest="sim_T")
     p_sim.add_argument("--sim-seed", type=int, dest="sim_seed")
     p_sim.add_argument("--sim-p", type=float, dest="sim_p")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +26,13 @@ from .errors import DataError, ValidationError
 # perfbench/workloads.py calls pipeline.run_simulate; the re-export goes once
 # the benchmark imports it from bimetal.simulate
 from .simulate import run_simulate  # noqa: F401
+from .simulate import SIM_KINDS
 
 REFERENCE_TRANSITION = (0.844298, 0.746643)
 
 # The config keys whose values must be one of a fixed set.
-_CHOICES = {"hpl_kind": dio.HPL_KINDS, "spread_aggregation": dio.SPREAD_AGGREGATIONS}
+_CHOICES = {"hpl_kind": dio.HPL_KINDS, "spread_aggregation": dio.SPREAD_AGGREGATIONS,
+            "sim_kind": SIM_KINDS}
 # The config keys that must not be negative: a gap length and the seeds.
 _NON_NEGATIVE = ("max_gap", "som_seed", "ms_seed", "sim_seed")
 
@@ -39,7 +41,10 @@ _NON_NEGATIVE = ("max_gap", "som_seed", "ms_seed", "sim_seed")
 class RunConfig:
     """All pipeline parameters; the defaults reproduce the reference
     setup: 5x5 SOM grid, 6 macro-classes, two regimes (perceptron plus
-    linear mean), and both change-point modes."""
+    linear mean), and both change-point modes. Each value is decoded by
+    ``data.from_json`` (lists become tuples, numbers stay as given); a
+    mistyped value, one outside its ``_CHOICES`` or a negative gap or seed
+    is a ValidationError naming the key."""
 
     input: str | None = None
     outdir: str = "out"
@@ -77,7 +82,7 @@ class RunConfig:
     cpd_penalty: float | None = None
 
     # synthetic data generation
-    sim_kind: str = "regimes"  # "regimes" | "steps"
+    sim_kind: str = "regimes"  # one of SIM_KINDS
     sim_T: int = 500
     sim_seed: int = 0
     sim_p: float = REFERENCE_TRANSITION[0]
@@ -88,44 +93,36 @@ class RunConfig:
     sim_levels: tuple[float, ...] = (0.1, 0.5, 0.2)
     sim_stds: tuple[float, ...] = (0.03, 0.08, 0.03)
 
+    def __post_init__(self):
+        hints = typing.get_type_hints(RunConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            key = f"config key {f.name!r}: {value!r}"
+            try:
+                decoded = dio.from_json(hints[f.name], value)
+            except TypeError:
+                raise ValidationError(f"{key} is not {f.type}") from None
+            choices = _CHOICES.get(f.name)
+            if choices is not None and decoded not in choices:
+                raise ValidationError(f"{key} is not one of {choices}")
+            if f.name in _NON_NEGATIVE and decoded < 0:
+                raise ValidationError(f"{key} must be >= 0")
+            setattr(self, f.name, decoded)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Build a RunConfig from JSON-like keys, each decoded by
-        ``data.from_json`` (lists become tuples, numbers stay as given); an
-        unknown key, a mistyped value, an ingest flag that is not one of its
-        choices or a negative gap or seed is a ValidationError naming the
-        key."""
+        """Build a RunConfig from JSON-like keys; an unknown key is a
+        ValidationError."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
-        decoded = {}
-        for f in fields(cls):
-            if f.name in d:
-                try:
-                    decoded[f.name] = dio.from_json(hints[f.name], d[f.name])
-                except TypeError:
-                    raise ValidationError(
-                        f"config key {f.name!r}: {d[f.name]!r} is not {f.type}"
-                    ) from None
-                choices = _CHOICES.get(f.name)
-                if choices is not None and decoded[f.name] not in choices:
-                    raise ValidationError(
-                        f"config key {f.name!r}: {d[f.name]!r} is not one of {choices}"
-                    )
-                if f.name in _NON_NEGATIVE and decoded[f.name] < 0:
-                    raise ValidationError(
-                        f"config key {f.name!r}: {d[f.name]!r} must be >= 0"
-                    )
-        return cls(**decoded)
+        return cls(**d)
 
     def merged(self, overrides: dict) -> "RunConfig":
-        d = self.to_dict()
-        d.update({k: v for k, v in overrides.items() if v is not None})
-        return RunConfig.from_dict(d)
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _read_config(path) -> dict:

@@ -22,6 +22,9 @@ from .regression import LinearMean
 if TYPE_CHECKING:
     from .pipeline import RunConfig
 
+#: The synthetic series ``run_simulate`` draws, by ``sim_kind``.
+SIM_KINDS = ("regimes", "steps")
+
 
 def _spread_to_weeks(spread_values, rng) -> dio.QuotationTable:
     """Quotation table whose per-day spread reproduces ``spread_values``,
@@ -76,7 +79,7 @@ def run_simulate(config: RunConfig) -> dict:
             ]
             truth.update(shift=shift, transition=params.transition.tolist(), coefs=shifted,
                          sigmas=list(config.sim_sigmas), true_states=states.tolist())
-        elif config.sim_kind == "steps":
+        else:  # steps
             tau = tuple(config.sim_tau)
             bounds = (0,) + tau + (config.sim_T,)
             if list(bounds) != sorted(set(bounds)):
@@ -92,8 +95,6 @@ def run_simulate(config: RunConfig) -> dict:
             )
             truth.update(true_tau=list(tau), levels=list(config.sim_levels),
                          stds=list(config.sim_stds))
-        else:
-            raise ValidationError(f"unknown sim_kind {config.sim_kind!r}")
     # a NaN would be a gap, which the table does not refuse
     if not np.isfinite(y).all():
         raise ValidationError(f"the simulated {config.sim_kind} spread is not finite")

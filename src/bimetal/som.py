@@ -57,7 +57,8 @@ _TRAIN_BLOCK_BYTES = _BMU_BLOCK_BYTES // 8
 
 @dataclass
 class SomGrid:
-    """A trained (or freshly initialized) map: one code vector per node.
+    """A trained (or freshly initialized) map: at least one node and one code
+    vector per node; any other shape is a ValidationError.
 
     Nodes are indexed row-major; node i sits at grid position
     (i // cols, i % cols) and grid distance is Euclidean on those positions.
@@ -68,6 +69,16 @@ class SomGrid:
     code_vectors: np.ndarray  # (rows*cols, dim)
     trained_epochs: int
     seed: int
+
+    def __post_init__(self):
+        rows, cols, n = self.rows, self.cols, self.code_vectors.shape[0]
+        if rows < 1 or cols < 1:
+            raise ValidationError(f"grid rows={rows} x cols={cols}: each must be >= 1")
+        if n != rows * cols:
+            raise ValidationError(
+                f"grid rows={rows} x cols={cols} has {rows * cols} nodes but {n} "
+                "code vectors"
+            )
 
     @property
     def n_nodes(self) -> int:

@@ -82,7 +82,7 @@ class MsSpec:
 @dataclass
 class MsParams:
     """Transition matrix (column-stochastic), one mean model and one noise
-    scale per regime."""
+    scale per regime; building params that are not one is a ValidationError."""
 
     transition: np.ndarray
     means: tuple[LinearMean | MlpMean, ...]
@@ -92,6 +92,23 @@ class MsParams:
         self.transition = np.asarray(self.transition, dtype=float)
         self.sigmas = np.asarray(self.sigmas, dtype=float)
         self.means = tuple(self.means)
+        A = self.transition
+        n = self.n_regimes
+        if A.shape != (n, n):
+            raise ValidationError("transition matrix must be square")
+        if not np.allclose(A.sum(axis=0), 1.0, atol=1e-9):
+            raise ValidationError("transition columns must sum to 1")
+        if np.any(A <= 0) or np.any(A >= 1):
+            raise ValidationError("transition entries must lie strictly inside (0, 1)")
+        if len(self.means) != n or self.sigmas.shape != (n,):
+            raise ValidationError("one mean model and one sigma per regime")
+        lags = {m.lag for m in self.means}
+        if len(lags) != 1:
+            raise ValidationError("all regimes must share the same lag order")
+        if self.lag < 1:
+            raise ValidationError("lag must be >= 1")
+        if np.any(self.sigmas <= 0):
+            raise ValidationError("sigmas must be strictly positive")
 
     @property
     def n_regimes(self) -> int:
@@ -110,25 +127,6 @@ class MsParams:
     def q(self) -> float:
         """Persistence of regime 2."""
         return float(self.transition[1, 1])
-
-    def validate(self) -> None:
-        A = self.transition
-        n = self.n_regimes
-        if A.shape != (n, n):
-            raise ValidationError("transition matrix must be square")
-        if not np.allclose(A.sum(axis=0), 1.0, atol=1e-9):
-            raise ValidationError("transition columns must sum to 1")
-        if np.any(A <= 0) or np.any(A >= 1):
-            raise ValidationError("transition entries must lie strictly inside (0, 1)")
-        if len(self.means) != n or self.sigmas.shape != (n,):
-            raise ValidationError("one mean model and one sigma per regime")
-        lags = {m.lag for m in self.means}
-        if len(lags) != 1:
-            raise ValidationError("all regimes must share the same lag order")
-        if self.lag < 1:
-            raise ValidationError("lag must be >= 1")
-        if np.any(self.sigmas <= 0):
-            raise ValidationError("sigmas must be strictly positive")
 
     def permuted(self, order) -> "MsParams":
         """Relabel regimes: new regime k is old regime order[k]."""
@@ -186,7 +184,6 @@ def simulate(
     """
     if T < 1:
         raise ValidationError("T must be >= 1")
-    params.validate()
     rng = np.random.default_rng(seed)
     A = params.transition
     n = params.n_regimes
@@ -280,7 +277,6 @@ def hamilton_filter(params: MsParams, series) -> FilterResult:
     series = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(series)):
         raise ValidationError("series contains non-finite values")
-    params.validate()
     X, y = make_design(series, params.lag)
     L = _log_densities(params, X, y)
     A = params.transition

@@ -1,17 +1,23 @@
-"""Byte check of the CLI's outputs against another commit.
+"""Byte check of the CLI's outputs against another commit, or across BLAS
+kernels.
 
     python tests/bytecheck.py BASE
+    python tests/bytecheck.py --kernels Haswell,Sandybridge
 
-checks out ``BASE`` (any git revision) with ``git worktree add`` into a
-temporary directory, runs one fixed list of CLI calls with that tree's
-``src`` on the path, then runs the same list with this working tree's
-``src``, each into the same outdir paths of one work directory (the
-manifest records the input path as given). For each call it compares the
-call's ``--outdir`` and every file and directory under it, stdout, stderr
-and the exit code, and prints one line: ``same``, or the names of what
-differs. It reports and decides nothing: a change that moves bytes on
-purpose shows here, and says why elsewhere. The list takes well under a
-minute per tree.
+The first form checks out ``BASE`` (any git revision) with ``git worktree
+add`` into a temporary directory, runs one fixed list of CLI calls with that
+tree's ``src`` on the path, then runs the same list with this working tree's
+``src``, each into the same outdir paths of one work directory (the manifest
+records the input path as given). For each call it compares the call's
+``--outdir`` and every file and directory under it, stdout, stderr and the
+exit code, and prints one line: ``same``, or the names of what differs. It
+reports and decides nothing: a change that moves bytes on purpose shows
+here, and says why elsewhere. The list takes well under a minute per tree.
+
+The second form runs this tree's list natively, then once with each named
+``OPENBLAS_CORETYPE`` set on its calls, and prints the same lines for each
+kernel against the native run. It needs numpy's OpenBLAS built with
+``DYNAMIC_ARCH``; without it, it says so and runs nothing.
 
 Pytest does not collect this file; ``tests/test_bytecheck.py`` runs a short
 list twice from this tree.
@@ -20,6 +26,7 @@ list twice from this tree.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shlex
 import shutil
@@ -59,6 +66,15 @@ def _set(src: str, dst: str, cells: dict):
             lines[i] = ",".join(row) + "\n"
         (work / dst).write_text("".join(lines))
     return set_cells
+
+
+def _json(src: str, dst: str, edit):
+    """A step that copies a JSON file with ``edit`` applied to its value."""
+    def edit_json(work: Path) -> None:
+        value = json.loads((work / src).read_text())
+        edit(value)
+        (work / dst).write_text(json.dumps(value))
+    return edit_json
 
 
 # A short run only checks a code path, so it runs with few epochs and
@@ -144,6 +160,15 @@ RUNS = [
     _copy("sim/run", "gridswap"),
     _copy("nohpl/som_grid.json", "gridswap/som_grid.json"),
     ["report", "--outdir", "gridswap"],
+    # a model whose transition is not a chain's, and a grid of 30 nodes over
+    # 25 code vectors, do not load
+    _copy("sim/run", "bad_transition"),
+    _json("sim/run/ms_model.json", "bad_transition/ms_model.json",
+          lambda d: d["params"].update(transition=[[1.7, 0.3], [-0.7, 0.7]])),
+    ["report", "--outdir", "bad_transition"],
+    _copy("sim/run", "rows6"),
+    _json("sim/run/som_grid.json", "rows6/som_grid.json", lambda d: d.update(rows=6)),
+    ["report", "--outdir", "rows6"],
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "big_grid",
      "--som-rows", "40", "--som-cols", "40"],
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "big_k", "--stages", "cpd",
@@ -163,14 +188,15 @@ def _digests(work: Path, outdir: str) -> dict:
     }
 
 
-def run_list(src, work, steps) -> list[dict]:
-    """Run ``steps`` with ``src`` on the path, in a fresh ``work`` directory;
-    one record per CLI call: its argv, exit code, stdout, stderr and the
-    digests of the files under its ``--outdir``."""
+def run_list(src, work, steps, env=None) -> list[dict]:
+    """Run ``steps`` with ``src`` on the path and ``env`` added to the
+    environment, in a fresh ``work`` directory; one record per CLI call: its
+    argv, exit code, stdout, stderr and the digests of the files under its
+    ``--outdir``."""
     work = Path(work)
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(Path(src).resolve())}
     records = []
     for step in steps:
         if callable(step):
@@ -195,7 +221,30 @@ def compare(base: list[dict], head: list[dict]) -> list[str]:
     return lines
 
 
+def kernels(names) -> int:
+    """Print, for each OpenBLAS kernel of ``names``, how this tree's list
+    differs from its native run."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    configuration = blas.get("openblas configuration", "")
+    if "DYNAMIC_ARCH" not in configuration:
+        print(f"numpy's BLAS is {blas.get('name')} {configuration!r}, not an OpenBLAS "
+              "built with DYNAMIC_ARCH: OPENBLAS_CORETYPE selects no kernel; nothing run")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
+        native = run_list(REPO / "src", Path(tmp) / "work", RUNS)
+        for name in names:
+            forced = run_list(REPO / "src", Path(tmp) / "work", RUNS,
+                              env={"OPENBLAS_CORETYPE": name})
+            for line in compare(native, forced):
+                print(f"{name}: {line}")
+    return 0
+
+
 def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--kernels":
+        return kernels(argv[1].split(","))
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1

@@ -166,6 +166,29 @@ def test_config_values_are_type_checked():
             RunConfig().merged(bad)  # the path of the CLI's flags
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ms_seed", -1), ("som_rows", "5"), ("cpd_k_max", 1.5), ("max_gap", -1),
+    ("sim_kind", "bogus"),
+])
+def test_config_refuses_a_bad_value_where_it_is_built(key, value):
+    with pytest.raises(ValidationError, match=f"config key {key!r}: {value!r}"):
+        RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"max_gap": 0, "som_seed": 2, "ms_seed": 3, "include_hpl": False, "hpl_kind": "ratio",
+     "cpd_k_max": None, "cpd_penalty": 1},
+    {"spread_aggregation": "per_day", "run_ms": False, "ms_tol": 0},
+], ids=["every-stage", "per-day"])
+def test_a_config_that_builds_leaves_an_outdir_that_loads(sim_dataset, tmp_path,
+                                                          overrides):
+    config = fast_config(input=str(sim_dataset), outdir=str(tmp_path), **overrides)
+    written = run_analyze(config)
+    loaded = load_bundle(tmp_path)
+    assert loaded.manifest == json.loads(json.dumps(written.manifest))
+    assert loaded.artifact_names == written.artifact_names
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -709,6 +732,40 @@ def test_report_on_a_grid_of_another_dimension_is_data_error(analyzed, sim_datas
         f"data error: malformed artifact {run / 'som_grid.json'}: "
         "dimension mismatch: data dim 14, grid dim 12\n"
     )
+
+
+def _transition_outside_0_1(d):
+    d["params"]["transition"] = [[1.7, 0.3], [-0.7, 0.7]]
+
+
+def _negative_sigma(d):
+    d["params"]["sigmas"][0] = -1
+
+
+@pytest.mark.parametrize("filename, edit, message", [
+    ("ms_model.json", _transition_outside_0_1, r"strictly inside \(0, 1\)"),
+    ("ms_model.json", _negative_sigma, "sigmas must be strictly positive"),
+    ("som_grid.json", lambda d: d.update(rows=4), "rows=4 x cols=3 has 12 nodes but 9 "),
+    ("som_grid.json", lambda d: d.update(rows=2), "rows=2 x cols=3 has 6 nodes but 9 "),
+    ("som_grid.json", lambda d: d.update(rows=0), "rows=0 x cols=3: each must be >= 1"),
+], ids=["transition", "sigma", "rows-4", "rows-2", "rows-0"])
+def test_load_bundle_refuses_a_record_that_does_not_build(analyzed, tmp_path, capsys,
+                                                          filename, edit, message):
+    """A hand-edited ms_model.json whose params are not a switching model, or a
+    som_grid.json whose rows x cols is not its count of code vectors, is a
+    malformed artifact: report exits 2 with one line naming the file."""
+    config, _ = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    path = run / filename
+    d = json.loads(path.read_text())
+    edit(d)
+    path.write_text(json.dumps(d))
+    with pytest.raises(DataError, match=f"malformed artifact {path}: .*{message}"):
+        load_bundle(run)
+    assert main(["report", "--outdir", str(run)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: malformed artifact {path}: ")
 
 
 @pytest.mark.parametrize("filename, corrupt", [

@@ -179,6 +179,17 @@ def test_grid_at_the_node_ceiling_trains():
     assert grid.n_nodes == MAX_NODES
 
 
+@pytest.mark.parametrize("rows, cols, message", [
+    (2, 3, "has 6 nodes but 5 code vectors"),
+    (5, 2, "has 10 nodes but 5 code vectors"),
+    (0, 5, "each must be >= 1"),
+    (-1, -5, "each must be >= 1"),
+])
+def test_grid_refuses_a_node_count_other_than_its_code_vectors(rows, cols, message):
+    with pytest.raises(ValidationError, match=f"rows={rows} x cols={cols}.*{message}"):
+        grid_from(np.zeros((5, 2)), rows, cols)
+
+
 def test_train_accepts_featureset(small_table):
     fs = build_features(small_table)
     grid = train_som(fs, rows=2, cols=2, epochs=3, seed=0)

@@ -135,7 +135,6 @@ def test_simulate_transition_frequencies():
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"T": 0}, "T must be >= 1"),
-    ({"params": linear_params(coefs=((0.1,), (0.2,)))}, "lag must be >= 1"),
 ])
 def test_simulate_rejects_bad_arguments(kwargs, message):
     with pytest.raises(ValidationError, match=message):
@@ -212,12 +211,14 @@ def test_filter_rejects_nonfinite():
      "same lag order"),
     ({"sigmas": [0.3, 0.0]}, "strictly positive"),
     ({"sigmas": [-0.3, 0.6]}, "strictly positive"),
+    ({"means": (LinearMean(np.array([0.1])), LinearMean(np.array([0.2])))},
+     "lag must be >= 1"),
 ], ids=["not-square", "outside-0-1", "column-sum", "absorbing", "three-sigmas",
-        "one-mean", "mixed-lags", "zero-sigma", "negative-sigma"])
+        "one-mean", "mixed-lags", "zero-sigma", "negative-sigma", "zero-lag"])
 def test_filter_rejects_invalid_params(change, message):
-    params = dataclasses.replace(linear_params(), **change)
+    # the params refuse to be built, so no filter or simulation gets them
     with pytest.raises(ValidationError, match=message):
-        hamilton_filter(params, np.linspace(0.1, 1.0, 20))
+        dataclasses.replace(linear_params(), **change)
 
 
 def test_filter_rejects_a_series_no_longer_than_the_lag():
