@@ -55,10 +55,22 @@ _BMU_BLOCK_BYTES = 2**20
 _TRAIN_BLOCK_BYTES = _BMU_BLOCK_BYTES // 8
 
 
+def _check_grid_shape(rows: int, cols: int) -> None:
+    """Refuse a grid without a node, or with more than ``MAX_NODES``."""
+    if rows < 1 or cols < 1:
+        raise ValidationError(f"grid rows={rows} x cols={cols}: each must be >= 1")
+    if rows * cols > MAX_NODES:
+        raise ValidationError(
+            f"grid rows={rows} x cols={cols} has {rows * cols} nodes, more than "
+            f"the {MAX_NODES} (32x32) allowed: its node-by-node tables grow as "
+            f"the square of the node count"
+        )
+
+
 @dataclass
 class SomGrid:
-    """A trained (or freshly initialized) map: at least one node and one code
-    vector per node; any other shape is a ValidationError.
+    """A trained (or freshly initialized) map: one to ``MAX_NODES`` nodes and
+    one code vector per node; any other shape is a ValidationError.
 
     Nodes are indexed row-major; node i sits at grid position
     (i // cols, i % cols) and grid distance is Euclidean on those positions.
@@ -72,8 +84,7 @@ class SomGrid:
 
     def __post_init__(self):
         rows, cols, n = self.rows, self.cols, self.code_vectors.shape[0]
-        if rows < 1 or cols < 1:
-            raise ValidationError(f"grid rows={rows} x cols={cols}: each must be >= 1")
+        _check_grid_shape(rows, cols)
         if n != rows * cols:
             raise ValidationError(
                 f"grid rows={rows} x cols={cols} has {rows * cols} nodes but {n} "
@@ -135,14 +146,7 @@ def train_som(features, rows=5, cols=5, epochs=100, seed=0) -> SomGrid:
     n = X.shape[0]
     if n == 0:
         raise ValidationError("empty input: cannot initialize a SOM")
-    if rows < 1 or cols < 1:
-        raise ValidationError("grid must have at least one node")
-    if rows * cols > MAX_NODES:
-        raise ValidationError(
-            f"grid rows={rows} x cols={cols} has {rows * cols} nodes, more than "
-            f"the {MAX_NODES} (32x32) allowed: its node-by-node tables grow as "
-            f"the square of the node count"
-        )
+    _check_grid_shape(rows, cols)  # before any nodes x nodes table is drawn
     if epochs < 0:
         raise ValidationError(f"epochs={epochs} must be >= 0")
     rng = np.random.default_rng(seed)

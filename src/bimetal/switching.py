@@ -339,9 +339,7 @@ def _transition_q_value(A, xi, sm0) -> float:
     including the stationary initial-state term."""
     with np.errstate(divide="ignore", invalid="ignore"):
         logA = np.log(A)
-        val = float(np.sum(np.where(xi > 0, xi * logA, 0.0)))
-        if np.any((xi > 0) & (A <= 0)):
-            return -np.inf
+        val = float(np.sum(xi * logA))
         try:
             pi = stationary_distribution(A)
         except NumericalError:
@@ -404,25 +402,20 @@ class EmResult:
         return len(self.trace)
 
 
-def _initial_params(spec: MsSpec, series, rng) -> MsParams:
-    """Jittered initialization around a global AR fit, every regime linear."""
-    X, y = make_design(series, spec.lag)
-    base = LinearMean(np.zeros(spec.lag + 1)).fit_weighted(X, y, np.ones(y.shape[0]))
-    resid_std = float(np.std(y - base.predict(X), ddof=0))
-    scale = max(resid_std, 1e-3 * max(float(np.std(y)), 1.0), 1e-12)
-
+def _initial_params(base: LinearMean, scale: float, n: int, rng) -> MsParams:
+    """Jittered initialization of n linear regimes around the global AR fit
+    ``base`` whose residual scale is ``scale``."""
     means = []
-    for _ in range(spec.n_regimes):
-        jitter = rng.standard_normal(spec.lag + 1) * (
+    for _ in range(n):
+        jitter = rng.standard_normal(base.coef.shape[0]) * (
             0.5 * np.abs(base.coef) + 0.5 * scale
         )
         means.append(LinearMean(base.coef + jitter))
-    sigmas = scale * rng.uniform(0.5, 1.5, size=spec.n_regimes)
-    diag = rng.uniform(0.7, 0.95, size=spec.n_regimes)
-    A = np.empty((spec.n_regimes, spec.n_regimes))
-    for j in range(spec.n_regimes):
-        off = (1.0 - diag[j]) / (spec.n_regimes - 1)
-        A[:, j] = off
+    sigmas = scale * rng.uniform(0.5, 1.5, size=n)
+    diag = rng.uniform(0.7, 0.95, size=n)
+    A = np.empty((n, n))
+    for j in range(n):
+        A[:, j] = (1.0 - diag[j]) / (n - 1)
         A[j, j] = diag[j]
     return MsParams(transition=A, means=tuple(means), sigmas=sigmas)
 
@@ -456,7 +449,7 @@ def _m_step(params, X, y, smoothed, xi, sigma_floor) -> MsParams:
     if np.any(masses < _MIN_WEIGHT):
         weak = int(np.argmin(masses))
         raise _DegenerateRestart(
-            f"regime {weak + 1} holds {masses[weak]:.3g} observation-equivalents"
+            f"regime {weak + 1} holds less than {_MIN_WEIGHT:g} observation-equivalent"
         )
     A = _update_transition(params.transition, xi, smoothed[0])
     means = []
@@ -468,8 +461,8 @@ def _m_step(params, X, y, smoothed, xi, sigma_floor) -> MsParams:
         var = float(np.sum(w * resid * resid) / masses[i])
         if var < sigma_floor**2:
             raise _DegenerateRestart(
-                f"regime {i + 1} sigma {np.sqrt(var):.3g} is below "
-                f"{_SIGMA_REL_FLOOR:g} times the series' standard deviation"
+                f"regime {i + 1} sigma is below {_SIGMA_REL_FLOOR:g} times the "
+                "series' standard deviation"
             )
         means.append(new_mean)
         sigmas[i] = np.sqrt(var)
@@ -531,9 +524,9 @@ def em_fit(
     sigma below 1e-9 times the standard deviation of the series (a regime
     that fits a few observations exactly, as in a series of repeated
     values). If every run of a stage degenerates, a DegenerateModelError
-    gives the first three reasons and the count of steps that repeat the
-    previous value exactly, which a regime can fit with sigma near 0; with
-    more than two regimes, it also suggests fewer.
+    gives the first three distinct reasons and the count of steps that
+    repeat the previous value exactly, which a regime can fit with sigma
+    near 0; with more than two regimes, it also suggests fewer.
     """
     series = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(series)):
@@ -544,11 +537,8 @@ def em_fit(
         raise ValidationError(f"tol must be >= 0, got {tol}")
     if tol == np.inf:  # every first step would count as converged
         raise ValidationError(f"tol must be finite, got {tol}")
+    X, y = make_design(series, spec.lag)
     n_use = series.shape[0]
-    if n_use <= spec.lag:
-        raise ValidationError(
-            f"series of length {n_use} has no usable steps at lag {spec.lag}"
-        )
     if n_use < 10 * spec.n_params:
         warnings.warn(
             f"series length {n_use} is short for {spec.n_params} parameters "
@@ -558,14 +548,17 @@ def em_fit(
 
     if n_restarts < 1:
         raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
+    base = LinearMean(np.zeros(spec.lag + 1)).fit_weighted(X, y, np.ones(y.shape[0]))
+    resid_std = float(np.std(y - base.predict(X), ddof=0))
+    scale = max(resid_std, 1e-3 * max(float(np.std(y)), 1.0), 1e-12)
     logliks: list[float | None] = []
     starts = (
-        _initial_params(spec, series, np.random.default_rng(child))
+        _initial_params(base, scale, spec.n_regimes, np.random.default_rng(child))
         for child in np.random.SeedSequence(seed).spawn(n_restarts)
     )
     restart, fit = _best_run(series, starts, tol, max_iter, logliks)
     if "mlp" in spec.families:
-        starts = _perceptron_starts(spec, fit[0], make_design(series, spec.lag)[0])
+        starts = _perceptron_starts(spec, fit[0], X)
         restart, fit = _best_run(series, starts, tol, max_iter, logliks)
 
     params, probs, trace, converged = fit
@@ -586,7 +579,8 @@ def _best_run(series, starts, tol, max_iter, logliks):
     """Run EM from each start, appending each run's final log-likelihood
     (None if it collapsed) to ``logliks``. Returns the list index and the
     ``_em_single`` output of the best run, the earliest on a tie, or raises
-    DegenerateModelError when every run collapsed."""
+    DegenerateModelError, naming each distinct reason once in the order
+    first seen, when every run collapsed."""
     best, failures = None, []
     for start in starts:
         try:
@@ -600,8 +594,9 @@ def _best_run(series, starts, tol, max_iter, logliks):
             best = (len(logliks) - 1, fit)
     if best is None:
         repeats = np.count_nonzero(series[1:] == series[:-1])
+        reasons = "; ".join(list(dict.fromkeys(failures))[:3])
         raise DegenerateModelError(
-            "all restarts degenerate (" + "; ".join(failures[:3]) + f"); {repeats} of "
+            f"all restarts degenerate ({reasons}); {repeats} of "
             f"{len(series) - 1} steps repeat the previous value exactly"
             + ("; try fewer regimes" if start.n_regimes > 2 else "")
         )

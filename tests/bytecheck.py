@@ -4,10 +4,10 @@ kernels.
     python tests/bytecheck.py BASE
     python tests/bytecheck.py --kernels Haswell,Sandybridge
 
-The first form checks out ``BASE`` (any git revision) with ``git worktree
-add`` into a temporary directory, runs one fixed list of CLI calls with that
-tree's ``src`` on the path, then runs the same list with this working tree's
-``src``, each into the same outdir paths of one work directory (the manifest
+The first form unpacks the ``src`` of ``BASE`` (any git revision) with
+``git archive`` into a temporary directory, writing nothing under ``.git``,
+runs one fixed list of CLI calls with that ``src`` on the path, then runs
+the same list with this working tree's ``src``, each into the same outdir paths of one work directory (the manifest
 records the input path as given). For each call it compares the call's
 ``--outdir`` and every file and directory under it, stdout, stderr and the
 exit code, and prints one line: ``same``, or the names of what differs. It
@@ -26,12 +26,14 @@ list twice from this tree.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -173,6 +175,28 @@ RUNS = [
      "--som-rows", "40", "--som-cols", "40"],
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "big_k", "--stages", "cpd",
      "--cpd-k-max", "30000"],
+    # a grid past the node ceiling does not load either
+    _copy("sim/run", "grid33x32"),
+    _json("sim/run/som_grid.json", "grid33x32/som_grid.json",
+          lambda d: d.update(rows=33, cols=32, code_vectors=(d["code_vectors"] * 43)[:1056])),
+    ["report", "--outdir", "grid33x32"],
+    # the one-day spreads and a fixed change-point penalty
+    ["analyze", "--input", "sim/dataset.csv", "--outdir", "tuesday", "--stages", "cpd",
+     "--spread-aggregation", "tuesday"],
+    ["analyze", "--input", "sim/dataset.csv", "--outdir", "friday", "--stages", "cpd",
+     "--spread-aggregation", "friday"],
+    ["analyze", "--input", "sim/dataset.csv", "--outdir", "cpd_penalty", "--stages", "cpd",
+     "--cpd-penalty", "2"],
+    # a gap in the last week, which only a forward fill closes
+    _set("sim/dataset.csv", "lastgap.csv", {(500, 7): ""}),
+    ["ingest", "--input", "lastgap.csv", "--outdir", "lastgap"],
+    # a short series warns and still fits (exit 0)
+    ["analyze", "--input", "sim30/dataset.csv", "--outdir", "short_ms", "--stages", "ms",
+     "--ms-families", "linear,linear"],
+    # an unknown stage (exit 1), and a directory given as the input (exit 2)
+    ["analyze", "--input", "sim/dataset.csv", "--outdir", "bad_stages",
+     "--stages", "som,bogus"],
+    ["analyze", "--input", "sim", "--outdir", "dir_input"],
 ]
 
 
@@ -250,13 +274,11 @@ def main(argv) -> int:
         return 1
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
         tree = Path(tmp) / "base"
-        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
-                        str(tree), argv[0]], check=True)
-        try:
-            base = run_list(tree / "src", Path(tmp) / "work", RUNS)
-        finally:
-            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force",
-                            str(tree)], check=True)
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", argv[0], "src"],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        base = run_list(tree / "src", Path(tmp) / "work", RUNS)
         head = run_list(REPO / "src", Path(tmp) / "work", RUNS)
     for line in compare(base, head):
         print(line)

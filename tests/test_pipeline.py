@@ -742,13 +742,21 @@ def _negative_sigma(d):
     d["params"]["sigmas"][0] = -1
 
 
+def _tiled_grid(d, rows, cols):
+    """A grid of rows x cols nodes whose code vectors repeat the trained ones."""
+    d.update(rows=rows, cols=cols, code_vectors=[
+        d["code_vectors"][i % len(d["code_vectors"])] for i in range(rows * cols)])
+
+
 @pytest.mark.parametrize("filename, edit, message", [
     ("ms_model.json", _transition_outside_0_1, r"strictly inside \(0, 1\)"),
     ("ms_model.json", _negative_sigma, "sigmas must be strictly positive"),
     ("som_grid.json", lambda d: d.update(rows=4), "rows=4 x cols=3 has 12 nodes but 9 "),
     ("som_grid.json", lambda d: d.update(rows=2), "rows=2 x cols=3 has 6 nodes but 9 "),
     ("som_grid.json", lambda d: d.update(rows=0), "rows=0 x cols=3: each must be >= 1"),
-], ids=["transition", "sigma", "rows-4", "rows-2", "rows-0"])
+    ("som_grid.json", lambda d: _tiled_grid(d, 33, 32),
+     "rows=33 x cols=32 has 1056 nodes, more than the 1024 "),
+], ids=["transition", "sigma", "rows-4", "rows-2", "rows-0", "rows-33-cols-32"])
 def test_load_bundle_refuses_a_record_that_does_not_build(analyzed, tmp_path, capsys,
                                                           filename, edit, message):
     """A hand-edited ms_model.json whose params are not a switching model, or a
@@ -766,6 +774,17 @@ def test_load_bundle_refuses_a_record_that_does_not_build(analyzed, tmp_path, ca
     assert main(["report", "--outdir", str(run)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"data error: malformed artifact {path}: ")
+
+
+def test_report_on_a_grid_at_the_node_ceiling(analyzed, tmp_path):
+    config, _ = analyzed
+    run = tmp_path / "run"
+    shutil.copytree(config.outdir, run)
+    d = json.loads((run / "som_grid.json").read_text())
+    _tiled_grid(d, 32, 32)
+    (run / "som_grid.json").write_text(json.dumps(d))
+    assert load_bundle(run).grid.n_nodes == 1024
+    assert main(["report", "--outdir", str(run)]) == 0
 
 
 @pytest.mark.parametrize("filename, corrupt", [

@@ -190,6 +190,12 @@ def test_grid_refuses_a_node_count_other_than_its_code_vectors(rows, cols, messa
         grid_from(np.zeros((5, 2)), rows, cols)
 
 
+def test_grid_refuses_more_nodes_than_the_ceiling():
+    with pytest.raises(ValidationError,
+                       match="rows=33 x cols=32 has 1056 nodes, more than the 1024 "):
+        grid_from(np.zeros((1056, 2)), 33, 32)
+
+
 def test_train_accepts_featureset(small_table):
     fs = build_features(small_table)
     grid = train_som(fs, rows=2, cols=2, epochs=3, seed=0)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -470,6 +471,12 @@ def test_em_collapse_message_counts_repeats_and_advises_fewer_regimes_past_two(n
     message = str(info.value)
     assert message.startswith("all restarts degenerate (")
     assert "); 200 of 399 steps repeat the previous value exactly" in message
+    # each distinct reason once, by its rule and not by a last-bit figure
+    reasons = message[len("all restarts degenerate ("):message.index("); ")].split("; ")
+    assert len(set(reasons)) == len(reasons) <= 3
+    for reason in reasons:
+        assert re.fullmatch(r"regime \d (sigma is below 1e-09 times the series' standard "
+                            r"deviation|holds less than 1 observation-equivalent)", reason)
     assert message.endswith("; try fewer regimes") == (n_regimes > 2)
 
 
