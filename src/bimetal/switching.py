@@ -146,8 +146,11 @@ def transition_from_pq(p: float, q: float) -> np.ndarray:
 def stationary_distribution(transition) -> np.ndarray:
     """Invariant probability vector of a column-stochastic chain.
 
-    For two regimes this is ((1-q)/D, (1-p)/D) with D = (1-p) + (1-q);
-    a degenerate chain (p = q = 1) has no unique invariant vector.
+    Two regimes keep the exact closed form ((1-q)/D, (1-p)/D) with
+    D = (1-p) + (1-q); a degenerate chain (p = q = 1) has no unique
+    invariant vector. Past two, pi solves [A - I; 1^T] pi = (0, ..., 0, 1)
+    by least squares, and the chain is degenerate exactly when that matrix
+    has rank below n: more than one closed class, so no unique pi.
     """
     A = np.asarray(transition, dtype=float)
     n = A.shape[0]
@@ -159,13 +162,12 @@ def stationary_distribution(transition) -> np.ndarray:
                 "degenerate chain (p = q = 1): stationary distribution undefined"
             )
         return np.array([(1.0 - q) / denom, (1.0 - p) / denom])
-    if np.allclose(A, np.eye(n)):
-        raise NumericalError("degenerate chain: stationary distribution undefined")
     M = np.vstack([A - np.eye(n), np.ones(n)])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+    pi, _, rank, _ = np.linalg.lstsq(M, np.eye(n + 1)[n], rcond=None)
+    if rank < n:
+        raise NumericalError("degenerate chain: stationary distribution undefined")
+    pi = np.maximum(pi, 0.0)  # a transient state's 0 may solve as -1e-16
+    return pi / pi.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +338,14 @@ class _DegenerateRestart(Exception):
 
 def _transition_q_value(A, xi, sm0) -> float:
     """Expected complete-data log-likelihood terms that involve A,
-    including the stationary initial-state term."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logA = np.log(A)
-        val = float(np.sum(xi * logA))
-        try:
-            pi = stationary_distribution(A)
-        except NumericalError:
-            return -np.inf
-        logpi = np.log(pi)
-        if np.any((sm0 > 0) & (pi <= 0)):
-            return -np.inf
-        val += float(np.sum(np.where(sm0 > 0, sm0 * logpi, 0.0)))
-    return val
+    including the stationary initial-state term.
+
+    Every A scored here is the current ``MsParams`` transition or a convex
+    combination of it with the count-ratio candidate floored at 1e-10, so
+    its entries lie strictly inside (0, 1): pi is unique and positive, and
+    every log is finite."""
+    return (float(np.sum(xi * np.log(A)))
+            + float(np.sum(sm0 * np.log(stationary_distribution(A)))))
 
 
 def _update_transition(A_old, xi, sm0) -> np.ndarray:

@@ -127,6 +127,10 @@ RUNS = [
      "--som-epochs", "0"],
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "ms3", "--stages", "ms",
      "--ms-families", "linear,linear,linear", "--ms-max-iter", "20"],
+    # a perceptron among three regimes, on four segments, one of them without
+    # noise: some restarts collapse
+    ["analyze", "--input", "steps4/dataset.csv", "--outdir", "ms3_mlp", "--stages", "ms",
+     "--ms-families", "mlp,linear,linear", "--ms-max-iter", "20"],
     # per_day repeats each weekly spread: every restart collapses (exit 3)
     ["analyze", "--input", "sim/dataset.csv", "--outdir", "perday_ms",
      "--spread-aggregation", "per_day", "--stages", "ms", "--ms-families", "linear,linear"],

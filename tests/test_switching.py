@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bimetal.data import from_json, to_json
@@ -19,6 +20,7 @@ from bimetal.switching import (
     MsSpec,
     _em_single,
     _perceptron_starts,
+    _transition_q_value,
     em_fit,
     hamilton_filter,
     kim_smoother,
@@ -93,8 +95,58 @@ def test_stationary_defining_property(p, q):
 
 
 def test_stationary_degenerate_errors():
-    with pytest.raises(NumericalError, match="degenerate"):
-        stationary_distribution(transition_from_pq(1.0, 1.0))
+    # no unique invariant vector: the identity, and past two regimes a chain
+    # with two closed classes, here {1, 2} and {3, 4}
+    two_classes = np.array(
+        [[.5, .5, 0, 0], [.5, .5, 0, 0], [0, 0, .3, .7], [0, 0, .7, .3]])
+    for A in (transition_from_pq(1.0, 1.0), np.eye(3), two_classes):
+        with pytest.raises(NumericalError, match="degenerate"):
+            stationary_distribution(A)
+
+
+@given(st.integers(3, 4).flatmap(
+    lambda n: arrays(float, (n, n), elements=st.floats(0.01, 1.0))))
+def test_stationary_defining_property_past_two_regimes(weights):
+    A = weights / weights.sum(axis=0)
+    pi = stationary_distribution(A)
+    assert_allclose(A @ pi, pi, atol=1e-12)
+    assert pi.sum() == pytest.approx(1.0)
+    assert (pi > 0).all()
+
+
+def test_stationary_solves_a_chain_near_the_identity():
+    # irreducible, with every off-diagonal entry 1e-9: the uniform vector
+    A = np.full((3, 3), 1e-9) + np.eye(3) * (1.0 - 3e-9)
+    pi = stationary_distribution(A)
+    assert_allclose(A @ pi, pi, atol=1e-12)
+    assert_allclose(pi, 1.0 / 3.0, atol=1e-6)
+
+
+def test_stationary_gives_a_transient_state_no_mass():
+    # one closed class, {2, 3}, which regime 1 leaves for good; least
+    # squares puts -1.1e-16 on regime 1
+    A = np.array([[.5, 0, 0], [.25, .7, .3], [.25, .3, .7]])
+    pi = stationary_distribution(A)
+    assert (pi >= 0).all()
+    assert_allclose(pi, [0.0, 0.5, 0.5], atol=1e-12)
+
+
+def test_transition_q_value_bits():
+    """With A strictly inside (0, 1) and sm0 a probability row that holds
+    exact zeros, the Q value equals, bit for bit, the sum that skips each
+    zero weight's initial-state term."""
+    rng = np.random.default_rng(39)
+    for n in (2, 3, 4):
+        for _ in range(100):
+            A = rng.dirichlet(np.ones(n), size=n).T
+            xi = rng.uniform(0.0, 50.0, size=(n, n)) * (rng.random((n, n)) < 0.8)
+            sm0 = rng.dirichlet(np.ones(n))
+            sm0[rng.permutation(n)[: rng.integers(1, n)]] = 0.0
+            sm0 /= sm0.sum()
+            pi = stationary_distribution(A)
+            skipping = float(np.sum(xi * np.log(A))) + float(
+                np.sum(np.where(sm0 > 0, sm0 * np.log(pi), 0.0)))
+            assert _transition_q_value(A, xi, sm0) == skipping
 
 
 # ---------------------------------------------------------------------------
