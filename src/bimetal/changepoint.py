@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import to_json
+from .data import check_series, to_json
 from .errors import ValidationError
 
 _VAR_FLOOR_ABS = 1e-300
@@ -51,15 +51,6 @@ class SegMode(Enum):
 
 def _variance_floor(series: np.ndarray) -> float:
     return max(float(series.var()) * 1e-12, _VAR_FLOOR_ABS)
-
-
-def _check_series(series) -> np.ndarray:
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1 or series.shape[0] == 0:
-        raise ValidationError("series must be a non-empty 1-d array")
-    if not np.all(np.isfinite(series)):
-        raise ValidationError("series contains non-finite values")
-    return series
 
 
 def _check_min_seg_len(mode: SegMode, min_seg_len) -> int:
@@ -112,7 +103,7 @@ class SegCostTable:
 
     @classmethod
     def build(cls, series, mode, min_seg_len=None) -> "SegCostTable":
-        series = _check_series(series)
+        series = check_series(series)
         mode = SegMode.parse(mode)
         return cls(
             mode=mode, min_seg_len=_check_min_seg_len(mode, min_seg_len),
@@ -223,9 +214,6 @@ def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int,
                   selection: SelectionDiagnostics | None) -> Segmentation:
     """The backtracked segmentation into K segments, with the selection
     that chose K (None for a fixed K)."""
-    total = float(G[K, 0])
-    if not np.isfinite(total):
-        raise ValidationError(f"no feasible segmentation into {K} segments")
     tau = _backtrack(table, G, K)
     means, covs = _segment_estimates(series, (0,) + tau + (table.T,))
     return Segmentation(
@@ -234,7 +222,7 @@ def _segmentation(series, table: SegCostTable, G: np.ndarray, K: int,
         tau=tau,
         segment_means=means,
         segment_covs=covs,
-        contrast_value=total,
+        contrast_value=float(G[K, 0]),
         min_seg_len=table.min_seg_len,
         selection=selection,
     )
@@ -250,7 +238,7 @@ def _sweep(series, mode, K: int | None, min_seg_len, name: str):
     automatic bound, check that K segments fit, and sweep.
 
     Returns the checked series, the table, K and the suffix tables G."""
-    series = _check_series(series)
+    series = check_series(series)
     if K is not None and (K + 1) * (series.shape[0] + 1) > MAX_TABLE_CELLS:
         raise ValidationError(
             f"{name}={K} needs a {K + 1} x {series.shape[0] + 1} change-point "

@@ -64,6 +64,21 @@ PRICE_MIN, PRICE_MAX = 1e-73, 1e73
 _DOMAIN = f"[{PRICE_MIN!r}, {PRICE_MAX!r}]"
 
 
+def check_series(series) -> np.ndarray:
+    """The domain of a series that the switching and change-point models take,
+    where their sums of squares stay finite for up to 2**53 values: a non-empty
+    1-d float array, each |value| <= PRICE_MAX. Every spread lies in it."""
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 1 or series.shape[0] == 0:
+        raise ValidationError(f"series must be a non-empty 1-d array, got shape {series.shape}")
+    inside = np.abs(series) <= PRICE_MAX  # False for NaN as well
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValidationError(f"series[{i}] = {series[i].item()!r} is non-finite "
+                              f"or outside [-{PRICE_MAX!r}, {PRICE_MAX!r}]")
+    return series
+
+
 @dataclass
 class QuotationTable:
     """The raw quotation table, one row per calendar week.

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_series
 from .errors import ValidationError
 
 # Levenberg–Marquardt stops once an accepted step lowers the loss by no more
@@ -34,7 +35,7 @@ def make_design(series: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (X, y) with one row per usable step t = lag..T-1.
     """
-    series = np.asarray(series, dtype=float)
+    series = check_series(series)
     if lag < 1:
         raise ValidationError("lag must be >= 1")
     T = series.shape[0]

@@ -101,11 +101,19 @@ class SomGrid:
 
 
 def _as_matrix(features) -> np.ndarray:
+    """The observations as a finite (n, dim) matrix; a 1-d array holds n
+    observations of one value. A FeatureSet is finite by construction."""
     if isinstance(features, FeatureSet):
         return features.standardized
     X = np.asarray(features, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    if X.ndim != 2:
+        raise ValidationError(f"features must be a 1-d or 2-d array, got shape {X.shape}")
+    finite = np.isfinite(X)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0].tolist()
+        raise ValidationError(f"features[{i}, {j}] = {X[i, j].item()!r} is non-finite")
     return X
 
 

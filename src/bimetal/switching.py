@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_series
 from .errors import DegenerateModelError, MonotonicityError, NumericalError, ValidationError
 from .regression import LinearMean, MlpMean, make_design
 
@@ -276,9 +277,6 @@ def hamilton_filter(params: MsParams, series) -> FilterResult:
     the log-likelihood is sum(c) plus the log of the last step's mass. Tests
     hold both to the per-step numpy recursion within rounding (1e-15).
     """
-    series = np.asarray(series, dtype=float)
-    if not np.all(np.isfinite(series)):
-        raise ValidationError("series contains non-finite values")
     X, y = make_design(series, params.lag)
     L = _log_densities(params, X, y)
     A = params.transition
@@ -525,9 +523,7 @@ def em_fit(
     repeat the previous value exactly, which a regime can fit with sigma
     near 0; with more than two regimes, it also suggests fewer.
     """
-    series = np.asarray(series, dtype=float)
-    if not np.all(np.isfinite(series)):
-        raise ValidationError("series contains non-finite values")
+    series = check_series(series)
     if max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     if not tol >= 0:  # also rejects NaN; 0 runs every restart to max_iter

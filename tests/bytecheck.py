@@ -15,9 +15,11 @@ reports and decides nothing: a change that moves bytes on purpose shows
 here, and says why elsewhere. The list takes well under a minute per tree.
 
 The second form runs this tree's list natively, then once with each named
-``OPENBLAS_CORETYPE`` set on its calls, and prints the same lines for each
-kernel against the native run. It needs numpy's OpenBLAS built with
-``DYNAMIC_ARCH``; without it, it says so and runs nothing.
+``OPENBLAS_CORETYPE`` set on its calls, each run in a work directory of its
+own, and prints the same lines for each kernel against the native run. A
+JSON or CSV file that differs but keeps its shape is followed by its
+largest absolute difference, in parentheses. It needs numpy's OpenBLAS
+built with ``DYNAMIC_ARCH``; without it, it says so and runs nothing.
 
 Pytest does not collect this file; ``tests/test_bytecheck.py`` runs a short
 list twice from this tree.
@@ -25,6 +27,7 @@ list twice from this tree.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -238,13 +241,57 @@ def run_list(src, work, steps, env=None) -> list[dict]:
     return records
 
 
-def compare(base: list[dict], head: list[dict]) -> list[str]:
-    """One line per call: its argv, then ``same`` or what differs."""
+def _difference(a, b) -> float | None:
+    """The largest |x - y| over the numbers x, y at the same path of two JSON
+    values; None when they differ in shape or in anything but a number."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        parts = [_difference(a[key], b[key]) for key in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        parts = [_difference(x, y) for x, y in zip(a, b)]
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return abs(a - b)
+    else:
+        return 0.0 if a == b else None
+    return None if None in parts else max(parts, default=0.0)
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def largest_difference(a: Path, b: Path) -> float | None:
+    """The largest absolute difference between two JSON files, over their
+    numbers at the same path, or two CSV files, over their float cells at
+    the same row and column; None for any other pair, or when the two
+    differ in shape or in a value that is not a number."""
+    if not (a.is_file() and b.is_file()) or a.suffix != b.suffix:
+        return None
+    if a.suffix == ".json":
+        return _difference(*(json.loads(p.read_text()) for p in (a, b)))
+    if a.suffix == ".csv":
+        rows = (csv.reader(p.read_text().splitlines()) for p in (a, b))
+        return _difference(*([[_cell(c) for c in row] for row in r] for r in rows))
+    return None
+
+
+def compare(base: list[dict], head: list[dict], works=None) -> list[str]:
+    """One line per call: its argv, then ``same`` or what differs. Given the
+    two work directories, a differing file is followed by its
+    ``largest_difference`` where it has one."""
     lines = []
     for a, b in zip(base, head):
         differs = [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]]
-        differs += sorted(name for name in a["files"].keys() | b["files"].keys()
-                          if a["files"].get(name) != b["files"].get(name))
+        for name in sorted(name for name in a["files"].keys() | b["files"].keys()
+                           if a["files"].get(name) != b["files"].get(name)):
+            largest = None if works is None else largest_difference(*(w / name for w in works))
+            differs.append(name if largest is None else f"{name} ({largest:.1e})")
         lines.append(f"{shlex.join(a['argv'])}: {', '.join(differs) or 'same'}")
     return lines
 
@@ -261,11 +308,11 @@ def kernels(names) -> int:
               "built with DYNAMIC_ARCH: OPENBLAS_CORETYPE selects no kernel; nothing run")
         return 0
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
-        native = run_list(REPO / "src", Path(tmp) / "work", RUNS)
+        native = run_list(REPO / "src", Path(tmp) / "native", RUNS)
         for name in names:
-            forced = run_list(REPO / "src", Path(tmp) / "work", RUNS,
-                              env={"OPENBLAS_CORETYPE": name})
-            for line in compare(native, forced):
+            work = Path(tmp) / name
+            forced = run_list(REPO / "src", work, RUNS, env={"OPENBLAS_CORETYPE": name})
+            for line in compare(native, forced, works=(Path(tmp) / "native", work)):
                 print(f"{name}: {line}")
     return 0
 

@@ -52,3 +52,32 @@ def test_an_empty_directory_left_under_or_as_an_outdir_is_named(tmp_path):
         "ingest --input sim/dataset.csv --outdir sim: sim/empty",
         "simulate --outdir gone --sim-coefs '[[0.1],[0.2]]': gone",
     ]
+
+
+def test_a_differing_json_or_csv_file_of_the_same_shape_gets_its_largest_difference(tmp_path):
+    files = {
+        "model.json": ('{"a": [1.0, 2.5], "b": {"c": 3, "d": "x"}}',
+                       '{"a": [1.0, 2.0], "b": {"c": 4, "d": "x"}}'),
+        "series.csv": ("t,v\n0,0.5\n1,\n2,7.25\n", "t,v\n0,0.25\n1,\n2,7.0\n"),
+        "same.csv": ("t,v\n0,1.0\n", "t,v\n0,1.0\n"),
+        "keys.json": ('{"a": 1}', '{"b": 1}'),
+        "text.json": ('{"a": "x"}', '{"a": "y"}'),
+        "rows.csv": ("t,v\n0,1.0\n", "t,v\n0,1.0\n1,2.0\n"),
+        "cell.csv": ("t,v\n0,1.0\n", "t,v\n0,x\n"),
+        "log.txt": ("1.0\n", "2.0\n"),
+    }
+    works = tmp_path / "a", tmp_path / "b"
+    for side, work in enumerate(works):
+        (work / "run").mkdir(parents=True)
+        for name, texts in files.items():
+            (work / "run" / name).write_text(texts[side])
+    records = [[{"argv": ["analyze", "--outdir", "run"], "exit": 0, "stdout": b"", "stderr": b"",
+                 "files": bytecheck._digests(work, "run")}] for work in works]
+    assert bytecheck.compare(*records, works=works) == [
+        "analyze --outdir run: run/cell.csv, run/keys.json, run/log.txt, "
+        "run/model.json (1.0e+00), run/rows.csv, run/series.csv (2.5e-01), run/text.json"
+    ]
+    assert bytecheck.compare(*records) == [
+        "analyze --outdir run: run/cell.csv, run/keys.json, run/log.txt, "
+        "run/model.json, run/rows.csv, run/series.csv, run/text.json"
+    ]

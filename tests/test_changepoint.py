@@ -16,7 +16,7 @@ from bimetal.changepoint import (
     detect,
     optimal_segmentation_for_k,
 )
-from bimetal.data import from_json
+from bimetal.data import PRICE_MAX, from_json
 from bimetal.errors import ValidationError
 
 from oracles import (
@@ -395,6 +395,23 @@ def test_detect_mean_mode_blind_to_variance_shift():
 def test_detect_rejects_nonfinite():
     with pytest.raises(ValidationError, match="non-finite"):
         detect(np.array([1.0, np.inf, 2.0]), "mean")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["mean", "meanvar"])
+def test_detect_on_a_series_at_the_domains_bounds_is_finite(mode):
+    series = stitched(9, [200, 200], [0.0, 3.0], [1.0, 1.0])
+    seg = detect(series / np.abs(series).max() * PRICE_MAX, mode)
+    assert np.isfinite(seg.contrast_value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["mean", "meanvar"])
+def test_detect_refuses_a_finite_series_past_the_domain(mode):
+    # its sums of squares would overflow
+    series = np.concatenate([np.zeros(50), np.full(50, 1e160)])
+    with pytest.raises(ValidationError, match=r"series\[50\] = 1e\+160 is non-finite or outside"):
+        detect(series, mode)
 
 
 @pytest.mark.parametrize("option, value, message", [

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from bimetal import data
+from bimetal.changepoint import SegCostTable, detect, optimal_segmentation_for_k
 from bimetal.data import (
     HEADER,
     HPL_KINDS,
@@ -29,7 +30,9 @@ from bimetal.data import (
     write_table,
 )
 from bimetal.errors import ImputationError, ParseError, ValidationError
+from bimetal.regression import LinearMean, make_design
 from bimetal.som import MacroClassification
+from bimetal.switching import MsParams, MsSpec, em_fit, hamilton_filter
 
 from conftest import (
     assert_tables_equal, make_csv, make_table, parse_csv, synthetic_rows,
@@ -372,6 +375,46 @@ def test_a_table_names_the_first_week_holding_a_price_outside_its_domain():
 def test_a_table_accepts_a_gap_and_either_bound():
     table = make_table(dict(poa=(PRICE_MIN, np.nan), lgs=15.7, hoa=PRICE_MAX))
     assert np.isnan(table.values).sum() == 1
+
+
+# Every entry of the switching and change-point models takes its series
+# through data.check_series.
+_SERIES_ENTRIES = {
+    "detect": lambda x: detect(x, "mean"),
+    "optimal_segmentation_for_k": lambda x: optimal_segmentation_for_k(x, 2, "mean"),
+    "SegCostTable.build": lambda x: SegCostTable.build(x, "meanvar"),
+    "em_fit": lambda x: em_fit(MsSpec(families=("linear", "linear")), x,
+                               max_iter=1, n_restarts=1),
+    "hamilton_filter": lambda x: hamilton_filter(MsParams(
+        transition=np.array([[0.9, 0.2], [0.1, 0.8]]),
+        means=(LinearMean(np.array([2.0, 0.5])), LinearMean(np.array([-1.0, 0.2]))),
+        sigmas=np.array([0.3, 0.6])), x),
+    "make_design": lambda x: make_design(x, 1),
+}
+
+
+def _with_value_at_7(value):
+    series = np.linspace(1.0, 2.0, 20)
+    series[7] = value
+    return series
+
+
+@pytest.mark.parametrize("series, message", [
+    (np.ones((20, 2)), r"non-empty 1-d array, got shape \(20, 2\)"),
+    ([], r"non-empty 1-d array, got shape \(0,\)"),
+    *((_with_value_at_7(v), rf"series\[7\] = {re.escape(repr(v))} is non-finite or outside "
+       r"\[-1e\+73, 1e\+73\]") for v in (np.nan, np.inf, 1e74, -1e74)),
+], ids=["2d", "empty", "nan", "inf", "1e74", "-1e74"])
+@pytest.mark.parametrize("entry", _SERIES_ENTRIES)
+def test_every_model_entry_refuses_a_series_outside_the_domain(entry, series, message):
+    with pytest.raises(ValidationError, match=message):
+        _SERIES_ENTRIES[entry](series)
+
+
+def test_the_series_domain_takes_its_bounds():
+    series = np.array([-PRICE_MAX, 0.0, PRICE_MAX])
+    assert data.check_series(series) is series
+    assert_array_equal(data.check_series([1, 2]), [1.0, 2.0])
 
 
 def test_standardization_moments(small_table):

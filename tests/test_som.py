@@ -161,6 +161,26 @@ def test_empty_input_errors():
         train_som(np.empty((0, 3)), 2, 2)
 
 
+@pytest.mark.parametrize("X, message", [
+    (np.where(np.arange(150).reshape(50, 3) == 64, np.nan, 1.0),  # row 21, column 1
+     r"features\[21, 1\] = nan is non-finite"),
+    (np.ones((10, 3, 2)), r"1-d or 2-d array, got shape \(10, 3, 2\)"),
+], ids=["nan", "3d"])
+def test_training_input_must_be_a_finite_matrix_refused_before_any_draw(X, message, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew from a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValidationError, match=message):
+        train_som(X, 2, 2)
+
+
+def test_quantization_error_refuses_a_non_finite_observation():
+    grid = train_som(np.ones((10, 3)), 2, 2, epochs=1)
+    with pytest.raises(ValidationError, match=r"features\[0, 2\] = inf is non-finite"):
+        quantization_error(grid, [[1.0, 1.0, np.inf]])
+
+
 @pytest.mark.parametrize("rows, cols", [(40, 40), (1, MAX_NODES + 1), (33, 32)])
 def test_grid_above_the_node_ceiling_is_refused_before_training(rows, cols):
     X = np.zeros((10, 3))
